@@ -114,7 +114,9 @@ def richardson_floor(state, tolerance=5.0):
     """Residual check against the time-discretization floor.
 
     floor = coarse residual / 16 (4th-order stencil), with a roundoff guard;
-    passes when the fine residual is within `tolerance` times the floor."""
+    passes when the fine residual is within `tolerance` times the floor.
+    A failed check also names its witness: the time sample of the worst
+    fine-stencil momentum residual."""
     fine = system_residual(state, "fine")
     coarse = system_residual(state, "coarse")
     guard_m = 1e-13 * max(tf.sup_norm(state.dt_v), 1.0)
@@ -123,7 +125,8 @@ def richardson_floor(state, tolerance=5.0):
     floor_f = max(coarse["flux_sup"] / 16.0, guard_f)
     ratio_m = fine["momentum_sup"] / floor_m
     ratio_f = fine["flux_sup"] / floor_f
-    return {
+    passed = bool(ratio_m <= tolerance and ratio_f <= tolerance)
+    out = {
         "momentum_fine": fine["momentum_sup"],
         "momentum_coarse": coarse["momentum_sup"],
         "momentum_floor": floor_m,
@@ -133,8 +136,13 @@ def richardson_floor(state, tolerance=5.0):
         "flux_floor": floor_f,
         "flux_ratio": ratio_f,
         "tolerance": tolerance,
-        "passed": bool(ratio_m <= tolerance and ratio_f <= tolerance),
+        "passed": passed,
     }
+    if not passed:
+        j = int(np.argmax(fine["momentum_slices"]))
+        out.update({"witness_t": state.tgrid.times()[j], "witness_slice": j,
+                    "witness_sup": fine["momentum_slices"][j]})
+    return out
 
 
 def block_projection(state, j=None):
@@ -176,13 +184,7 @@ def _probe_assembler(lam, mu, N=32, nt=9, kappa=0.1, pair_velocity=False):
         v_prev = v_ell
     else:
         v_prev = 0.8 * v_ell
-    grad_v_prev = np.stack([
-        np.stack([
-            np.stack([tf.derivative(v_prev[j, a], "xyz"[b], grid) for a in range(3)])
-            for b in range(3)
-        ])
-        for j in range(nt)
-    ])
+    grad_v_prev = np.stack([tf.gradient(v_prev[j], grid) for j in range(nt)])
     theta_prev = (0.3 * np.cos(X) * np.sin(Y))[None] * wob
     grad_theta_prev = np.stack([tf.gradient(theta_prev[j], grid) for j in range(nt)])
     theta_ell = theta_prev.copy()

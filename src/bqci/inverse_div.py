@@ -1,9 +1,12 @@
 """Antidivergence operators on the torus and their decay diagnostics.
 
-R_op maps a vector field v to a symmetric tensor R with div R = v - mean(v);
-G_op maps a scalar f to a vector g with div g = f - mean(f). Both are order
-minus-one operators: fed a wave a(x) e^{i lam k.x} (through the shifted
-symbol path) their output decays like 1/lam, which decay_probe measures.
+r_hat / g_hat are the symbols, acting on a spectrum with (shifted)
+wavenumbers K; the wave engine applies them class by class and mode by
+mode. R_op maps a vector field v to a symmetric tensor R with
+div R = v - mean(v); G_op maps a scalar f to a vector g with
+div g = f - mean(f). Both are order minus-one operators: fed a wave
+a(x) e^{i lam k.x} (through the shifted symbol path) their output decays
+like 1/lam, which decay_probe measures.
 """
 
 from dataclasses import dataclass
@@ -13,11 +16,46 @@ import numpy as np
 from . import torus_field as tf
 
 
-def _shifted_wavenumbers(grid, xi):
-    kx, ky, kz = grid.wavenumbers()
-    if xi is not None:
-        kx, ky, kz = kx + xi[0], ky + xi[1], kz + xi[2]
-    return kx, ky, kz
+def r_hat(vh, K, npts):
+    """Symmetric inverse-divergence symbol on a shifted vector spectrum.
+
+    Returns (Rh6 packed xx,xy,xz,yy,yz,zz and the dropped-mode mean, a length-3
+    complex coefficient; zero when the shift has no resolved zero mode).
+    """
+    KX, KY, KZ = K
+    k2 = KX * KX + KY * KY + KZ * KZ
+    sing = (k2 == 0)
+    mean = np.zeros(3, dtype=complex)
+    if np.any(sing):
+        mean = vh[:, sing].reshape(3) / npts
+        vh = np.where(sing, 0.0, vh)
+    inv = -1.0 / np.where(sing, 1.0, k2)
+    u = vh * inv
+    s = KX * u[0] + KY * u[1] + KZ * u[2]
+    # packed i (K_a u_b + K_b u_a - delta_ab K.u), built in place
+    Rh6 = np.empty((6,) + u.shape[1:], dtype=complex)
+    for i, (a, b) in enumerate(tf.PACK):
+        if a == b:
+            np.multiply(2.0 * K[a], u[a], out=Rh6[i])
+            Rh6[i] -= s
+        else:
+            np.multiply(K[b], u[a], out=Rh6[i])
+            Rh6[i] += K[a] * u[b]
+    Rh6 *= 1j
+    return Rh6, mean
+
+
+def g_hat(fh, K, npts):
+    """Gradient-of-inverse-Laplacian symbol on a shifted scalar spectrum."""
+    KX, KY, KZ = K
+    k2 = KX * KX + KY * KY + KZ * KZ
+    sing = (k2 == 0)
+    mean = 0.0 + 0.0j
+    if np.any(sing):
+        mean = complex(fh[sing].reshape(())) / npts
+        fh = np.where(sing, 0.0, fh)
+    u = fh * (-1.0 / np.where(sing, 1.0, k2))
+    return np.stack([1j * KX * u, 1j * KY * u, 1j * KZ * u]), mean
 
 
 def R_op(v, grid, xi=None):
@@ -30,23 +68,8 @@ def R_op(v, grid, xi=None):
     v = np.asarray(v)
     if v.shape != (3,) + grid.shape:
         raise ValueError("expected a vector field on the grid")
-    kx, ky, kz = _shifted_wavenumbers(grid, xi)
-    k2 = kx * kx + ky * ky + kz * kz
-    sing = k2 == 0
-    k2s = np.where(sing, 1.0, k2)
-    vh = tf.fft3(v)
-    vh = np.where(sing, 0.0, vh)  # drop the mean / singular mode
-    uh = vh / (-k2s)
-    ik = (1j * kx, 1j * ky, 1j * kz)
-    divu_h = sum(ik[a] * uh[a] for a in range(3))
-    Rh = np.empty((3, 3) + grid.shape, dtype=complex)
-    for a in range(3):
-        for b in range(a, 3):
-            Rh[a, b] = ik[b] * uh[a] + ik[a] * uh[b]
-            if a == b:
-                Rh[a, b] -= divu_h
-            Rh[b, a] = Rh[a, b]
-    out = tf.ifft3(Rh)
+    Rh6, _ = r_hat(tf.fft3(v), tf.shifted_k(grid, xi), grid.npts)
+    out = tf.sym_unpack(tf.ifft3(Rh6))
     return out.real if (xi is None and not np.iscomplexobj(v)) else out
 
 
@@ -55,28 +78,9 @@ def G_op(f, grid, xi=None):
     f = np.asarray(f)
     if f.shape != grid.shape:
         raise ValueError("expected a scalar field on the grid")
-    kx, ky, kz = _shifted_wavenumbers(grid, xi)
-    k2 = kx * kx + ky * ky + kz * kz
-    sing = k2 == 0
-    k2s = np.where(sing, 1.0, k2)
-    fh = np.where(sing, 0.0, tf.fft3(f))
-    uh = fh / (-k2s)
-    gh = np.stack([1j * kx * uh, 1j * ky * uh, 1j * kz * uh])
+    gh, _ = g_hat(tf.fft3(f), tf.shifted_k(grid, xi), grid.npts)
     out = tf.ifft3(gh)
     return out.real if (xi is None and not np.iscomplexobj(f)) else out
-
-
-def divergence(T, grid, xi=None):
-    """Divergence of a vector (3,...) -> scalar or tensor (3,3,...) -> vector,
-    contracting the second index."""
-    T = np.asarray(T)
-    if T.shape == (3,) + grid.shape:
-        return sum(tf.derivative(T[a], "xyz"[a], grid, xi=xi) for a in range(3))
-    if T.shape == (3, 3) + grid.shape:
-        return np.stack(
-            [sum(tf.derivative(T[a, b], "xyz"[b], grid, xi=xi) for b in range(3)) for a in range(3)]
-        )
-    raise ValueError(f"unsupported shape {T.shape}")
 
 
 @dataclass

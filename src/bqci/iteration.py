@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from . import algebra
+from . import diagnostics as dg
 from . import partition as pt
 from . import torus_field as tf
 from .stress_update import StepState, run_substep
@@ -263,28 +264,6 @@ def initial_data(grid, tgrid, M=0.05, lam=8, analytic=False):
             "chi": chi, "chi_prime": chi_p}
 
 
-def _spatial_stores(field, grid):
-    """(gradient, d_zz) of a slow time series of scalars, spectrally."""
-    lead = field.shape[:-3]
-    grad = np.zeros(lead + (3,) + grid.shape)
-    for idx in np.ndindex(*lead):
-        grad[idx] = tf.gradient(field[idx], grid)
-    dzz = np.zeros_like(field)
-    for idx in np.ndindex(*lead):
-        dzz[idx] = tf.derivative(tf.derivative(field[idx], "z", grid), "z", grid)
-    return grad, dzz
-
-
-def _divergence_six(R6, grid):
-    """Spectral divergence of a packed symmetric series (nt, 6, grid)."""
-    out = np.zeros((R6.shape[0], 3) + grid.shape)
-    for j in range(R6.shape[0]):
-        T = tf.sym_unpack(R6[j])
-        for a in range(3):
-            out[j, a] = sum(tf.derivative(T[a, b], "xyz"[b], grid) for b in range(3))
-    return out
-
-
 def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, pou=None,
                   coarse=True, analytic=False):
     """StepState for the first outer step, with every derivative store built
@@ -294,18 +273,19 @@ def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, pou=None,
     v, theta, p = data["v"], data["theta"], data["p"]
     grad_v = np.zeros((nt, 3, 3) + grid.shape)
     dzz_v = np.zeros((nt, 3) + grid.shape)
-    for j in range(nt):
-        for a in range(3):
-            grad_v[j, :, a] = tf.gradient(v[j, a], grid)
-            dzz_v[j, a] = tf.derivative(tf.derivative(v[j, a], "z", grid), "z", grid)
-    grad_theta, dzz_theta = _spatial_stores(theta, grid)
-    dt_v = tf.time_derivative(v, tgrid)
-    dt_theta = tf.time_derivative(theta, tgrid)
-    div_R0 = _divergence_six(data["R0"], grid)
+    grad_theta = np.zeros((nt, 3) + grid.shape)
+    dzz_theta = np.zeros((nt,) + grid.shape)
+    div_R0 = np.zeros((nt, 3) + grid.shape)
     div_f0 = np.zeros((nt,) + grid.shape)
     for j in range(nt):
-        div_f0[j] = sum(tf.derivative(data["f0"][j, b], "xyz"[b], grid)
-                        for b in range(3))
+        grad_v[j] = tf.gradient(v[j], grid)
+        dzz_v[j] = tf.second_derivative(v[j], "z", grid)
+        grad_theta[j] = tf.gradient(theta[j], grid)
+        dzz_theta[j] = tf.second_derivative(theta[j], "z", grid)
+        div_R0[j] = tf.divergence(tf.sym_unpack(data["R0"][j]), grid)
+        div_f0[j] = tf.divergence(data["f0"][j], grid)
+    dt_v = tf.time_derivative(v, tgrid)
+    dt_theta = tf.time_derivative(theta, tgrid)
     dt_v_coarse = dt_theta_coarse = None
     if coarse and (nt - 1) % 2 == 0 and (nt - 1) // 2 + 1 >= 5:
         ctg = tf.TimeGrid(tgrid.t0, tgrid.t1, (nt - 1) // 2 + 1)
@@ -362,7 +342,7 @@ def begin_step(state, ell1, ell1z, band=None):
     return report
 
 
-def run_step(state, lams, ells, ellzs, alt_phase=False, corrupt_transport=None):
+def run_step(state, lams, ells, ellzs):
     """Run the six cancellation substeps on a prepared state (begin_step done).
 
     Returns the step report: per-substep reports, the recorded amplitude
@@ -372,9 +352,7 @@ def run_step(state, lams, ells, ellzs, alt_phase=False, corrupt_transport=None):
     t0 = time.perf_counter()
     subs = []
     for n in range(1, 7):
-        subs.append(run_substep(state, n, lams[n - 1], ells[n - 1], ellzs[n - 1],
-                                alt_phase=alt_phase,
-                                corrupt_transport=corrupt_transport))
+        subs.append(run_substep(state, n, lams[n - 1], ells[n - 1], ellzs[n - 1]))
     sup_b = max(r["sup_b"] for r in subs)
     sqk = math.sqrt(state.kappa)
     report = {
@@ -416,20 +394,33 @@ def advance_step(state, kappa_next, e_vals_next):
     )
 
 
-def run_outer(state, plans):
-    """Chain outer steps.  Each plan is a dict with keys lams, ells, ellzs,
-    and (from the second plan on) kappa and e_vals.  Returns the final state
-    and the list of step reports."""
+def run_outer(state, lams, ells, ellzs, steps, schedule_b=1.5, tolerance=5.0):
+    """Chain `steps` outer steps from a prepared starting state.
+
+    Step s runs under the budget kappa_s = a^(-b^s) with a = 1/state.kappa
+    and b = schedule_b, on the frequency ladder lams doubled s times.  From
+    the second step on, the energy profile must keep e - a >= kappa/2 on the
+    stress support, so its level is 10 kappa_s plus a floor set by the
+    carried stress.  Every step ends with the Richardson check.  Returns the
+    final state and the report: per-step reports (with the velocity and
+    temperature increments), the kappas, and whether every check passed."""
+    kappas = [state.kappa ** (schedule_b ** s) for s in range(steps)]
     reports = []
-    for s, plan in enumerate(plans):
+    for s, kappa in enumerate(kappas):
         if s > 0:
-            state = advance_step(state, plan["kappa"], plan["e_vals"])
-        block = begin_step(state, plan["ells"][0], plan["ellzs"][0])
-        rep = run_step(state, plan["lams"], plan["ells"], plan["ellzs"],
-                       alt_phase=plan.get("alt_phase", False))
-        rep["blocks"] = block
+            level = 10 * kappa + 8.0 * tf.sup_norm(state.delta_R)
+            state = advance_step(state, kappa, np.full(state.tgrid.nt, level))
+        v0 = state.v.copy()
+        th0 = state.theta.copy()
+        blocks = begin_step(state, ells[0], ellzs[0])
+        rep = run_step(state, [lam * 2 ** s for lam in lams], ells, ellzs)
+        rep["blocks"] = blocks
+        rep["v_increment_sup"] = tf.sup_norm(state.v - v0)
+        rep["theta_increment_sup"] = tf.sup_norm(state.theta - th0)
+        rep["residual"] = dg.richardson_floor(state, tolerance)
         reports.append(rep)
-    return state, reports
+    passed = all(rep["residual"]["passed"] for rep in reports)
+    return state, {"steps": reports, "kappas": kappas, "passed": passed}
 
 
 # ---------------------------------------------------------------------------

@@ -55,17 +55,13 @@ class WaveEngine:
     e_vals: (nt,) energy profile samples. v_ell: (nt, 3, nx, ny, nz)
     mollified carrier velocity. kappa: stress budget (for preconditions).
 
-    alt_phase selects an alternate phase reading (carrier acting on
-    (y, z) only); it is exposed for comparison runs and the exactness
-    identities (div-free main wave) are not claimed under it.
-
     companion: even slices also carry the classes of the stride-2 time
     stencil, which the Richardson companion (stride=2 time derivatives)
     reads; ignored when the stride-2 grid has no 4th-order stencil.
     """
 
     def __init__(self, n, lam, mu, grid, tgrid, a_n, c_n, e_vals, v_ell, kappa,
-                 pou=None, alt_phase=False, check=True, companion=False):
+                 pou=None, companion=False):
         if not (isinstance(lam, (int, np.integer)) and lam > 0):
             raise ParameterError(f"lam = {lam!r} must be a positive integer")
         if not (isinstance(mu, (int, np.integer)) and mu > 0 and lam % mu == 0):
@@ -84,11 +80,7 @@ class WaveEngine:
         self.pou = pou if pou is not None else pt.PartitionOfUnity()
         self.k = self.frame.k_arr()
         self.avec = np.array(self.frame.avec)
-        if alt_phase:
-            k1, k2, _ = self.frame.k
-            self.carrier = np.array([0, -k2, k1], dtype=np.int64)
-        else:
-            self.carrier = self.frame.k_perp_arr()
+        self.carrier = self.frame.k_perp_arr()
         self.khsq = self.frame.kh_sq
         self._E = self._carriers()
         self._ladder = self.lam * 2.0 ** np.arange(8)  # per-class lam 2^c
@@ -97,7 +89,7 @@ class WaveEngine:
         s, t = self.avec[0], self.avec[1]
         # m x a for a = (s, t, 1): (grad S) x a has the symbol i (m x a)
         self._cross_sym = (ky - t * kz, s * kz - kx, t * kx - s * ky)
-        kp = self.frame.k_perp_arr()
+        kp = self.carrier  # the carrier is k_h-perp
         self._kp_sym = kp[0] * kx + kp[1] * ky + kp[2] * kz
         self.companion = bool(companion) and self._has_coarse_stencil()
         self._slot_cache = {}
@@ -105,8 +97,7 @@ class WaveEngine:
         self._bmax = {}
         self._amp_cache = {}
         self._amp_j = None
-        if check:
-            self._check_radicand()
+        self._check_radicand()
 
     # -- carriers and geometry ------------------------------------------------
 
@@ -573,12 +564,6 @@ class WaveEngine:
         """Materialized grad w_n: (3 deriv, 3 comp, grid)."""
         return self.gradient_hat(sum(self.velocity_hats(j)), self.classes(j))
 
-    def temperature_gradient(self, j):
-        main, corr = self.temperature_hats(j)
-        if main is None:
-            return np.zeros((3,) + self.grid.shape)
-        return self.gradient_hat(main + corr, self.classes(j))
-
     # -- identities -----------------------------------------------------------
 
     def _in_band(self, xi):
@@ -714,15 +699,6 @@ class ModulatedWaveSum:
 
     def evaluate_all(self):
         return np.stack([self.evaluate(j) for j in range(self.engine.tgrid.nt)])
-
-
-def build_amplitudes(n, a_n, c_n, e_vals, v_prev_mollified, mu, lam, grid, tgrid,
-                     kappa, pou=None, alt_phase=False):
-    """AmplitudeSet for substep n; validates the radicand precondition and
-    the lam / mu divisibility."""
-    eng = WaveEngine(n, lam, mu, grid, tgrid, a_n, c_n if n <= 3 else None,
-                     e_vals, v_prev_mollified, kappa, pou=pou, alt_phase=alt_phase)
-    return AmplitudeSet(engine=eng)
 
 
 def build_velocity_wave(n, amps, lam=None, mu=None):

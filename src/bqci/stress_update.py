@@ -25,66 +25,10 @@ import numpy as np
 
 from . import algebra
 from . import torus_field as tf
+from .inverse_div import g_hat, r_hat
 from .perturbation import WaveEngine
 
-__all__ = [
-    "StepState",
-    "SubstepAssembler",
-    "assemble_interactions",
-    "cancel_block",
-    "run_substep",
-]
-
-
-# ---------------------------------------------------------------------------
-# shifted spectral kernels
-
-
-def _shifted_k(grid, xi):
-    kx, ky, kz = grid.wavenumbers()
-    return kx + xi[0], ky + xi[1], kz + xi[2]
-
-
-def _r_hat(vh, K, npts):
-    """Symmetric inverse-divergence symbol on a shifted vector spectrum.
-
-    Returns (Rh6 packed xx,xy,xz,yy,yz,zz and the dropped-mode mean, a length-3
-    complex coefficient; zero when the shift has no resolved zero mode).
-    """
-    KX, KY, KZ = K
-    k2 = KX * KX + KY * KY + KZ * KZ
-    sing = (k2 == 0)
-    mean = np.zeros(3, dtype=complex)
-    if np.any(sing):
-        mean = vh[:, sing].reshape(3) / npts
-        vh = np.where(sing, 0.0, vh)
-    inv = -1.0 / np.where(sing, 1.0, k2)
-    u = vh * inv
-    s = KX * u[0] + KY * u[1] + KZ * u[2]
-    # packed i (K_a u_b + K_b u_a - delta_ab K.u), built in place
-    Rh6 = np.empty((6,) + u.shape[1:], dtype=complex)
-    for i, (a, b) in enumerate(tf.PACK):
-        if a == b:
-            np.multiply(2.0 * K[a], u[a], out=Rh6[i])
-            Rh6[i] -= s
-        else:
-            np.multiply(K[b], u[a], out=Rh6[i])
-            Rh6[i] += K[a] * u[b]
-    Rh6 *= 1j
-    return Rh6, mean
-
-
-def _g_hat(fh, K, npts):
-    """Gradient-of-inverse-Laplacian symbol on a shifted scalar spectrum."""
-    KX, KY, KZ = K
-    k2 = KX * KX + KY * KY + KZ * KZ
-    sing = (k2 == 0)
-    mean = 0.0 + 0.0j
-    if np.any(sing):
-        mean = complex(fh[sing].reshape(())) / npts
-        fh = np.where(sing, 0.0, fh)
-    u = fh * (-1.0 / np.where(sing, 1.0, k2))
-    return np.stack([1j * KX * u, 1j * KY * u, 1j * KZ * u]), mean
+__all__ = ["StepState", "SubstepAssembler", "run_substep"]
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +139,8 @@ class SubstepAssembler:
         return self._field(j, "dzz_chi", self.e.dzz_temperature_hat)
 
     def _div_v_ell(self, j):
-        def build():
-            v = self.e.v_ell[j]
-            return sum(tf.derivative(v[d], "xyz"[d], self.grid) for d in range(3))
-        return self._m(j, "div_v_ell", build)
+        return self._m(j, "div_v_ell",
+                       lambda: tf.divergence(self.e.v_ell[j], self.grid))
 
     def _grad_theta_ell(self, j):
         return self._m(j, "grad_theta_ell",
@@ -258,10 +200,10 @@ class SubstepAssembler:
         k = self.e.k.astype(np.float64)
         for q, A in self.oscillation_modes(j).items():
             xi = q * self.e.carrier
-            K = _shifted_k(self.grid, xi)
+            K = tf.shifted_k(self.grid, xi)
             Ah = tf.fft3(A)
             dh = 1j * (k[0] * K[0] + k[1] * K[1] + k[2] * K[2]) * Ah
-            Rh6, _ = _r_hat(dh[None] * k.reshape(3, 1, 1, 1), K, self.grid.npts)
+            Rh6, _ = r_hat(dh[None] * k.reshape(3, 1, 1, 1), K, self.grid.npts)
             # e^{i q carrier.x} on the sampled grid is an exact spectral
             # shift, so the phase multiply folds into one accumulated
             # inverse transform after the mode loop (tf.add_shifted)
@@ -286,10 +228,10 @@ class SubstepAssembler:
         k = self.e.k.astype(np.float64)
         for q, A in modes.items():
             xi = q * self.e.carrier
-            K = _shifted_k(self.grid, xi)
+            K = tf.shifted_k(self.grid, xi)
             Ah = tf.fft3(A)
             dh = 1j * (k[0] * K[0] + k[1] * K[1] + k[2] * K[2]) * Ah
-            Gh3, _ = _g_hat(dh, K, self.grid.npts)
+            Gh3, _ = g_hat(dh, K, self.grid.npts)
             tf.add_shifted(acc3, Gh3, xi)
         delta3 = tf.twice_real_ifft3(acc3)
         w_o, _ = self.w_parts(j)
@@ -311,8 +253,8 @@ class SubstepAssembler:
         for row, c in enumerate(cls):
             if not np.any(hats[row]):
                 continue
-            K = _shifted_k(self.grid, self.e.xi(c))
-            Rh6, mean = _r_hat(hats[row], K, self.grid.npts)
+            K = tf.shifted_k(self.grid, self.e.xi(c))
+            Rh6, mean = r_hat(hats[row], K, self.grid.npts)
             tf.add_shifted(acc6, Rh6, self.e.xi(c))
             mean3 += mean.real
         return tf.twice_real_ifft3(acc6), field - 2.0 * mean3.reshape(3, 1, 1, 1)
@@ -323,8 +265,8 @@ class SubstepAssembler:
         for row, c in enumerate(cls):
             if not np.any(hats[row]):
                 continue
-            K = _shifted_k(self.grid, self.e.xi(c))
-            Gh3, mean = _g_hat(hats[row], K, self.grid.npts)
+            K = tf.shifted_k(self.grid, self.e.xi(c))
+            Gh3, mean = g_hat(hats[row], K, self.grid.npts)
             tf.add_shifted(acc3, Gh3, self.e.xi(c))
             mean1 += mean.real
         return tf.twice_real_ifft3(acc3), field - 2.0 * mean1
@@ -472,29 +414,21 @@ class SubstepAssembler:
         if self.R0 is None:
             return None
         Rm6 = self.R0[j] - np.einsum("i...,im->m...", self.a_ell[j], _DYADS6)
-        T = tf.sym_unpack(Rm6)
-        div3 = np.stack([
-            sum(tf.derivative(T[a, b], "xyz"[b], self.grid) for b in range(3))
-            for a in range(3)
-        ])
-        return Rm6, div3
+        return Rm6, tf.divergence(tf.sym_unpack(Rm6), self.grid)
 
     def mollification_f(self, j):
         if self.f0 is None:
             return None
         fm = self.f0[j] - np.einsum("i...,ia->a...", self.c_ell[j][:3], _KVECS[:3])
-        div1 = sum(tf.derivative(fm[b], "xyz"[b], self.grid) for b in range(3))
-        return fm, div1
+        return fm, tf.divergence(fm, self.grid)
 
     # -- slice totals ---------------------------------------------------------
 
-    def delta_R_slice(self, j, corrupt_transport=None):
+    def delta_R_slice(self, j):
         """(delta6, div3, parts) at time sample j; parts is the category
         breakdown whose fields sum to delta6 by construction."""
         osc = self.r_div_M(j)
         tr = self.transport_R(j)
-        if corrupt_transport is not None:
-            tr = (tr[0], tr[1] * corrupt_transport)
         nn = self.N_field(j)
         zz = self.r_dzz_and_buoyancy(j)
         pr = self.product_corrections(j)
@@ -627,10 +561,9 @@ class StepState:
             return self.div_R0_store[j]
         out = self.div_R_store[j].copy()
         for i in range(self.completed, 6):
-            k = _KVECS[i]
-            d = sum(k[b] * tf.derivative(self.a[j, i], "xyz"[b], self.grid)
-                    for b in range(3))
-            out += d * k.reshape(3, 1, 1, 1)
+            k = _KVECS[i].reshape(3, 1, 1, 1)
+            # div(a k (x) k) = (k . grad a) k
+            out += tf.divergence(self.a[j, i] * k, self.grid) * k
         return out
 
     def flux_divergence(self, j):
@@ -638,43 +571,15 @@ class StepState:
             return self.div_f0_store[j]
         out = self.div_f_store[j].copy()
         for i in range(self.completed, 3):
-            k = _KVECS[i]
-            out += sum(k[b] * tf.derivative(self.c[j, i], "xyz"[b], self.grid)
-                       for b in range(3))
+            out += tf.divergence(self.c[j, i] * _KVECS[i].reshape(3, 1, 1, 1),
+                                 self.grid)
         return out
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
-def assemble_interactions(engine, j, v_prev, grad_v_prev, theta_prev=None,
-                          grad_theta_prev=None, theta_ell=None):
-    """(M modes, N field, K modes) of substep interactions at sample j.
-
-    M and K are {q: amplitude} over integer multiples of the carrier; N is
-    the materialized (6, grid) slow interaction."""
-    if theta_prev is None:
-        theta_prev = np.zeros((engine.tgrid.nt,) + engine.grid.shape)
-    if grad_theta_prev is None:
-        grad_theta_prev = np.zeros((engine.tgrid.nt, 3) + engine.grid.shape)
-    if theta_ell is None:
-        theta_ell = np.zeros((engine.tgrid.nt,) + engine.grid.shape)
-    asm = SubstepAssembler(engine, v_prev, grad_v_prev, theta_prev,
-                           grad_theta_prev, theta_ell)
-    M = asm.oscillation_modes(j)
-    N6, _ = asm.N_field(j)
-    K = asm.flux_oscillation_modes(j)
-    return M, N6, K
-
-
-def cancel_block(engine, j):
-    """Residuals of the two exact partition identities at sample j
-    (quadratic sum against the stress block, cross sum against the flux)."""
-    return engine.cancellation_residual(j)
-
-
-def run_substep(state, n, lam, ell, ell_z, alt_phase=False, corrupt_transport=None,
-                band=None):
+def run_substep(state, n, lam, ell, ell_z, band=None):
     """Execute cancellation substep n on the step state in place.
 
     Mollifies the carried fields at (ell, ell_z), builds the wave engine on
@@ -701,7 +606,7 @@ def run_substep(state, n, lam, ell, ell_z, alt_phase=False, corrupt_transport=No
         n, lam, state.mu, grid, tgrid,
         state.a[:, n - 1],
         state.c[:, n - 1] if n <= 3 else None,
-        state.e_vals, v_ell, state.kappa, pou=state.pou, alt_phase=alt_phase,
+        state.e_vals, v_ell, state.kappa, pou=state.pou,
         companion=state.dt_v_coarse is not None,
     )
     first = n == 1
@@ -726,7 +631,7 @@ def run_substep(state, n, lam, ell, ell_z, alt_phase=False, corrupt_transport=No
         sup["cancel_r1"] = max(sup["cancel_r1"], r1)
         sup["cancel_r2"] = max(sup["cancel_r2"], r2)
 
-        d6, dv3, pR = asm.delta_R_slice(j, corrupt_transport=corrupt_transport)
+        d6, dv3, pR = asm.delta_R_slice(j)
         state.delta_R[j] += d6
         state.div_R_store[j] += dv3
         sup["delta_R"] = max(sup["delta_R"], tf.sup_norm(d6))

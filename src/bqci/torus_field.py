@@ -91,16 +91,15 @@ class TimeGrid:
         return np.linspace(self.t0, self.t1, self.nt)
 
 
+_AXES = (-3, -2, -1)
+
+
 def fft3(f):
-    return sfft.fftn(f, axes=(-3, -2, -1))
+    return sfft.fftn(f, axes=_AXES)
 
 
 def ifft3(fh):
-    return sfft.ifftn(fh, axes=(-3, -2, -1))
-
-
-def ifft3_real(fh):
-    return sfft.ifftn(fh, axes=(-3, -2, -1)).real
+    return sfft.ifftn(fh, axes=_AXES)
 
 
 def twice_real_ifft3(fh):
@@ -120,7 +119,7 @@ def twice_real_ifft3(fh):
                 dst = herm[..., dx, dy, dz]
                 np.conjugate(fh[..., sx, sy, sz], out=dst)
                 dst += fh[..., dx, dy, dz]
-    return sfft.irfftn(herm, s=(nx, ny, nz), axes=(-3, -2, -1))
+    return sfft.irfftn(herm, s=(nx, ny, nz), axes=_AXES)
 
 
 def add_shifted(acc_hat, fh, xi):
@@ -144,21 +143,14 @@ def add_shifted(acc_hat, fh, xi):
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
-def _check_resolved(fh, grid, warn_label):
-    """Warn when a noticeable share of spectral energy sits at the Nyquist shell."""
-    nx, ny, nz = grid.shape
-    tail = (
-        np.sum(np.abs(fh[..., nx // 2, :, :]) ** 2)
-        + np.sum(np.abs(fh[..., :, ny // 2, :]) ** 2)
-        + np.sum(np.abs(fh[..., :, :, nz // 2]) ** 2)
-    )
-    total = np.sum(np.abs(fh) ** 2)
-    if total > 0 and tail > 1e-6 * total:
-        warnings.warn(
-            f"{warn_label}: {tail / total:.1e} of spectral energy at Nyquist; "
-            "derivative of under-resolved content",
-            stacklevel=3,
-        )
+def shifted_k(grid, xi=None):
+    """Wavenumbers (kx, ky, kz) broadcastable to the grid, shifted by the
+    integer 3-vector xi: on the slow amplitude a of a(x) e^{i xi . x} the
+    symbol of d/dx_a is i (m + xi)_a."""
+    kx, ky, kz = grid.wavenumbers()
+    if xi is None:
+        return kx, ky, kz
+    return kx + xi[0], ky + xi[1], kz + xi[2]
 
 
 def _rfft_symbol(grid, a):
@@ -175,7 +167,21 @@ def _rfft_symbol(grid, a):
     return ks
 
 
-def derivative(f, axis, grid, xi=None, check=False):
+def _apply_symbol(f, grid, xi, symbol):
+    """symbol(K, fh) applied to the spectrum fh of f, K the wavenumbers.
+
+    Real unshifted input goes through the half spectrum (K from
+    _rfft_symbol) and comes back real; complex or shifted input goes
+    through the full spectrum with K = shifted_k(grid, xi) and comes back
+    complex (the amplitude of a modulated field)."""
+    if xi is None and not np.iscomplexobj(f):
+        K = tuple(_rfft_symbol(grid, a) for a in range(3))
+        return sfft.irfftn(symbol(K, sfft.rfftn(f, axes=_AXES)), s=grid.shape,
+                           axes=_AXES)
+    return ifft3(symbol(shifted_k(grid, xi), fft3(f)))
+
+
+def derivative(f, axis, grid, xi=None):
     """Spectral spatial derivative along 'x' | 'y' | 'z'.
 
     With xi (integer 3-vector) given, interprets f as the slow amplitude of
@@ -183,37 +189,30 @@ def derivative(f, axis, grid, xi=None, check=False):
     symbol is i (m + xi)_axis.
     """
     a = _AXIS_INDEX[axis]
-    if xi is None and not check and not np.iscomplexobj(f):
-        fh = sfft.rfftn(f, axes=(-3, -2, -1))
-        return sfft.irfftn(1j * _rfft_symbol(grid, a) * fh, s=grid.shape,
-                           axes=(-3, -2, -1))
-    fh = fft3(f)
-    if check:
-        _check_resolved(fh, grid, f"derivative d/d{axis}")
-    ks = grid.wavenumbers()[a]
-    if xi is not None:
-        ks = ks + xi[a]
-    out = ifft3(1j * ks * fh)
-    return out if np.iscomplexobj(f) or xi is not None else out.real
+    return _apply_symbol(f, grid, xi, lambda K, fh: 1j * K[a] * fh)
+
+
+def second_derivative(f, axis, grid, xi=None):
+    """Spectral second derivative along one axis: symbol -(m + xi)_axis^2."""
+    a = _AXIS_INDEX[axis]
+    return _apply_symbol(f, grid, xi, lambda K, fh: -(K[a] * K[a]) * fh)
 
 
 def gradient(f, grid, xi=None):
     """All three spatial derivatives, stacked on a new leading axis."""
-    kxyz = grid.wavenumbers()
-    if xi is None and not np.iscomplexobj(f):
-        fh = sfft.rfftn(f, axes=(-3, -2, -1))
-        return np.stack([
-            sfft.irfftn(1j * _rfft_symbol(grid, a) * fh, s=grid.shape,
-                        axes=(-3, -2, -1))
-            for a in range(3)
-        ])
-    fh = fft3(f)
-    gh = np.empty((3,) + fh.shape, dtype=fh.dtype)
-    for a in range(3):
-        ks = kxyz[a] + (xi[a] if xi is not None else 0)
-        np.multiply(1j * ks, fh, out=gh[a])
-    out = ifft3(gh)
-    return out if np.iscomplexobj(f) or xi is not None else out.real
+    return _apply_symbol(f, grid, xi,
+                         lambda K, fh: np.stack([1j * K[a] * fh for a in range(3)]))
+
+
+def divergence(T, grid, xi=None):
+    """Divergence of a vector (3, ...) -> scalar or tensor (3, 3, ...) ->
+    vector, contracting the second index."""
+    T = np.asarray(T)
+    if T.shape not in ((3,) + grid.shape, (3, 3) + grid.shape):
+        raise ValueError(f"unsupported shape {T.shape}")
+    return _apply_symbol(T, grid, xi, lambda K, Th: 1j * (
+        K[0] * Th[..., 0, :, :, :] + K[1] * Th[..., 1, :, :, :]
+        + K[2] * Th[..., 2, :, :, :]))
 
 
 def mean_t3(f):
@@ -233,23 +232,10 @@ def inv_laplacian(f, grid, xi=None, tol_rel=1e-10):
         scale = np.max(np.abs(f))
         if np.max(m) > tol_rel * max(scale, 1e-300):
             raise MeanZeroError(float(np.max(m)), tol_rel * scale)
-        return _inv_lap_hat(fh, grid, None, inverse=True)
-    return _inv_lap_hat(fh, grid, xi, inverse=True)
-
-
-def _inv_lap_hat(fh, grid, xi, inverse):
-    kx, ky, kz = grid.wavenumbers()
-    if xi is not None:
-        kx, ky, kz = kx + xi[0], ky + xi[1], kz + xi[2]
+    kx, ky, kz = shifted_k(grid, xi)
     k2 = kx * kx + ky * ky + kz * kz
     sing = k2 == 0
-    k2 = np.where(sing, 1.0, k2)
-    uh = fh / (-k2)
-    uh = np.where(sing, 0.0, uh)
-    out = ifft3(uh)
-    if inverse and xi is None and not np.iscomplexobj(fh):
-        return out.real
-    return out
+    return ifft3(np.where(sing, 0.0, fh / -np.where(sing, 1.0, k2)))
 
 
 def dealias(f, grid):
@@ -263,11 +249,6 @@ def dealias(f, grid):
     )
     out = ifft3(fh * mask)
     return out if np.iscomplexobj(f) else out.real
-
-
-def product(f, g, grid):
-    """Pointwise product with 2/3 dealiasing (slow/resolved path)."""
-    return dealias(f * g, grid)
 
 
 def low_pass(f, grid, kcut):
@@ -337,17 +318,6 @@ def time_derivative(f, tgrid):
     return out
 
 
-def time_derivative_slice(f_slices, j, nt, dt):
-    """Stencil for one output sample; f_slices(i) -> sample i (lazy access)."""
-    W = time_derivative_weights(nt, dt)
-    S = time_derivative_support(nt)
-    out = None
-    for m in range(5):
-        term = W[j, m] * f_slices(int(S[j, m]))
-        out = term if out is None else out + term
-    return out
-
-
 # ---------------------------------------------------------------------------
 # mollification
 
@@ -393,7 +363,7 @@ def mollify(f, tgrid, grid, ell, ell_z, time_axis=True):
         fac = fac * mollifier_transform(np.abs(kz * ell_z)).reshape(kz.shape)
     else:
         warnings.warn(f"mollify: ell_z = {ell_z:.3g} below 2 grid cells; vertical pass-through")
-    out = ifft3_real(fft3(f) * fac)
+    out = ifft3(fft3(f) * fac).real
 
     if time_axis:
         dt = tgrid.dt

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bqci import iteration as it
+from bqci import stress_update as su
 from bqci import torus_field as tf
 
 KAPPA = 0.25
@@ -26,3 +27,17 @@ def mini_stepped():
     report = it.run_step(state, lams=[16] * 6, ells=[0.9] * 6,
                          ellzs=[0.9] * 6)
     return state, report
+
+
+@pytest.fixture
+def corrupt_transport(monkeypatch):
+    """Negative control: install(factor) scales the divergence that every
+    later transport term stores, leaving the stress update itself alone."""
+    def install(factor):
+        clean = su.SubstepAssembler.transport_R
+
+        def corrupted(self, j):
+            delta6, div3 = clean(self, j)
+            return delta6, div3 * factor
+        monkeypatch.setattr(su.SubstepAssembler, "transport_R", corrupted)
+    return install

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from bqci import cli
@@ -88,12 +90,33 @@ def test_step_rejects_wrong_ladder_length(tmp_path):
     assert cli.main(["step", "--set", "lams=16,32"] + _out(tmp_path)) == 2
 
 
-def test_snapshot_bad_magic_is_config_error(tmp_path):
-    bad = tmp_path / "bad.bci"
-    bad.write_bytes(b"XXXX garbage")
-    code = cli.main(["step", "--set", "mode=asymptotic",
-                     "--set", f"snapshot_in={bad}"] + _out(tmp_path))
-    assert code == 2
+def test_threads_beyond_cpu_count_is_config_error(tmp_path, capsys):
+    # rejected before any transform runs, so no worker thread is started
+    n = (os.cpu_count() or 1) + 1
+    assert cli.main(["validate-initial", "--set", f"threads={n}"]
+                    + SMALL + _out(tmp_path)) == 2
+    assert f"threads = {n}" in capsys.readouterr().err
+
+
+def test_outer_rejects_zero_steps(tmp_path):
+    assert cli.main(["outer", "--set", "steps=0"] + _out(tmp_path)) == 2
+
+
+def test_outer_rejects_asymptotic_mode(tmp_path):
+    assert cli.main(["outer", "--set", "mode=asymptotic"] + _out(tmp_path)) == 2
+
+
+def test_outer_one_step_passes(tmp_path):
+    code = cli.main(["outer", "--set", "steps=1", "--set", "nx=24",
+                     "--set", "ny=24", "--set", "nz=24", "--set", "nt=9",
+                     "--set", "mu=2", "--set", "lam_init=4",
+                     "--set", "ells=" + ",".join(["0.9"] * 6),
+                     "--set", "ellzs=" + ",".join(["0.9"] * 6)]
+                    + _out(tmp_path))
+    assert code == 0
+    text = (tmp_path / "outer.txt").read_text()
+    assert "passed=True" in text
+    assert "steps[0].v_increment_sup=" in text
 
 
 def test_scaling_rejects_unknown_quantity(tmp_path):

@@ -58,7 +58,7 @@ def test_full_step_cancels_projected_blocks(mini_stepped):
     assert proj["max_cancelled"] <= 1e-10 * KAPPA
 
 
-def test_corrupted_transport_breaks_closure():
+def test_corrupted_transport_breaks_closure(corrupt_transport):
     clean = _small_state()
     it.begin_step(clean, 0.9, 0.9)
     su.run_substep(clean, 1, 4, 0.9, 0.9)
@@ -66,7 +66,8 @@ def test_corrupted_transport_breaks_closure():
 
     broken = _small_state()
     it.begin_step(broken, 0.9, 0.9)
-    su.run_substep(broken, 1, 4, 0.9, 0.9, corrupt_transport=1.1)
+    corrupt_transport(1.1)
+    su.run_substep(broken, 1, 4, 0.9, 0.9)
     bad = dg.system_residual(broken, "fine")["momentum_sup"]
 
     assert base < 1e-12

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bqci import inverse_div as idv
 from bqci import torus_field as tf
+
+# integer shifts from the resolved band (where a mode of the amplitude lands
+# on the zero mode) to far beyond the grid
+shifts = st.tuples(*[st.integers(-3000, 3000)] * 3)
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +28,7 @@ def test_R_contract_and_symmetry(grid):
         v = random_mean_zero_vector(grid, rng)
         R = idv.R_op(v, grid)
         assert np.max(np.abs(R - np.swapaxes(R, 0, 1))) < 1e-12 * np.max(np.abs(R))
-        err = np.max(np.abs(idv.divergence(R, grid) - v))
+        err = np.max(np.abs(tf.divergence(R, grid) - v))
         assert err < 1e-8 * np.max(np.abs(v))
 
 
@@ -30,7 +36,7 @@ def test_R_drops_mean(grid):
     rng = np.random.default_rng(1)
     v = random_mean_zero_vector(grid, rng) + np.array([1.0, -2.0, 0.5]).reshape(3, 1, 1, 1)
     R = idv.R_op(v, grid)
-    d = idv.divergence(R, grid)
+    d = tf.divergence(R, grid)
     expect = v - np.mean(v, axis=(-3, -2, -1), keepdims=True)
     assert np.max(np.abs(d - expect)) < 1e-8 * np.max(np.abs(v))
 
@@ -39,28 +45,48 @@ def test_G_contract(grid):
     rng = np.random.default_rng(2)
     f = tf.dealias(rng.standard_normal(grid.shape), grid)
     g = idv.G_op(f, grid)
-    d = idv.divergence(g, grid)
+    d = tf.divergence(g, grid)
     assert np.max(np.abs(d - (f - np.mean(f)))) < 1e-8 * np.max(np.abs(f))
 
 
-def test_shifted_R_contract(grid):
+def dropped_mode(f, grid, xi):
+    """The component of the amplitude f that the carrier e^{i xi.x} turns
+    into the zero mode, which R and G drop: c e^{-i xi.x} (zero when -xi is
+    not a grid frequency)."""
+    if not all(-n // 2 <= -x < n // 2 for x, n in zip(xi, grid.shape)):
+        return 0.0
+    idx = tuple(-x % n for x, n in zip(xi, grid.shape))
+    c = tf.fft3(f)[(Ellipsis,) + idx] / grid.npts
+    x, y, z = grid.axes()
+    phase = np.exp(-1j * (xi[0] * x[:, None, None] + xi[1] * y[None, :, None]
+                          + xi[2] * z[None, None, :]))
+    return np.asarray(c)[..., None, None, None] * phase
+
+
+@settings(max_examples=25, deadline=None)
+@example(xi=(0, 640, 0))
+@example(xi=(0, 0, 0))
+@given(xi=shifts)
+def test_shifted_R_contract(grid, xi):
     # with a symbolic carrier e^{i xi.x} the identity div R = v holds for the
     # amplitudes under the shifted divergence, even at unresolvable xi
     rng = np.random.default_rng(3)
     v = random_mean_zero_vector(grid, rng).astype(complex)
-    xi = (0, 640, 0)
     R = idv.R_op(v, grid, xi=xi)
-    d = idv.divergence(R, grid, xi=xi)
-    assert np.max(np.abs(d - v)) < 1e-8 * np.max(np.abs(v))
+    d = tf.divergence(R, grid, xi=xi)
+    assert np.max(np.abs(d - (v - dropped_mode(v, grid, xi)))) < 1e-8 * np.max(np.abs(v))
 
 
-def test_shifted_G_contract(grid):
+@settings(max_examples=25, deadline=None)
+@example(xi=(128, -128, 0))
+@example(xi=(2, -1, 0))
+@given(xi=shifts)
+def test_shifted_G_contract(grid, xi):
     rng = np.random.default_rng(4)
     f = tf.dealias(rng.standard_normal(grid.shape), grid).astype(complex)
-    xi = (128, -128, 0)
     g = idv.G_op(f, grid, xi=xi)
-    d = idv.divergence(g, grid, xi=xi)
-    assert np.max(np.abs(d - f)) < 1e-8 * np.max(np.abs(f))
+    d = tf.divergence(g, grid, xi=xi)
+    assert np.max(np.abs(d - (f - dropped_mode(f, grid, xi)))) < 1e-8 * np.max(np.abs(f))
 
 
 def test_R_output_order_minus_one(grid):

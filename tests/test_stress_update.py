@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bqci import algebra
+from bqci import inverse_div as idv
 from bqci import partition as pt
 from bqci import perturbation as pb
 from bqci import stress_update as su
@@ -104,8 +105,8 @@ def test_inverse_div_symbol_exactness_resolved_mode():
     rng = np.random.default_rng(3)
     xi = np.array([0, 3, 0])
     amp = tf.dealias(rng.standard_normal((3,) + grid.shape), grid).astype(complex)
-    K = su._shifted_k(grid, xi)
-    Rh6, mean = su._r_hat(tf.fft3(amp), K, grid.npts)
+    K = tf.shifted_k(grid, xi)
+    Rh6, mean = idv.r_hat(tf.fft3(amp), K, grid.npts)
     x, y, z = grid.axes()
     E = np.exp(1j * 3 * y)[None, :, None]
     R6 = 2.0 * (tf.ifft3(Rh6) * E).real
@@ -127,8 +128,8 @@ def test_gradient_inverse_laplacian_exactness_resolved_mode():
     rng = np.random.default_rng(4)
     xi = np.array([2, -2, 0])
     amp = tf.dealias(rng.standard_normal(grid.shape), grid).astype(complex)
-    K = su._shifted_k(grid, xi)
-    Gh3, mean = su._g_hat(tf.fft3(amp), K, grid.npts)
+    K = tf.shifted_k(grid, xi)
+    Gh3, mean = idv.g_hat(tf.fft3(amp), K, grid.npts)
     x, y, z = grid.axes()
     E = np.exp(1j * (2 * x[:, None, None] - 2 * y[None, :, None]))
     G3 = 2.0 * (tf.ifft3(Gh3) * E).real
@@ -193,7 +194,7 @@ def test_delta_R_is_finite_and_symmetric_pack():
 def test_cancel_block_within_budget():
     eng = make_engine()
     for j in range(eng.tgrid.nt):
-        r1, r2 = su.cancel_block(eng, j)
+        r1, r2 = eng.cancellation_residual(j)
         assert r1 <= 1e-10 * KAPPA
         assert r2 <= 1e-10 * KAPPA
 
@@ -201,9 +202,9 @@ def test_cancel_block_within_budget():
 def test_assemble_interactions_api():
     eng = make_engine()
     asm = make_assembler(eng)
-    M, N6, K = su.assemble_interactions(
-        eng, 4, asm.v_prev, asm.grad_v_prev, asm.theta_prev,
-        asm.grad_theta_prev, asm.theta_ell)
+    M = asm.oscillation_modes(4)
+    N6, _ = asm.N_field(4)
+    K = asm.flux_oscillation_modes(4)
     assert isinstance(M, dict) and len(M) > 0
     assert isinstance(K, dict) and len(K) > 0
     assert N6.shape == (6,) + eng.grid.shape
@@ -298,11 +299,12 @@ def test_substep_order_enforced():
         su.run_substep(state, 2, lam=8, ell=1.0, ell_z=1.0)
 
 
-def test_negative_control_corrupts_store_only():
+def test_negative_control_corrupts_store_only(corrupt_transport):
     clean = make_state()
     bad = make_state()
     su.run_substep(clean, 1, lam=8, ell=1.0, ell_z=1.0)
-    su.run_substep(bad, 1, lam=8, ell=1.0, ell_z=1.0, corrupt_transport=1.1)
+    corrupt_transport(1.1)
+    su.run_substep(bad, 1, lam=8, ell=1.0, ell_z=1.0)
     assert np.allclose(clean.delta_R, bad.delta_R, atol=1e-13)
     diff = np.max(np.abs(clean.div_R_store - bad.div_R_store))
     assert diff > 1e-8 * max(np.max(np.abs(clean.div_R_store)), 1e-30)

@@ -23,6 +23,15 @@ def test_derivative_exact_on_trig(grid):
     dfz = tf.derivative(f, "z", grid)
     assert np.allclose(dfx, 3 * np.cos(3 * X) * np.cos(2 * Y), atol=1e-12)
     assert np.allclose(dfz, -5 * np.sin(5 * Z), atol=1e-12)
+    assert np.allclose(tf.second_derivative(f, "z", grid), -25 * np.cos(5 * Z),
+                       atol=1e-11)
+    # the second-derivative symbol is the derivative applied twice, on real
+    # input and on the amplitude of a shifted complex field
+    for g, xi in ((f, None), ((1 + 0.5j) * f, (3, -40, 7))):
+        for ax in "xyz":
+            twice = tf.derivative(tf.derivative(g, ax, grid, xi=xi), ax, grid, xi=xi)
+            got = tf.second_derivative(g, ax, grid, xi=xi)
+            assert np.max(np.abs(got - twice)) < 1e-12 * np.max(np.abs(twice))
 
 
 def test_shifted_derivative_matches_modulated(grid):
@@ -43,6 +52,15 @@ def test_gradient_stacks_components(grid):
     g = tf.gradient(f, grid)
     c = np.cos(X + 2 * Y - Z)
     assert np.allclose(g, np.stack([c, 2 * c, -c]), atol=1e-12)
+    # divergence contracts the last component axis; it must match the sum of
+    # per-axis derivatives for vectors and tensors, real and shifted complex
+    T = np.random.default_rng(5).standard_normal((3, 3) + grid.shape)
+    for field, xi in ((T, None), ((1 - 2j) * T, (3, -40, 7))):
+        for V in (field[0], field):
+            per_axis = sum(tf.derivative(V[..., b, :, :, :], "xyz"[b], grid, xi=xi)
+                           for b in range(3))
+            got = tf.divergence(V, grid, xi=xi)
+            assert np.max(np.abs(got - per_axis)) < 1e-12 * np.max(np.abs(per_axis))
 
 
 def test_inv_laplacian_round_trip(grid):
@@ -95,16 +113,6 @@ def test_time_derivative_convergence_rate():
         errs.append(np.max(np.abs(tf.time_derivative(f, tg) - 4 * np.cos(4 * t))))
     rate = np.log2(errs[0] / errs[1])
     assert 3.5 < rate < 4.8
-
-
-def test_time_derivative_slice_matches_full():
-    tg = tf.TimeGrid(0.0, 1.0, 9)
-    rng = np.random.default_rng(1)
-    f = rng.standard_normal((9, 4))
-    full = tf.time_derivative(f, tg)
-    for j in (0, 1, 4, 7, 8):
-        sl = tf.time_derivative_slice(lambda i: f[i], j, tg.nt, tg.dt)
-        assert np.allclose(sl, full[j])
 
 
 def test_mollifier_transform_normalization():
