@@ -35,12 +35,6 @@ def basis_vector(n):
     return np.array(K[n - 1], dtype=np.int64)
 
 
-def horizontal_perp(n):
-    """(k_nh^perp, 0) with a^perp = (-a2, a1) applied to the horizontal part."""
-    k1, k2, _ = K[n - 1]
-    return np.array((-k2, k1, 0), dtype=np.int64)
-
-
 def decompose_sym(R):
     """Coefficients gamma_1..gamma_6 with sum gamma_i k_i (x) k_i = R.
 

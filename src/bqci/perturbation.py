@@ -15,8 +15,16 @@ Because the partition cutoff is below one, the cells active at a point are
 exactly the 8 corners of one unit cube and those corners realize all 8
 parity classes, so per-class sums have pointwise at most one contributing
 cell and all per-point work is a fixed 8-slot gather.
+
+The two waves are one construction: a slow class scalar S times a
+polarization plus a 1/lam correction, (pol S + corr(S)/(i lam 2^c)) e^{i xi_c.x}.
+A wave kind, "w" (velocity) or "chi" (temperature), selects only data: the
+polarization (k or 1), the correction symbol ((m x a) or
+(k_h-perp . m)/|k_h|^2 on the spectrum m) and the keys of its base class
+scalars (KEYS). Every wave method takes the kind and has one body.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +50,12 @@ def _cross_with(gS, avec):
     return np.stack([gy - t * gz, s * gz - gx, t * gx - s * gy])
 
 
+# Keys of a wave kind's base class scalars: the binned slot amplitude it is
+# built from (b or beta), its class sum S, the momentum-weighted sums
+# S l_d / mu, the exact phase term -i omega S, and the amplitude-only d_t S.
+WaveKeys = namedtuple("WaveKeys", "slot base momentum phase dt")
+
+
 class WaveEngine:
     """All per-substep wave machinery: slot gather, parity-class sums,
     class amplitudes and exact materialization.
@@ -58,7 +72,13 @@ class WaveEngine:
     companion: even slices also carry the classes of the stride-2 time
     stencil, which the Richardson companion (stride=2 time derivatives)
     reads; ignored when the stride-2 grid has no 4th-order stencil.
+
+    The kind methods return None (spectra) or zeros (materialized fields)
+    for a kind not in kinds.
     """
+
+    KEYS = {"w": WaveKeys("b", "U", "W1", "OU", "Tb"),
+            "chi": WaveKeys("beta", "V", "V1", "OV", "Tc")}
 
     def __init__(self, n, lam, mu, grid, tgrid, a_n, c_n, e_vals, v_ell, kappa,
                  pou=None, companion=False):
@@ -82,15 +102,20 @@ class WaveEngine:
         self.avec = np.array(self.frame.avec)
         self.carrier = self.frame.k_perp_arr()
         self.khsq = self.frame.kh_sq
-        self._E = self._carriers()
+        self.kinds = ("w", "chi") if self.c_n is not None and n <= 3 else ("w",)
         self._ladder = self.lam * 2.0 ** np.arange(8)  # per-class lam 2^c
         self._kv = grid.wavenumbers()
         kx, ky, kz = self._kv
         s, t = self.avec[0], self.avec[1]
-        # m x a for a = (s, t, 1): (grad S) x a has the symbol i (m x a)
-        self._cross_sym = (ky - t * kz, s * kz - kx, t * kx - s * ky)
         kp = self.carrier  # the carrier is k_h-perp
-        self._kp_sym = kp[0] * kx + kp[1] * ky + kp[2] * kz
+        # per kind: polarization and correction symbol, which class c divides
+        # by lam 2^c. For a = (s, t, 1), (grad S) x a has the symbol
+        # i (m x a); grad S . (k_h-perp, 0) / |k_h|^2 has i (k_h-perp . m) / |k_h|^2
+        self._pol = {"w": self.k, "chi": np.array(1.0)}
+        self._corr_sym = {
+            "w": np.stack(np.broadcast_arrays(ky - t * kz, s * kz - kx, t * kx - s * ky)),
+            "chi": (kp[0] * kx + kp[1] * ky + kp[2] * kz) / self.khsq,
+        }
         self.companion = bool(companion) and self._has_coarse_stencil()
         self._slot_cache = {}
         self._bin_cache = {}
@@ -104,13 +129,6 @@ class WaveEngine:
     def xi(self, c):
         """Integer wavevector of parity class c."""
         return tuple(int(v) for v in self.lam * (2 ** c) * self.carrier)
-
-    def _carriers(self):
-        x, y, z = self.grid.axes()
-        dot = (self.carrier[0] * x[:, None, None]
-               + self.carrier[1] * y[None, :, None]
-               + self.carrier[2] * z[None, None, :])
-        return np.stack([np.exp(1j * self.lam * (2 ** c) * dot) for c in range(8)])
 
     def _check_radicand(self):
         worst = None
@@ -232,17 +250,12 @@ class WaveEngine:
                 dtype=np.int64)
         return self._memo(j, "classes", build)
 
-    def _expand(self, j, rows):
-        """Per-slice rows (na, ...) -> all eight classes, zeros elsewhere."""
-        out = np.zeros((8,) + rows.shape[1:], dtype=rows.dtype)
-        out[self.classes(j)] = rows
-        return out
-
-    def _class_sums(self, j_amp, j, want_temp, want_momentum, want_omega=False):
+    def _class_sums(self, j_amp, j, full):
         """Class sums on the rows of classes(j) with amplitudes from sample
         j_amp and the e^{-i omega t} factor evaluated at t_j (the split is
         what makes the amplitude-only time derivative a plain stencil over
-        j_amp)."""
+        j_amp): each kind's base sum and, if full, its momentum-weighted
+        sums and phase term."""
         bn = self._binned(j_amp)
         cls = self.classes(j)
         if not np.isin(bn["classes"], cls).all():
@@ -251,7 +264,6 @@ class WaveEngine:
                              f"need an engine built with companion=True")
         rows = np.searchsorted(cls, bn["classes"])
         ph = self._phase_factor(j_amp, self.tgrid.times()[j])
-        temp = want_temp and bn["beta"] is not None
 
         def place(x):
             if len(rows) == len(cls):
@@ -260,19 +272,14 @@ class WaveEngine:
             out[rows] = x
             return out
 
-        U = bn["b"] * ph
-        V = bn["beta"] * ph if temp else None
-        out = {"U": place(U)}
-        if temp:
-            out["V"] = place(V)
-        if want_momentum:
-            out["W1"] = place(U[:, None] * bn["lmu"])
-            if temp:
-                out["V1"] = place(V[:, None] * bn["lmu"])
-        if want_omega:
-            out["OU"] = place(-1j * bn["omega"] * U)
-            if temp:
-                out["OV"] = place(-1j * bn["omega"] * V)
+        out = {}
+        for kind in self.kinds:
+            keys = self.KEYS[kind]
+            A = bn[keys.slot] * ph
+            out[keys.base] = place(A)
+            if full:
+                out[keys.momentum] = place(A[:, None] * bn["lmu"])
+                out[keys.phase] = place(-1j * bn["omega"] * A)
         return out
 
     def _time_stencil(self, j, stride):
@@ -288,49 +295,28 @@ class WaveEngine:
         return stride * S[jj], W[jj]
 
     def amplitude_time_derivative(self, j, stride=1):
-        """(Tb, Tc): class sums of the amplitude-only d_t b, d_t beta at
-        sample j (phase frozen at t_j), on the rows of classes(j); stride 2
-        needs an even j."""
-        want_temp = self.c_n is not None and self.n <= 3
+        """Class sums of the amplitude-only d_t of each kind's base scalar at
+        sample j (phase frozen at t_j), on the rows of classes(j), keyed
+        KEYS[kind].dt (Tb, Tc); stride 2 needs an even j."""
         S, W = self._time_stencil(j, stride)
-        Tb = Tc = None
+        out = {}
         for m in range(5):
-            sums = self._class_sums(int(S[m]), j, want_temp, False)
-            Tb = W[m] * sums["U"] if Tb is None else Tb + W[m] * sums["U"]
-            if want_temp:
-                Tc = W[m] * sums["V"] if Tc is None else Tc + W[m] * sums["V"]
-        return Tb, Tc
+            sums = self._class_sums(int(S[m]), j, False)
+            for kind in self.kinds:
+                keys = self.KEYS[kind]
+                term = W[m] * sums[keys.base]
+                out[keys.dt] = term if m == 0 else out[keys.dt] + term
+        return out
 
     def base_rows(self, j):
         """Per-class slow amplitude scalars at sample j on the rows of
-        classes(j) (see base_fields)."""
-        def build():
-            want_temp = self.c_n is not None and self.n <= 3
-            cur = self._class_sums(j, j, want_temp, True, want_omega=True)
-            Tb, Tc = self.amplitude_time_derivative(j)
-            return {
-                "U": cur["U"],
-                "V": cur.get("V"),
-                "W1": cur["W1"],
-                "V1": cur.get("V1"),
-                "OU": cur["OU"],
-                "OV": cur.get("OV"),
-                "Tb": Tb,
-                "Tc": Tc,
-            }
-        return self._memo(j, "base", build)
-
-    def base_fields(self, j):
-        """Per-class slow amplitude scalars at sample j, class axis first
-        (all eight classes).
-
-        U, V: wave base sums; W1, V1: momentum-weighted sums (class, d, grid)
-        feeding the l/mu terms; Tb, Tc: amplitude-only time derivatives of U
-        and V (4th-order stencil at frozen phase). V-entries are None when
-        there is no temperature wave.
-        """
-        return {key: None if rows is None else self._expand(j, rows)
-                for key, rows in self.base_rows(j).items()}
+        classes(j), class axis first, keyed by KEYS: U, V wave base sums;
+        W1, V1 momentum-weighted sums (class, d, grid) feeding the l/mu
+        terms; OU, OV the -i omega phase terms; Tb, Tc the amplitude-only
+        time derivatives (4th-order stencil at frozen phase). Only the
+        kinds in kinds have entries."""
+        return self._memo(j, "base", lambda: {
+            **self._class_sums(j, j, True), **self.amplitude_time_derivative(j)})
 
     # -- class amplitudes -----------------------------------------------------
     #
@@ -352,6 +338,12 @@ class WaveEngine:
             self._amp_cache[key] = builder()
         return self._amp_cache[key]
 
+    def _kind_memo(self, j, kind, key, build):
+        """_memo of a per-kind spectrum; None for a kind not in kinds."""
+        if kind not in self.kinds:
+            return None
+        return self._memo(j, (key, kind), build)
+
     def _per_class(self, values, cls, ndim):
         """Per-class values (8,) on the rows cls, shaped to broadcast over
         an ndim stack."""
@@ -361,32 +353,30 @@ class WaveEngine:
         """Shifted wavenumber m_d + xi_d on the rows cls."""
         return self._kv[d] + self._per_class(self._ladder * self.carrier[d], cls, ndim)
 
-    def _vec_amp_hat(self, Sh, cls, main=True):
-        """Spectrum of the wave amplitude S k + (grad S x a)/(i lam 2^c) of
-        class scalars with spectrum Sh (na, grid), i.e. g_{nl} summed over
-        the class; main=False gives the correction (grad S x a)/(i lam 2^c)
-        alone. The correction symbol is (m x a)/(lam 2^c); (na, 3, grid)."""
-        inv = 1.0 / self._per_class(self._ladder, cls, Sh.ndim)
-        out = np.empty((Sh.shape[0], 3) + Sh.shape[1:], dtype=complex)
-        for comp, sym in enumerate(self._cross_sym):
-            np.multiply(Sh, sym * inv + (self.k[comp] if main else 0.0),
-                        out=out[:, comp])
-        return out
+    def polarize(self, X, kind):
+        """pol (x) X: the polarization axes of kind (3 for 'w', none for
+        'chi') inserted before the three grid axes of X."""
+        pol = self._pol[kind]
+        return (X.reshape(X.shape[:-3] + (1,) * pol.ndim + X.shape[-3:])
+                * pol.reshape(pol.shape + (1, 1, 1)))
 
-    def _scal_corr_hat(self, Sh, cls):
-        """Spectrum of (grad S . (k_h-perp, 0))/(i lam 2^c |k_h|^2)."""
-        return Sh * (self._kp_sym / self.khsq) / self._per_class(self._ladder, cls, Sh.ndim)
-
-    def _scal_amp_hat(self, Sh, cls):
-        """Spectrum of the temperature amplitude S + _scal_corr_hat(S)."""
-        return Sh + self._scal_corr_hat(Sh, cls)
+    def _amp_hat(self, Sh, cls, kind, main=True):
+        """Spectrum of the class amplitudes pol S + corr(S)/(i lam 2^c) of
+        class scalars with spectrum Sh (na, grid), i.e. g_{nl} ('w') or
+        h_{nl} ('chi') summed over the class; main=False gives the
+        correction alone. (na,) + polarization + grid."""
+        pol = self._pol[kind]
+        sym = self._corr_sym[kind] * (1.0 / self._per_class(self._ladder, cls, 4 + pol.ndim))
+        if main:
+            sym = sym + pol.reshape(pol.shape + (1, 1, 1))
+        return Sh.reshape(Sh.shape[:1] + (1,) * pol.ndim + Sh.shape[1:]) * sym
 
     def _div_hat(self, Mh):
         """Spectrum of the slow divergence sum_d d_d M[:, d]."""
         kx, ky, kz = self._kv
         return 1j * (kx * Mh[:, 0] + ky * Mh[:, 1] + kz * Mh[:, 2])
 
-    def _dzz_hat(self, Sh, cls):
+    def _shifted_dzz(self, Sh, cls):
         """Shifted second z-derivative of class scalars: the symbol is
         -(m_z + xi_z)^2 (xi_z = 0 in the standard reading)."""
         mz = self._shift_sym(2, cls, Sh.ndim)
@@ -396,135 +386,66 @@ class WaveEngine:
         """Spectrum of the base class scalar `key` at sample j on the rows
         of classes(j) (None when there is none)."""
         def build():
-            f = self.base_rows(j)[key]
+            f = self.base_rows(j).get(key)
             return None if f is None else tf.fft3(f)
         return self._memo(j, ("hat", key), build)
 
-    def velocity_hats(self, j):
-        """(main, corr) spectra of the class velocity amplitudes on the rows
-        of classes(j): (na, 3, grid)."""
+    def wave_hats(self, j, kind):
+        """(main, corr) spectra of the class amplitudes of wave kind on the
+        rows of classes(j): pol (x) S and the correction."""
         def build():
-            Uh = self.base_hat(j, "U")
-            return (Uh[:, None] * self.k.reshape(1, 3, 1, 1, 1),
-                    self._vec_amp_hat(Uh, self.classes(j), main=False))
-        return self._memo(j, "Ghat", build)
+            Sh = self.base_hat(j, self.KEYS[kind].base)
+            return (self.polarize(Sh, kind),
+                    self._amp_hat(Sh, self.classes(j), kind, main=False))
+        return self._kind_memo(j, kind, "hats", build)
 
-    def temperature_hats(self, j):
-        """(main, corr) spectra of the class temperature amplitudes (na, grid),
-        (None, None) without a temperature wave."""
+    def momentum_hat(self, j, kind):
+        """Spectrum of the amplitudes of sum_l (wave_l) (l_d / mu):
+        (na, 3 d-axis) + polarization + grid."""
         def build():
-            Vh = self.base_hat(j, "V")
-            if Vh is None:
-                return None, None
-            return Vh, self._scal_corr_hat(Vh, self.classes(j))
-        return self._memo(j, "Hhat", build)
-
-    def momentum_hat(self, j):
-        """Spectrum of the amplitudes of sum_l w_nl (l_d / mu):
-        (na, 3 d-axis, 3 comp, grid)."""
-        def build():
-            W1h = self.base_hat(j, "W1")
+            S1h = self.base_hat(j, self.KEYS[kind].momentum)
             cls = self.classes(j)
-            return np.stack([self._vec_amp_hat(W1h[:, d], cls) for d in range(3)],
+            return np.stack([self._amp_hat(S1h[:, d], cls, kind) for d in range(3)],
                             axis=1)
-        return self._memo(j, "W1hat", build)
+        return self._kind_memo(j, kind, "momentum", build)
 
-    def temperature_momentum_hat(self, j):
-        """Spectrum of the amplitudes of sum_l chi_nl (l_d / mu): (na, 3, grid)."""
-        def build():
-            V1h = self.base_hat(j, "V1")
-            if V1h is None:
-                return None
-            cls = self.classes(j)
-            return np.stack([self._scal_amp_hat(V1h[:, d], cls) for d in range(3)],
-                            axis=1)
-        return self._memo(j, "V1hat", build)
-
-    def transport_hat(self, j):
-        """Spectrum of the amplitude of d_t w_n + sum_l (l/mu).grad w_nl per
-        class (na, 3, grid).
+    def transport_hat(self, j, kind):
+        """Spectrum of the amplitude of d_t + sum_l (l/mu).grad of the wave
+        per class.
 
         Only slow-amplitude derivatives appear: the phase contributions of
-        d_t and (l/mu).grad cancel exactly, so this is Tb-based plus the
-        divergence (in d) of the momentum amplitudes.
+        d_t and (l/mu).grad cancel exactly, so this is the amplitude of the
+        amplitude-only d_t plus the divergence (in d) of the momentum
+        amplitudes.
         """
-        return self._memo(j, "transport", lambda: (
-            self._vec_amp_hat(self.base_hat(j, "Tb"), self.classes(j))
-            + self._div_hat(self.momentum_hat(j))))
+        return self._kind_memo(j, kind, "transport", lambda: (
+            self._amp_hat(self.base_hat(j, self.KEYS[kind].dt), self.classes(j), kind)
+            + self._div_hat(self.momentum_hat(j, kind))))
 
-    def temperature_transport_hat(self, j):
-        if self.base_hat(j, "Tc") is None:
-            return None
-        return self._memo(j, "ttransport", lambda: (
-            self._scal_amp_hat(self.base_hat(j, "Tc"), self.classes(j))
-            + self._div_hat(self.temperature_momentum_hat(j))))
+    def dzz_hat(self, j, kind):
+        """Spectrum of the amplitude of d_zz of the wave per class."""
+        cls = self.classes(j)
+        return self._kind_memo(j, kind, "dzz", lambda: self._amp_hat(
+            self._shifted_dzz(self.base_hat(j, self.KEYS[kind].base), cls), cls, kind))
 
-    def dzz_velocity_hat(self, j):
-        return self._memo(j, "dzzv", lambda: self._vec_amp_hat(
-            self._dzz_hat(self.base_hat(j, "U"), self.classes(j)), self.classes(j)))
-
-    def dzz_temperature_hat(self, j):
-        if self.base_hat(j, "V") is None:
-            return None
-        return self._memo(j, "dzzt", lambda: self._scal_amp_hat(
-            self._dzz_hat(self.base_hat(j, "V"), self.classes(j)), self.classes(j)))
-
-    def dt_velocity_hat(self, j, stride=1):
-        """Spectrum of the amplitude of d_t w_n per class: the amplitude
-        stencil plus the exact -i omega phase term (omega is constant on each
-        cell, so the phase part passes through the correction operator).
+    def dt_hat(self, j, kind, stride=1):
+        """Spectrum of the amplitude of d_t of the wave per class: the
+        amplitude stencil plus the exact -i omega phase term (omega is
+        constant on each cell, so the phase part passes through the
+        correction operator).
 
         stride > 1 evaluates the stencil on the stride-subsampled time grid,
         which is the companion evaluation for discretization-floor estimates.
         """
-        def build():
-            Th = (self.base_hat(j, "Tb") if stride == 1
-                  else tf.fft3(self.amplitude_time_derivative(j, stride)[0]))
-            return self._vec_amp_hat(Th + self.base_hat(j, "OU"), self.classes(j))
-        return self._memo(j, ("dtv", stride), build)
-
-    def dt_temperature_hat(self, j, stride=1):
-        if self.base_hat(j, "V") is None:
-            return None
+        keys = self.KEYS[kind]
 
         def build():
-            Th = (self.base_hat(j, "Tc") if stride == 1
-                  else tf.fft3(self.amplitude_time_derivative(j, stride)[1]))
-            return self._scal_amp_hat(Th + self.base_hat(j, "OV"), self.classes(j))
-        return self._memo(j, ("dtt", stride), build)
-
-    def velocity_amp_rows(self, j):
-        """Physical (main, corr) class velocity amplitudes on the rows of
-        classes(j): (na, 3, grid) each."""
-        def build():
-            U = self.base_rows(j)["U"]
-            return (U[:, None] * self.k.reshape(1, 3, 1, 1, 1),
-                    tf.ifft3(self.velocity_hats(j)[1]))
-        return self._memo(j, "G", build)
-
-    def class_velocity_amps(self, j, split=False):
-        """G_c (8, 3, grid): full wave amplitude per class, or (main, corr)."""
-        main, corr = (self._expand(j, x) for x in self.velocity_amp_rows(j))
-        return (main, corr) if split else main + corr
-
-    def class_temperature_amps(self, j, split=False):
-        V = self.base_rows(j)["V"]
-        if V is None:
-            return None if not split else (None, None)
-        corr = tf.ifft3(self.temperature_hats(j)[1])
-        main, corr = self._expand(j, V), self._expand(j, corr)
-        return (main, corr) if split else main + corr
-
-    def transport_class_amps(self, j):
-        """transport_hat in physical space on all eight classes (8, 3, grid)."""
-        return self._expand(j, tf.ifft3(self.transport_hat(j)))
+            Th = (self.base_hat(j, keys.dt) if stride == 1
+                  else tf.fft3(self.amplitude_time_derivative(j, stride)[keys.dt]))
+            return self._amp_hat(Th + self.base_hat(j, keys.phase), self.classes(j), kind)
+        return self._kind_memo(j, kind, ("dt", stride), build)
 
     # -- materialization ------------------------------------------------------
-
-    def assemble(self, amps, vector=True):
-        """2 Re sum_c amps_c E_c; amps (8, ..., grid) with class axis first."""
-        E = self._E[(slice(None),) + (None,) * (amps.ndim - 4)]
-        return 2.0 * np.sum((amps * E).real, axis=0)
 
     def assemble_hat(self, hats, cls):
         """2 Re sum_c amps_c E_c from the spectra hats (na, ..., grid) of the
@@ -543,26 +464,30 @@ class WaveEngine:
             self.assemble_hat(1j * self._shift_sym(d, cls, hats.ndim) * hats, cls)
             for d in range(3)])
 
-    def velocity(self, j, split=False):
-        main, corr = self.velocity_hats(j)
-        cls = self.classes(j)
-        if split:
-            return self.assemble_hat(main, cls), self.assemble_hat(corr, cls)
-        return self.assemble_hat(main + corr, cls)
+    def wave_parts(self, j, kind):
+        """Materialized (main, corr) of wave kind at sample j: polarization
+        + grid each, the whole wave is their sum."""
+        return self._memo(j, ("wave", kind),
+                          lambda: self._materialize(j, kind, self.assemble_hat, ()))
 
-    def temperature(self, j, split=False):
-        main, corr = self.temperature_hats(j)
-        zeros = np.zeros(self.grid.shape)
-        if main is None:
-            return (zeros, zeros.copy()) if split else zeros
-        cls = self.classes(j)
-        if split:
-            return self.assemble_hat(main, cls), self.assemble_hat(corr, cls)
-        return self.assemble_hat(main + corr, cls)
+    def wave_gradient_parts(self, j, kind):
+        """Materialized (grad main, grad corr) of wave kind at sample j:
+        (3 deriv) + polarization + grid each."""
+        return self._memo(j, ("grad", kind),
+                          lambda: self._materialize(j, kind, self.gradient_hat, (3,)))
 
-    def velocity_gradient(self, j):
-        """Materialized grad w_n: (3 deriv, 3 comp, grid)."""
-        return self.gradient_hat(sum(self.velocity_hats(j)), self.classes(j))
+    def _materialize(self, j, kind, op, lead):
+        """op applied to the main and correction class sums of wave kind.
+        The main wave is pol times the base scalar 2 Re sum_c S_c E_c, so its
+        op takes one transform per op component, not one per polarization
+        component; zeros (lead + polarization + grid) without that wave."""
+        hats = self.wave_hats(j, kind)
+        if hats is None:
+            zero = np.zeros(lead + self._pol[kind].shape + self.grid.shape)
+            return zero, zero.copy()
+        cls = self.classes(j)
+        main = self.polarize(op(self.base_hat(j, self.KEYS[kind].base), cls), kind)
+        return main, op(hats[1], cls)
 
     # -- identities -----------------------------------------------------------
 
@@ -570,8 +495,8 @@ class WaveEngine:
         n = self.grid.shape
         return all(abs(xi[d]) < n[d] // 2 for d in range(3))
 
-    def wave_mean(self, j, kind="w"):
-        """Exact T^3 mean of the wave (vector for 'w', scalar for 'chi').
+    def wave_mean(self, j, kind):
+        """Exact T^3 mean of wave kind (polarization-shaped).
 
         Computed in coefficient space: a term amp * e^{i xi.x} integrates to
         the amplitude's Fourier coefficient at -xi, which is identically zero
@@ -580,26 +505,24 @@ class WaveEngine:
         divergence structure). The grid mean of the materialized field is an
         aliasing artifact and is deliberately not used.
         """
-        parts = (self.velocity_hats(j) if kind == "w"
-                 else self.temperature_hats(j))
-        out = None
+        out = np.zeros(self._pol[kind].shape)
+        hats = self.wave_hats(j, kind)
+        if hats is None:
+            return out
         for row, c in enumerate(self.classes(j)):
             xi = self.xi(c)
-            if parts[0] is None or not self._in_band(xi):
+            if not self._in_band(xi):
                 continue
             idx = tuple(np.ravel([-x % n for x, n in zip(xi, self.grid.shape)]))
-            hat = parts[0][row] + parts[1][row]
+            hat = hats[0][row] + hats[1][row]
             coef = hat[..., idx[0], idx[1], idx[2]] / self.grid.npts
-            out = 2 * coef.real if out is None else out + 2 * coef.real
-        if out is None:
-            zero = np.zeros(3) if kind == "w" else 0.0
-            return zero
+            out = out + 2 * coef.real
         return out
 
     def wave_divergence(self, j):
         """Materialized div w_n via the shifted symbol (exactly the curl
         structure cancelling; nonzero only through FFT roundoff)."""
-        G = sum(self.velocity_hats(j))
+        G = sum(self.wave_hats(j, "w"))
         cls = self.classes(j)
         div = sum(1j * self._shift_sym(d, cls, 4) * G[:, d] for d in range(3))
         return self.assemble_hat(div, cls)
@@ -626,7 +549,7 @@ class WaveEngine:
 
 
 # ---------------------------------------------------------------------------
-# public construction API
+# per-cell reference amplitudes (the oracle the engine is tested against)
 
 @dataclass
 class AmplitudeSet:
@@ -665,56 +588,3 @@ class AmplitudeSet:
         kp = e.frame.k_perp_arr()
         fac = 1.0 / (sign * 1j * e.lam * 2 ** pt.parity_index(l) * e.khsq)
         return beta + fac * sum(kp[d] * gb[d] for d in range(3))
-
-
-@dataclass
-class ModulatedWaveSum:
-    """Symbolic wave field: per-class slow amplitudes against the carriers
-    e^{i xi_c . x}, materialized on demand per time sample."""
-
-    engine: WaveEngine
-    kind: str  # 'w_o' | 'w_c' | 'chi_o' | 'chi_c'
-
-    def _amps(self, j):
-        e = self.engine
-        if self.kind in ("w_o", "w_c"):
-            main, corr = e.class_velocity_amps(j, split=True)
-            return main if self.kind == "w_o" else corr
-        main, corr = e.class_temperature_amps(j, split=True)
-        return main if self.kind == "chi_o" else corr
-
-    def terms(self, j):
-        """[(amplitude, xi, class)] with the conjugate partner implied."""
-        amps = self._amps(j)
-        if amps is None:
-            return []
-        return [(amps[c], self.engine.xi(c), c) for c in range(8)]
-
-    def evaluate(self, j):
-        amps = self._amps(j)
-        shape = self.engine.grid.shape
-        if amps is None:
-            return np.zeros(shape if self.kind.startswith("chi") else (3,) + shape)
-        return self.engine.assemble(amps)
-
-    def evaluate_all(self):
-        return np.stack([self.evaluate(j) for j in range(self.engine.tgrid.nt)])
-
-
-def build_velocity_wave(n, amps, lam=None, mu=None):
-    """(w_no, w_nc) as symbolic wave sums; lam/mu, if given, must agree with
-    the set they were built with."""
-    _check_params(amps, lam, mu)
-    return (ModulatedWaveSum(amps.engine, "w_o"), ModulatedWaveSum(amps.engine, "w_c"))
-
-
-def build_temperature_wave(n, amps, lam=None, mu=None):
-    _check_params(amps, lam, mu)
-    return (ModulatedWaveSum(amps.engine, "chi_o"), ModulatedWaveSum(amps.engine, "chi_c"))
-
-
-def _check_params(amps, lam, mu):
-    if lam is not None and lam != amps.engine.lam:
-        raise ParameterError(f"lam = {lam} does not match the amplitude set ({amps.engine.lam})")
-    if mu is not None and mu != amps.engine.mu:
-        raise ParameterError(f"mu = {mu} does not match the amplitude set ({amps.engine.mu})")

@@ -17,6 +17,11 @@ evaluator consumes -- fast content must never be differentiated through a
 plain grid transform.  Terms whose exact value is a materially-zero
 divergence (div of the full wave, div of the accumulated velocity) are
 omitted from the stores; they sit far below the time-discretization floor.
+
+The velocity and temperature terms share their code where the paper's
+construction does: a wave kind ("w" or "chi") selects the antidivergence
+(R on vector amplitudes, G on scalar ones), the block it cancels and the
+StepState stores it updates.
 """
 
 import time
@@ -42,9 +47,11 @@ class SubstepAssembler:
     is the mollified temperature driving the flux interaction terms.  The
     R0 / a_ell (f0 / c_ell) pairs are only supplied on the first substep,
     where the mollification residual enters the update.
-    """
 
-    _R_ZERO_KEYS = ("oscillation", "transport", "error_N", "error_corr", "mollification")
+    The waves and their gradients are the engine's materializations
+    (WaveEngine.wave_parts / wave_gradient_parts); a wave kind selects the
+    antidivergence its terms take (_ANTIDIV).
+    """
 
     def __init__(self, engine, v_prev, grad_v_prev, theta_prev, grad_theta_prev,
                  theta_ell, R0=None, a_ell=None, f0=None, c_ell=None):
@@ -72,71 +79,15 @@ class SubstepAssembler:
             self._memo[name] = fn()
         return self._memo[name]
 
-    def w_parts(self, j):
-        """Materialized (w_no, w_nc); the main wave is k times the scalar
-        2 Re sum_c U_c E_c, so it takes one transform, not three."""
+    def field(self, j, op, kind):
+        """Materialized engine field op ('transport', 'dt' or 'dzz', the
+        WaveEngine.<op>_hat spectra) of wave kind at sample j, shared by the
+        stress term that needs it and the derivative stores (None without
+        that wave)."""
         def build():
-            cls = self.e.classes(j)
-            S = self.e.assemble_hat(self.e.base_hat(j, "U"), cls)
-            w_o = self.e.k.reshape(3, 1, 1, 1) * S
-            return w_o, self.e.assemble_hat(self.e.velocity_hats(j)[1], cls)
-        return self._m(j, "w", build)
-
-    def chi_parts(self, j):
-        def build():
-            main, corr = self.e.temperature_hats(j)
-            if main is None:
-                z = np.zeros(self.grid.shape)
-                return z, z.copy()
-            cls = self.e.classes(j)
-            return self.e.assemble_hat(main, cls), self.e.assemble_hat(corr, cls)
-        return self._m(j, "chi", build)
-
-    def _grad_w_parts(self, j):
-        """(grad w_no, grad w_nc), (3 deriv, 3 comp, grid) each; grad w_no is
-        k times the gradient of the main-wave scalar."""
-        def build():
-            cls = self.e.classes(j)
-            gS = self.e.gradient_hat(self.e.base_hat(j, "U"), cls)
-            go = gS[:, None] * self.e.k.reshape(1, 3, 1, 1, 1)
-            return go, self.e.gradient_hat(self.e.velocity_hats(j)[1], cls)
-        return self._m(j, "grad_w", build)
-
-    def _grad_chi_parts(self, j):
-        def build():
-            main, corr = self.e.temperature_hats(j)
-            if main is None:
-                z = np.zeros((3,) + self.grid.shape)
-                return z, z.copy()
-            cls = self.e.classes(j)
-            return self.e.gradient_hat(main, cls), self.e.gradient_hat(corr, cls)
-        return self._m(j, "grad_chi", build)
-
-    def _field(self, j, name, hats):
-        """Materialized class-amplitude field, shared by the stress term that
-        needs it and the derivative stores (None when hats is None)."""
-        return self._m(j, name, lambda: None if hats(j) is None
-                       else self.e.assemble_hat(hats(j), self.e.classes(j)))
-
-    def transport_w(self, j):
-        return self._field(j, "transport_w", self.e.transport_hat)
-
-    def transport_chi(self, j):
-        return self._field(j, "transport_chi", self.e.temperature_transport_hat)
-
-    def dt_w(self, j):
-        """Materialized d_t w_n at sample j."""
-        return self._field(j, "dt_w", self.e.dt_velocity_hat)
-
-    def dt_chi(self, j):
-        return self._field(j, "dt_chi", self.e.dt_temperature_hat)
-
-    def dzz_w(self, j):
-        """Materialized d_zz w_n at sample j."""
-        return self._field(j, "dzz_w", self.e.dzz_velocity_hat)
-
-    def dzz_chi(self, j):
-        return self._field(j, "dzz_chi", self.e.dzz_temperature_hat)
+            hats = getattr(self.e, op + "_hat")(j, kind)
+            return None if hats is None else self.e.assemble_hat(hats, self.e.classes(j))
+        return self._m(j, (op, kind), build)
 
     def _div_v_ell(self, j):
         return self._m(j, "div_v_ell",
@@ -148,18 +99,17 @@ class SubstepAssembler:
 
     # -- oscillation mode expansion -------------------------------------------
 
-    def oscillation_modes(self, j):
-        """Quadratic wave interactions as {q: scalar amplitude}: the main-wave
-        square is sum_q 2 Re(A_q e^{i q carrier.x}) k (x) k, with the zero
-        mode (the block being cancelled) removed."""
-        U = self.e.base_rows(j)["U"]
-        return self._pair_modes(U, U, self.e.classes(j))
-
-    def flux_oscillation_modes(self, j):
-        V = self.e.base_rows(j)["V"]
-        if V is None:
+    def oscillation_modes(self, j, kind):
+        """Quadratic main-wave interactions as {q: scalar amplitude}: the
+        product of the main velocity scalar with the main scalar of wave kind
+        is sum_q 2 Re(A_q e^{i q carrier.x}), with the zero mode (the block
+        being cancelled) removed; times k (x) k for 'w', k for 'chi'. None
+        without that wave."""
+        rows = self.e.base_rows(j)
+        X = rows.get(self.e.KEYS[kind].base)
+        if X is None:
             return None
-        return self._pair_modes(self.e.base_rows(j)["U"], V, self.e.classes(j))
+        return self._pair_modes(rows["U"], X, self.e.classes(j))
 
     def _pair_modes(self, A, B, cls):
         """A, B: class scalars on the rows of the classes cls."""
@@ -185,160 +135,134 @@ class SubstepAssembler:
     # -- inverse-divergence applications --------------------------------------
 
     def r_div_M(self, j):
-        """R(div M): per mode the input is a scalar times k (x) k, so the
-        divergence is rank-one and each mode costs one forward and six
-        inverse transforms.
-
-        The stored divergence is not the per-mode symbol identity but the
-        pointwise main-wave self-advection plus the spectral divergence of
-        the block being cancelled: that is what the equation actually gains
-        when the wave square replaces the block, evaluated with the same
-        per-class gradients the derivative stores carry.  Differentiating
-        the mode amplitudes (products of class amplitudes) spectrally would
-        disagree with those stores near the grid cutoff."""
-        acc6 = np.zeros((6,) + self.grid.shape, dtype=complex)
-        k = self.e.k.astype(np.float64)
-        for q, A in self.oscillation_modes(j).items():
-            xi = q * self.e.carrier
-            K = tf.shifted_k(self.grid, xi)
-            Ah = tf.fft3(A)
-            dh = 1j * (k[0] * K[0] + k[1] * K[1] + k[2] * K[2]) * Ah
-            Rh6, _ = r_hat(dh[None] * k.reshape(3, 1, 1, 1), K, self.grid.npts)
-            # e^{i q carrier.x} on the sampled grid is an exact spectral
-            # shift, so the phase multiply folds into one accumulated
-            # inverse transform after the mode loop (tf.add_shifted)
-            tf.add_shifted(acc6, Rh6, xi)
-        delta6 = tf.twice_real_ifft3(acc6)
-        w_o, _ = self.w_parts(j)
-        go, _ = self._grad_w_parts(j)
-        div_wo = go[0, 0] + go[1, 1] + go[2, 2]
-        div3 = (np.einsum("b...,ba...->a...", w_o, go) + w_o * div_wo
-                + k.reshape(3, 1, 1, 1)
-                * np.einsum("b...,b...->...", k, tf.gradient(self.e.a_n[j], self.grid)))
-        return delta6, div3
+        """R(div M), M = w_no (x) w_no minus the stress block."""
+        return self._oscillation(j, "w")
 
     def g_div_K(self, j):
-        """G(div K) with the same pointwise divergence bookkeeping as
-        r_div_M: main-wave advection of the main temperature wave plus the
-        spectral divergence of the cancelled flux block."""
-        modes = self.flux_oscillation_modes(j)
+        """G(div K), K = w_no chi_no minus the flux block."""
+        return self._oscillation(j, "chi")
+
+    def _oscillation(self, j, kind):
+        """R(div M) ('w') or G(div K) ('chi'): per mode the input is the
+        scalar k . grad A times the polarization (k or 1), so each mode costs
+        one forward transform and the symbol; the phase multiplies fold into
+        one accumulated inverse transform.
+
+        The stored divergence is not the per-mode symbol identity but the
+        pointwise main-wave advection of the main wave of kind, plus its
+        main part times div w_no, plus the spectral divergence of the block
+        being cancelled: that is what the equation actually gains when the
+        wave product replaces the block, evaluated with the same per-class
+        gradients the derivative stores carry.  Differentiating the mode
+        amplitudes (products of class amplitudes) spectrally would disagree
+        with those stores near the grid cutoff."""
+        modes = self.oscillation_modes(j, kind)
         if modes is None:
             return None
-        acc3 = np.zeros((3,) + self.grid.shape, dtype=complex)
+        sym, ncomp, block = _ANTIDIV[kind]
+        acc = np.zeros((ncomp,) + self.grid.shape, dtype=complex)
         k = self.e.k.astype(np.float64)
         for q, A in modes.items():
             xi = q * self.e.carrier
             K = tf.shifted_k(self.grid, xi)
-            Ah = tf.fft3(A)
-            dh = 1j * (k[0] * K[0] + k[1] * K[1] + k[2] * K[2]) * Ah
-            Gh3, _ = g_hat(dh, K, self.grid.npts)
-            tf.add_shifted(acc3, Gh3, xi)
-        delta3 = tf.twice_real_ifft3(acc3)
-        w_o, _ = self.w_parts(j)
-        go, _ = self._grad_w_parts(j)
+            dh = 1j * (k[0] * K[0] + k[1] * K[1] + k[2] * K[2]) * tf.fft3(A)
+            out, _ = sym(self.e.polarize(dh, kind), K, self.grid.npts)
+            # e^{i q carrier.x} on the sampled grid is an exact spectral
+            # shift (tf.add_shifted)
+            tf.add_shifted(acc, out, xi)
+        w_o = self.e.wave_parts(j, "w")[0]
+        go = self.e.wave_gradient_parts(j, "w")[0]
         div_wo = go[0, 0] + go[1, 1] + go[2, 2]
-        chi_o, _ = self.chi_parts(j)
-        gco, _ = self._grad_chi_parts(j)
-        div1 = (np.einsum("b...,b...->...", w_o, gco) + chi_o * div_wo
-                + np.einsum("b...,b...->...", k, tf.gradient(self.e.c_n[j], self.grid)))
-        return delta3, div1
+        x_o = self.e.wave_parts(j, kind)[0]
+        gx_o = self.e.wave_gradient_parts(j, kind)[0]
+        grad_block = tf.gradient(getattr(self.e, block)[j], self.grid)
+        div = (np.einsum("b...,b...->...", w_o, gx_o) + x_o * div_wo
+               + self.e.polarize(np.einsum("b...,b...->...", k, grad_block), kind))
+        return tf.twice_real_ifft3(acc), div
 
-    def _r_class_modes(self, hats, cls, field):
-        """R applied to a sum of class-carrier vector amplitudes given by
-        their spectra (na, 3, grid) on the classes cls; field is the
-        materialized input, and the stored divergence is field minus its
-        (exact) mean."""
-        acc6 = np.zeros((6,) + self.grid.shape, dtype=complex)
-        mean3 = np.zeros(3)
-        for row, c in enumerate(cls):
+    def _class_modes(self, j, kind, hats, field):
+        """R ('w', vector amplitudes) or G ('chi', scalar amplitudes) applied
+        to a sum of class-carrier amplitudes given by their spectra on the
+        rows of classes(j); field is the materialized input, and the stored
+        divergence is field minus its (exact) mean."""
+        sym, ncomp, _ = _ANTIDIV[kind]
+        acc = np.zeros((ncomp,) + self.grid.shape, dtype=complex)
+        mean = 0.0
+        for row, c in enumerate(self.e.classes(j)):
             if not np.any(hats[row]):
                 continue
-            K = tf.shifted_k(self.grid, self.e.xi(c))
-            Rh6, mean = r_hat(hats[row], K, self.grid.npts)
-            tf.add_shifted(acc6, Rh6, self.e.xi(c))
-            mean3 += mean.real
-        return tf.twice_real_ifft3(acc6), field - 2.0 * mean3.reshape(3, 1, 1, 1)
+            xi = self.e.xi(c)
+            out, m = sym(hats[row], tf.shifted_k(self.grid, xi), self.grid.npts)
+            tf.add_shifted(acc, out, xi)
+            mean = mean + m.real
+        return (tf.twice_real_ifft3(acc),
+                field - 2.0 * np.reshape(mean, np.shape(mean) + (1, 1, 1)))
 
-    def _g_class_modes(self, hats, cls, field):
-        acc3 = np.zeros((3,) + self.grid.shape, dtype=complex)
-        mean1 = 0.0
-        for row, c in enumerate(cls):
-            if not np.any(hats[row]):
-                continue
-            K = tf.shifted_k(self.grid, self.e.xi(c))
-            Gh3, mean = g_hat(hats[row], K, self.grid.npts)
-            tf.add_shifted(acc3, Gh3, self.e.xi(c))
-            mean1 += mean.real
-        return tf.twice_real_ifft3(acc3), field - 2.0 * mean1
-
-    def transport_R(self, j):
-        return self._r_class_modes(self.e.transport_hat(j), self.e.classes(j),
-                                   self.transport_w(j))
-
-    def transport_f(self, j):
-        hats = self.e.temperature_transport_hat(j)
+    def _field_modes(self, j, op, kind):
+        """_class_modes of the engine's op spectra of wave kind (None
+        without that wave)."""
+        hats = getattr(self.e, op + "_hat")(j, kind)
         if hats is None:
             return None
-        return self._g_class_modes(hats, self.e.classes(j), self.transport_chi(j))
+        return self._class_modes(j, kind, hats, self.field(j, op, kind))
+
+    def transport_R(self, j):
+        return self._field_modes(j, "transport", "w")
+
+    def transport_f(self, j):
+        return self._field_modes(j, "transport", "chi")
 
     def r_dzz_and_buoyancy(self, j):
         """R(d_zz w + chi e3): both enter error_corr with the same sign and R
         is linear, so they share one pass over the classes."""
-        hats, field = self.e.dzz_velocity_hat(j), self.dzz_w(j)
-        main, corr = self.e.temperature_hats(j)
-        if main is not None:
-            hats, field = hats.copy(), field.copy()
-            hats[:, 2] += main + corr
-            field[2] += sum(self.chi_parts(j))
-        return self._r_class_modes(hats, self.e.classes(j), field)
+        return self._with_buoyancy(j, self.e.dzz_hat(j, "w"), self.field(j, "dzz", "w"))
 
     def r_buoyancy(self, j):
         """R(chi e3) -- the buoyancy of the temperature wave."""
-        main, corr = self.e.temperature_hats(j)
-        if main is None:
+        if "chi" not in self.e.kinds:
             return None
-        hats = np.zeros((len(main), 3) + self.grid.shape, dtype=complex)
-        hats[:, 2] = main + corr
-        field = np.zeros((3,) + self.grid.shape)
-        field[2] = sum(self.chi_parts(j))
-        return self._r_class_modes(hats, self.e.classes(j), field)
+        na = len(self.e.classes(j))
+        return self._with_buoyancy(j, np.zeros((na, 3) + self.grid.shape, dtype=complex),
+                                   np.zeros((3,) + self.grid.shape))
 
-    def g_dzz_chi(self, j):
-        hats = self.e.dzz_temperature_hat(j)
-        if hats is None:
-            return None
-        return self._g_class_modes(hats, self.e.classes(j), self.dzz_chi(j))
+    def _with_buoyancy(self, j, hats, field):
+        """R of the vector class spectra hats (materialized: field) plus
+        chi e3."""
+        chi = self.e.wave_hats(j, "chi")
+        if chi is not None:
+            hats, field = hats.copy(), field.copy()
+            hats[:, 2] += sum(chi)
+            field[2] += sum(self.e.wave_parts(j, "chi"))
+        return self._class_modes(j, "w", hats, field)
 
     # -- pointwise interaction terms ------------------------------------------
 
     def N_field(self, j):
         """Slow interaction of the wave with the carrier velocity:
         w (x) v + v (x) w - sym(sum_l w_l (x) l/mu)."""
-        w_o, w_c = self.w_parts(j)
-        w = w_o + w_c
+        w = sum(self.e.wave_parts(j, "w"))
         v = self.v_prev[j]
         # Q[a, b] = sum_l w_a l_b / mu; only the packed Q + Q^T enters, so
         # the six packed spectra are summed before materializing
-        mh = self.e.momentum_hat(j)  # (class, d, comp, grid)
+        mh = self.e.momentum_hat(j, "w")  # (class, d, comp, grid)
         qq = self.e.assemble_hat(
             np.stack([mh[:, b, a] + mh[:, a, b] for a, b in tf.PACK], axis=1),
             self.e.classes(j))
         T = w[:, None] * v[None, :] + v[:, None] * w[None, :]
-        go, gc = self._grad_w_parts(j)
-        grad_w = go + gc
+        grad_w = sum(self.e.wave_gradient_parts(j, "w"))
         vdw = np.einsum("b...,ba...->a...", v, grad_w)
         wdv = np.einsum("b...,ba...->a...", w, self.grad_v_prev[j])
         # cell-velocity advection of the wave, with the exact same amplitude
         # bookkeeping the transport and time-derivative stores use
-        adv = self.transport_w(j) - self.dt_w(j)
+        adv = self.field(j, "transport", "w") - self.field(j, "dt", "w")
         div3 = vdw + wdv - adv
         return tf.sym_pack(T) - qq, div3
 
     def product_corrections(self, j):
         """Quadratic terms involving the correction wave (main x corr and
         corr x corr)."""
-        w_o, w_c = self.w_parts(j)
-        go, gc = self._grad_w_parts(j)
+        w_o, w_c = self.e.wave_parts(j, "w")
+        go, gc = self.e.wave_gradient_parts(j, "w")
         div_wo = go[0, 0] + go[1, 1] + go[2, 2]
         div_wc = gc[0, 0] + gc[1, 1] + gc[2, 2]
         T = (w_o[:, None] * w_c[None, :] + w_c[:, None] * w_o[None, :]
@@ -350,39 +274,37 @@ class SubstepAssembler:
 
     def flux_momentum(self, j):
         """(v_ell - l/mu) paired with the temperature wave."""
-        tmom = self.e.temperature_momentum_hat(j)
+        tmom = self.e.momentum_hat(j, "chi")
         if tmom is None:
             return None
-        chi_o, chi_c = self.chi_parts(j)
-        chi = chi_o + chi_c
+        chi = sum(self.e.wave_parts(j, "chi"))
         Pchi = self.e.assemble_hat(tmom, self.e.classes(j))  # (d, grid): sum_l chi_l l_d / mu
         v_ell = self.e.v_ell[j]
         t5 = v_ell * chi - Pchi
-        grad_chi = sum(self._grad_chi_parts(j))
-        adv = self.transport_chi(j) - self.dt_chi(j)
+        grad_chi = sum(self.e.wave_gradient_parts(j, "chi"))
+        adv = self.field(j, "transport", "chi") - self.field(j, "dt", "chi")
         div1 = (self._div_v_ell(j) * chi
                 + np.einsum("b...,b...->...", v_ell, grad_chi)
                 - adv)
         return t5, div1
 
     def flux_drift(self, j):
-        chi_o, chi_c = self.chi_parts(j)
-        chi = chi_o + chi_c
+        chi = sum(self.e.wave_parts(j, "chi"))
         if not np.any(chi):
             return None
         dv = self.v_prev[j] - self.e.v_ell[j]
-        grad_chi = sum(self._grad_chi_parts(j))
+        grad_chi = sum(self.e.wave_gradient_parts(j, "chi"))
         div1 = (-self._div_v_ell(j) * chi
                 + np.einsum("b...,b...->...", dv, grad_chi))
         return dv * chi, div1
 
     def flux_products(self, j):
-        chi_o, chi_c = self.chi_parts(j)
+        chi_o, chi_c = self.e.wave_parts(j, "chi")
         if not np.any(chi_o) and not np.any(chi_c):
             return None
-        w_o, w_c = self.w_parts(j)
-        go, gc = self._grad_w_parts(j)
-        gco, gcc = self._grad_chi_parts(j)
+        w_o, w_c = self.e.wave_parts(j, "w")
+        go, gc = self.e.wave_gradient_parts(j, "w")
+        gco, gcc = self.e.wave_gradient_parts(j, "chi")
         div_wo = go[0, 0] + go[1, 1] + go[2, 2]
         div_wc = gc[0, 0] + gc[1, 1] + gc[2, 2]
         chi = chi_o + chi_c
@@ -395,15 +317,16 @@ class SubstepAssembler:
     def flux_theta_osc(self, j):
         """G(w . grad theta_ell), the fast flux induced on the mollified
         temperature."""
-        G = sum(self.e.velocity_amp_rows(j))  # (na, 3, grid)
+        # physical class velocity amplitudes (na, 3, grid)
+        G = (self.e.polarize(self.e.base_rows(j)["U"], "w")
+             + tf.ifft3(self.e.wave_hats(j, "w")[1]))
         gt = self._grad_theta_ell(j)
         amps = np.einsum("cb...,b...->c...", G, gt.astype(complex))
         hats = tf.fft3(amps)
-        cls = self.e.classes(j)
-        return self._g_class_modes(hats, cls, self.e.assemble_hat(hats, cls))
+        return self._class_modes(j, "chi", hats, self.e.assemble_hat(hats, self.e.classes(j)))
 
     def flux_theta_drift(self, j):
-        w = sum(self.w_parts(j))
+        w = sum(self.e.wave_parts(j, "w"))
         dtheta = self.theta_prev[j] - self.theta_ell[j]
         gdiff = self.grad_theta_prev[j] - self._grad_theta_ell(j)
         return w * dtheta, np.einsum("b...,b...->...", w, gdiff)
@@ -427,54 +350,53 @@ class SubstepAssembler:
     def delta_R_slice(self, j):
         """(delta6, div3, parts) at time sample j; parts is the category
         breakdown whose fields sum to delta6 by construction."""
-        osc = self.r_div_M(j)
-        tr = self.transport_R(j)
-        nn = self.N_field(j)
-        zz = self.r_dzz_and_buoyancy(j)
-        pr = self.product_corrections(j)
-        corr6 = pr[0] - zz[0]
-        cdiv = pr[1] - zz[1]
-        mol = self.mollification_R(j)
-        z6 = np.zeros((6,) + self.grid.shape)
-        parts = {
-            "oscillation": osc[0],
-            "transport": tr[0],
-            "error_N": nn[0],
-            "error_corr": corr6,
-            "mollification": mol[0] if mol is not None else z6,
-        }
-        delta6 = osc[0] + tr[0] + nn[0] + corr6 + parts["mollification"]
-        div3 = osc[1] + tr[1] + nn[1] + cdiv
-        if mol is not None:
-            div3 = div3 + mol[1]
-        return delta6, div3, parts
+        osc, tr, nn = self.r_div_M(j), self.transport_R(j), self.N_field(j)
+        zz, pr = self.r_dzz_and_buoyancy(j), self.product_corrections(j)
+        return _total([
+            ("oscillation", osc),
+            ("transport", tr),
+            ("error_N", nn),
+            ("error_corr", (pr[0] - zz[0], pr[1] - zz[1])),
+            ("mollification", self.mollification_R(j)),
+        ])
 
     def delta_f_slice(self, j):
-        z3 = np.zeros((3,) + self.grid.shape)
-        parts = {k: z3 for k in self._R_ZERO_KEYS}
-        delta3 = np.zeros((3,) + self.grid.shape)
-        div1 = np.zeros(self.grid.shape)
+        """(delta3, div1, parts) at time sample j, as delta_R_slice."""
+        dz = self._field_modes(j, "dzz", "chi")  # G(d_zz chi)
+        return _total([
+            ("oscillation", self.g_div_K(j)),
+            ("transport", self.transport_f(j)),
+            ("error_corr", None if dz is None else (-dz[0], -dz[1])),
+            ("error_corr", self.flux_products(j)),
+            ("error_N", self.flux_momentum(j)),
+            ("error_N", self.flux_drift(j)),
+            ("error_N", self.flux_theta_osc(j)),
+            ("error_N", self.flux_theta_drift(j)),
+            ("mollification", self.mollification_f(j)),
+        ])
 
-        def add(kind, term):
-            nonlocal delta3, div1
-            if term is None:
-                return
-            parts[kind] = parts[kind] + term[0]
-            delta3 += term[0]
-            div1 += term[1]
 
-        add("oscillation", self.g_div_K(j))
-        add("transport", self.transport_f(j))
-        dz = self.g_dzz_chi(j)
-        if dz is not None:
-            add("error_corr", (-dz[0], -dz[1]))
-        add("error_corr", self.flux_products(j))
-        add("error_N", self.flux_momentum(j))
-        add("error_N", self.flux_drift(j))
-        add("error_N", self.flux_theta_osc(j))
-        add("error_N", self.flux_theta_drift(j))
-        add("mollification", self.mollification_f(j))
-        return delta3, div1, parts
+# per wave kind: the antidivergence its terms take (R on vector amplitudes,
+# G on scalar ones), the symbol's output components, and the engine
+# attribute holding the block its oscillation term cancels
+_ANTIDIV = {"w": (r_hat, 6, "a_n"), "chi": (g_hat, 3, "c_n")}
+
+# the update categories every slice reports
+CATEGORIES = ("oscillation", "transport", "error_N", "error_corr", "mollification")
+
+
+def _total(terms):
+    """(delta, div, parts) of (category, (field, div) or None) terms summed
+    in list order; parts has every category, zero where it has no term."""
+    terms = [(cat, term) for cat, term in terms if term is not None]
+    zero = np.zeros_like(terms[0][1][0])
+    parts = dict.fromkeys(CATEGORIES, zero)
+    delta, div = zero, np.zeros_like(terms[0][1][1])
+    for cat, (field, dv) in terms:
+        parts[cat] = parts[cat] + field
+        delta = delta + field
+        div = div + dv
+    return delta, div, parts
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +501,12 @@ class StepState:
 # ---------------------------------------------------------------------------
 # public entry points
 
+# per wave kind: the StepState stores its wave, gradient, d_zz, d_t and
+# stride-2 d_t accumulate into
+_STORES = {"w": ("v", "grad_v", "dzz_v", "dt_v", "dt_v_coarse"),
+           "chi": ("theta", "grad_theta", "dzz_theta", "dt_theta", "dt_theta_coarse")}
+
+
 def run_substep(state, n, lam, ell, ell_z, band=None):
     """Execute cancellation substep n on the step state in place.
 
@@ -592,6 +520,11 @@ def run_substep(state, n, lam, ell, ell_z, band=None):
     wave carriers onto in-band grid frequencies; the mollifier damps but
     cannot remove those images, and any remnant makes the cell-amplitude
     fields under-resolved, which shows up directly in the equation residual.
+
+    A slice whose delta R / delta f (or their divergence) or wave increment
+    is not finite raises ValueError naming the substep, the slice and its
+    time, before that quantity reaches the state (earlier slices stay
+    accumulated).
     """
     if n != state.completed + 1 or not 1 <= n <= 6:
         raise ValueError(f"substep {n} out of order (completed = {state.completed})")
@@ -616,15 +549,21 @@ def run_substep(state, n, lam, ell, ell_z, band=None):
         f0=state.f0 if first else None, c_ell=state.c if first else None,
     )
     nt = tgrid.nt
+    times = tgrid.times()
     sup = dict.fromkeys(
         ["w", "w_main", "w_corr", "chi", "chi_main", "chi_corr",
          "delta_R", "delta_f", "cancel_r1", "cancel_r2"], 0.0)
-    parts_R = dict.fromkeys(SubstepAssembler._R_ZERO_KEYS, 0.0)
-    parts_f = dict.fromkeys(SubstepAssembler._R_ZERO_KEYS, 0.0)
+    parts_R = dict.fromkeys(CATEGORIES, 0.0)
+    parts_f = dict.fromkeys(CATEGORIES, 0.0)
     probe_js = sorted({nt // 4, nt // 2, (3 * nt) // 4})
     wave_mean_max = 0.0
     wave_div_rel = 0.0
     coarse = engine.companion
+
+    def require_finite(j, name, *fields):
+        if not all(np.isfinite(f).all() for f in fields):
+            raise ValueError(f"substep {n}: {name} is not finite at slice {j} "
+                             f"(t = {times[j]:.4f})")
 
     for j in range(nt):
         r1, r2 = engine.cancellation_residual(j)
@@ -632,6 +571,7 @@ def run_substep(state, n, lam, ell, ell_z, band=None):
         sup["cancel_r2"] = max(sup["cancel_r2"], r2)
 
         d6, dv3, pR = asm.delta_R_slice(j)
+        require_finite(j, "delta_R", d6, dv3)
         state.delta_R[j] += d6
         state.div_R_store[j] += dv3
         sup["delta_R"] = max(sup["delta_R"], tf.sup_norm(d6))
@@ -639,6 +579,7 @@ def run_substep(state, n, lam, ell, ell_z, band=None):
             parts_R[key] = max(parts_R[key], tf.sup_norm(field))
 
         f3, df1, pf = asm.delta_f_slice(j)
+        require_finite(j, "delta_f", f3, df1)
         state.delta_f[j] += f3
         state.div_f_store[j] += df1
         sup["delta_f"] = max(sup["delta_f"], tf.sup_norm(f3))
@@ -646,47 +587,34 @@ def run_substep(state, n, lam, ell, ell_z, band=None):
             parts_f[key] = max(parts_f[key], tf.sup_norm(field))
 
         if j in probe_js:
-            wave_mean_max = max(wave_mean_max, float(np.max(np.abs(engine.wave_mean(j)))))
-            if n <= 3:
-                wave_mean_max = max(wave_mean_max, abs(float(engine.wave_mean(j, kind="chi"))))
-            go, gc = asm._grad_w_parts(j)
+            for kind in engine.kinds:
+                wave_mean_max = max(wave_mean_max,
+                                    float(np.max(np.abs(engine.wave_mean(j, kind)))))
+            go, gc = engine.wave_gradient_parts(j, "w")
             gw = tf.sup_norm(go + gc)
             if gw > 0:
                 wave_div_rel = max(
                     wave_div_rel, tf.sup_norm(engine.wave_divergence(j)) / gw)
 
-        # wave accumulation (after all reads of the pre-substep fields at j)
-        w_o, w_c = asm.w_parts(j)
-        sup["w_main"] = max(sup["w_main"], tf.sup_norm(w_o))
-        sup["w_corr"] = max(sup["w_corr"], tf.sup_norm(w_c))
-        sup["w"] = max(sup["w"], tf.sup_norm(w_o + w_c))
-        state.v[j] += w_o + w_c
-        go, gc = asm._grad_w_parts(j)
-        state.grad_v[j] += go + gc
-        state.dzz_v[j] += asm.dzz_w(j)
-        state.dt_v[j] += asm.dt_w(j)
-        if n <= 3:
-            chi_o, chi_c = asm.chi_parts(j)
-            sup["chi_main"] = max(sup["chi_main"], tf.sup_norm(chi_o))
-            sup["chi_corr"] = max(sup["chi_corr"], tf.sup_norm(chi_c))
-            sup["chi"] = max(sup["chi"], tf.sup_norm(chi_o + chi_c))
-            state.theta[j] += chi_o + chi_c
-            gco, gcc = asm._grad_chi_parts(j)
-            state.grad_theta[j] += gco + gcc
-            if asm.dt_chi(j) is not None:
-                state.dzz_theta[j] += asm.dzz_chi(j)
-                state.dt_theta[j] += asm.dt_chi(j)
-
+        # wave accumulation (after all reads of the pre-substep fields at j);
         # the stride-2 companion at even samples, while the samples it reads
         # are still binned (classes(j) already covers its stencil)
-        if coarse and j % 2 == 0:
-            state.dt_v_coarse[j // 2] += engine.assemble_hat(
-                engine.dt_velocity_hat(j, stride=2), engine.classes(j))
-            if n <= 3 and state.dt_theta_coarse is not None:
-                hats = engine.dt_temperature_hat(j, stride=2)
-                if hats is not None:
-                    state.dt_theta_coarse[j // 2] += engine.assemble_hat(
-                        hats, engine.classes(j))
+        for kind in engine.kinds:
+            main, corr = engine.wave_parts(j, kind)
+            inc = main + corr
+            require_finite(j, f"the {kind} wave", inc)
+            sup[f"{kind}_main"] = max(sup[f"{kind}_main"], tf.sup_norm(main))
+            sup[f"{kind}_corr"] = max(sup[f"{kind}_corr"], tf.sup_norm(corr))
+            sup[kind] = max(sup[kind], tf.sup_norm(inc))
+            field, grad, dzz, dt, dt_coarse = (getattr(state, name)
+                                               for name in _STORES[kind])
+            field[j] += inc
+            grad[j] += sum(engine.wave_gradient_parts(j, kind))
+            dzz[j] += asm.field(j, "dzz", kind)
+            dt[j] += asm.field(j, "dt", kind)
+            if coarse and j % 2 == 0 and dt_coarse is not None:
+                dt_coarse[j // 2] += engine.assemble_hat(
+                    engine.dt_hat(j, kind, stride=2), engine.classes(j))
 
     state.completed = n
     report = {

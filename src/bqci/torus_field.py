@@ -21,15 +21,6 @@ TWO_PI = 2.0 * np.pi
 MAGIC = b"BCI1"
 
 
-class MeanZeroError(ValueError):
-    """Input violates a mean-zero precondition; carries the measured mean."""
-
-    def __init__(self, mean, tol):
-        self.mean = mean
-        self.tol = tol
-        super().__init__(f"mean-zero precondition violated: |mean| = {mean:.3e} > {tol:.3e}")
-
-
 @dataclass(frozen=True)
 class Grid3:
     """Uniform periodic grid; any even N >= 8 per axis (48 = 2^4*3 is the
@@ -218,24 +209,6 @@ def divergence(T, grid, xi=None):
 def mean_t3(f):
     """Mean over the torus (last three axes)."""
     return np.mean(f, axis=(-3, -2, -1))
-
-
-def inv_laplacian(f, grid, xi=None, tol_rel=1e-10):
-    """Solve Lap(u) = f - mean(f); errors when the mean is not negligible.
-
-    With xi, solves the shifted problem for a modulated amplitude: divides by
-    -|m + xi|^2, dropping the (single, if any) mode with m + xi = 0.
-    """
-    fh = fft3(f)
-    if xi is None:
-        m = np.abs(fh[..., 0, 0, 0]) / grid.npts
-        scale = np.max(np.abs(f))
-        if np.max(m) > tol_rel * max(scale, 1e-300):
-            raise MeanZeroError(float(np.max(m)), tol_rel * scale)
-    kx, ky, kz = shifted_k(grid, xi)
-    k2 = kx * kx + ky * ky + kz * kz
-    sing = k2 == 0
-    return ifft3(np.where(sing, 0.0, fh / -np.where(sing, 1.0, k2)))
 
 
 def dealias(f, grid):

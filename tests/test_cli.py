@@ -1,8 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 from bqci import cli
+from bqci import stress_update as su
 
 SMALL = ["--set", "nx=16", "--set", "ny=16", "--set", "nz=16",
          "--set", "nt=9", "--set", "lam_init=4", "--set", "mu=2"]
@@ -117,6 +119,20 @@ def test_outer_one_step_passes(tmp_path):
     text = (tmp_path / "outer.txt").read_text()
     assert "passed=True" in text
     assert "steps[0].v_increment_sup=" in text
+
+
+def test_step_non_finite_update_is_runtime_error(tmp_path, monkeypatch, capsys):
+    clean = su.SubstepAssembler.N_field
+
+    def poisoned(self, j):
+        field, div = clean(self, j)
+        return field * np.nan, div
+    monkeypatch.setattr(su.SubstepAssembler, "N_field", poisoned)
+    ells = ",".join(["0.9"] * 6)
+    assert cli.main(["step", "--set", f"ells={ells}", "--set", f"ellzs={ells}"]
+                    + SMALL + _out(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "substep 1: delta_R is not finite at slice 0 (t = 0.7500)" in err
 
 
 def test_scaling_rejects_unknown_quantity(tmp_path):

@@ -23,60 +23,56 @@ def make_engine(n=1, lam=8, mu=2, N=16, nt=9, temp=True, static=False):
     return eng
 
 
-def brute_velocity(eng, j):
-    amps = pb.AmplitudeSet(eng)
-    grid, tgrid = eng.grid, eng.tgrid
-    X, Y, Z = grid.meshes()
-    t = tgrid.times()[j]
-    cells = pt.active_cells(eng.mu * eng.v_ell[j], eng.pou)
-    w = np.zeros((3,) + grid.shape)
+def per_cell_sum(eng, j, term, cells=None):
+    """2 Re sum_l term(l, xi_l) e^{i (xi_l . x - omega_l t_j)} over the
+    cells active at sample j (or the given cells), one cell at a time."""
+    X, Y, Z = eng.grid.meshes()
+    t = eng.tgrid.times()[j]
+    if cells is None:
+        cells = pt.active_cells(eng.mu * eng.v_ell[j], eng.pou)
+    out = 0.0
     for l in cells:
-        g = amps.g(l, j, +1)
         c = pt.parity_index(l)
         xi = eng.lam * (2 ** int(c)) * eng.carrier
         omega = (eng.lam / eng.mu) * (2 ** int(c)) * float(np.dot(eng.carrier, l))
         ph = np.exp(1j * (xi[0] * X + xi[1] * Y + xi[2] * Z - omega * t))
-        w += 2.0 * (g * ph).real
-    return w
+        out = out + 2.0 * (term(l, xi) * ph).real
+    return out
 
 
-def brute_temperature(eng, j):
+def cell_amplitude(eng, kind):
+    """The per-cell wave coefficient of kind: g_{nl} or h_{nl}, (l, j) -> field."""
     amps = pb.AmplitudeSet(eng)
-    grid, tgrid = eng.grid, eng.tgrid
-    X, Y, Z = grid.meshes()
-    t = tgrid.times()[j]
-    cells = pt.active_cells(eng.mu * eng.v_ell[j], eng.pou)
-    chi = np.zeros(grid.shape)
-    for l in cells:
-        h = amps.h(l, j, +1)
-        c = pt.parity_index(l)
-        xi = eng.lam * (2 ** int(c)) * eng.carrier
-        omega = (eng.lam / eng.mu) * (2 ** int(c)) * float(np.dot(eng.carrier, l))
-        ph = np.exp(1j * (xi[0] * X + xi[1] * Y + xi[2] * Z - omega * t))
-        chi += 2.0 * (h * ph).real
-    return chi
+    return {"w": amps.g, "chi": amps.h}[kind]
+
+
+def brute_wave(eng, j, kind):
+    amp = cell_amplitude(eng, kind)
+    return per_cell_sum(eng, j, lambda l, xi: amp(l, j, +1))
 
 
 def test_velocity_matches_per_cell_oracle():
     eng = make_engine()
     for j in (0, 4, 8):
-        w = eng.velocity(j)
-        ref = brute_velocity(eng, j)
+        w = sum(eng.wave_parts(j, "w"))
+        ref = brute_wave(eng, j, "w")
         assert np.max(np.abs(w - ref)) < 1e-11 * max(np.max(np.abs(ref)), 1.0)
 
 
 def test_temperature_matches_per_cell_oracle():
     eng = make_engine()
     for j in (0, 4):
-        chi = eng.temperature(j)
-        ref = brute_temperature(eng, j)
+        chi = sum(eng.wave_parts(j, "chi"))
+        ref = brute_wave(eng, j, "chi")
         assert np.max(np.abs(chi - ref)) < 1e-11 * max(np.max(np.abs(ref)), 1.0)
 
 
 def test_main_plus_correction_split():
     eng = make_engine()
-    wo, wc = eng.velocity(3, split=True)
-    assert np.allclose(wo + wc, eng.velocity(3))
+    wo, wc = eng.wave_parts(3, "w")
+    # the parts sum to the wave materialized from the summed spectra
+    assert np.allclose(wo + wc, eng.assemble_hat(sum(eng.wave_hats(3, "w")),
+                                                 eng.classes(3)))
     # correction is 1/lam small relative to the main part
     assert np.max(np.abs(wc)) < np.max(np.abs(wo))
 
@@ -93,7 +89,7 @@ def test_wave_divergence_is_roundoff():
     eng = make_engine()
     for j in (2, 6):
         div = eng.wave_divergence(j)
-        grad = eng.velocity_gradient(j)
+        grad = sum(eng.wave_gradient_parts(j, "w"))
         assert np.max(np.abs(div)) <= 1e-8 * np.max(np.abs(grad))
 
 
@@ -104,54 +100,58 @@ def test_wave_means_vanish():
         assert abs(eng.wave_mean(j, "chi")) <= 1e-10
 
 
-def test_velocity_gradient_matches_oracle():
+def check_gradient_matches_oracle(kind):
     eng = make_engine()
     j = 4
-    grad = eng.velocity_gradient(j)
+    grad = sum(eng.wave_gradient_parts(j, kind))
     # finite difference in x on a resolved-carrier configuration is not
     # available; instead compare against the per-cell symbolic gradient
-    amps = pb.AmplitudeSet(eng)
+    amp = cell_amplitude(eng, kind)
     grid = eng.grid
-    X, Y, Z = grid.meshes()
-    t = eng.tgrid.times()[j]
-    cells = pt.active_cells(eng.mu * eng.v_ell[j], eng.pou)
-    ref = np.zeros((3, 3) + grid.shape)
-    for l in cells:
-        g = amps.g(l, j, +1)
-        c = pt.parity_index(l)
-        xi = eng.lam * (2 ** int(c)) * eng.carrier
-        omega = (eng.lam / eng.mu) * (2 ** int(c)) * float(np.dot(eng.carrier, l))
-        ph = np.exp(1j * (xi[0] * X + xi[1] * Y + xi[2] * Z - omega * t))
+
+    def term(l, xi):
+        g = amp(l, j, +1)
         gg = tf.gradient(g, grid)
-        for d in range(3):
-            ref[d] += 2.0 * ((gg[d] + 1j * xi[d] * g) * ph).real
+        return np.stack([gg[d] + 1j * xi[d] * g for d in range(3)])
+    ref = per_cell_sum(eng, j, term)
     assert np.max(np.abs(grad - ref)) < 1e-10 * max(np.max(np.abs(ref)), 1.0)
 
 
-def test_transport_matches_oracle():
+def test_velocity_gradient_matches_oracle():
+    check_gradient_matches_oracle("w")
+
+
+def test_temperature_gradient_matches_oracle():
+    check_gradient_matches_oracle("chi")
+
+
+def check_transport_matches_oracle(kind):
     eng = make_engine()
     j = 4
-    got = eng.assemble(eng.transport_class_amps(j))
-    amps = pb.AmplitudeSet(eng)
+    got = eng.assemble_hat(eng.transport_hat(j, kind), eng.classes(j))
+    amp = cell_amplitude(eng, kind)
     grid, tgrid = eng.grid, eng.tgrid
-    X, Y, Z = grid.meshes()
-    t = tgrid.times()[j]
     W = tf.time_derivative_weights(tgrid.nt, tgrid.dt)
     S = tf.time_derivative_support(tgrid.nt)
     cells = set()
     for m in range(5):
         cells.update(pt.active_cells(eng.mu * eng.v_ell[int(S[j, m])], eng.pou))
-    ref = np.zeros((3,) + grid.shape)
-    for l in sorted(cells):
-        c = pt.parity_index(l)
-        xi = eng.lam * (2 ** int(c)) * eng.carrier
-        omega = (eng.lam / eng.mu) * (2 ** int(c)) * float(np.dot(eng.carrier, l))
-        ph = np.exp(1j * (xi[0] * X + xi[1] * Y + xi[2] * Z - omega * t))
-        dtg = sum(W[j, m] * amps.g(l, int(S[j, m]), +1) for m in range(5))
-        g = amps.g(l, j, +1)
+
+    def term(l, xi):
+        dtg = sum(W[j, m] * amp(l, int(S[j, m]), +1) for m in range(5))
+        g = amp(l, j, +1)
         adv = sum((l[d] / eng.mu) * tf.gradient(g, grid)[d] for d in range(3))
-        ref += 2.0 * ((dtg + adv) * ph).real
+        return dtg + adv
+    ref = per_cell_sum(eng, j, term, cells=sorted(cells))
     assert np.max(np.abs(got - ref)) < 1e-9 * max(np.max(np.abs(ref)), 1.0)
+
+
+def test_transport_matches_oracle():
+    check_transport_matches_oracle("w")
+
+
+def test_temperature_transport_matches_oracle():
+    check_transport_matches_oracle("chi")
 
 
 def test_amplitude_value_at_lattice_point():
@@ -170,9 +170,7 @@ def test_amplitude_value_at_lattice_point():
 
 def test_no_temperature_wave_for_late_substeps():
     eng = make_engine(n=5, lam=32, mu=2)
-    assert np.allclose(eng.temperature(3), 0.0)
-    wo, wc = pb.build_temperature_wave(5, pb.AmplitudeSet(eng))
-    assert np.allclose(wo.evaluate(3), 0.0)
+    assert np.allclose(sum(eng.wave_parts(3, "chi")), 0.0)
     assert np.allclose(pb.AmplitudeSet(eng).beta((0, 0, 0), 3), 0.0)
 
 
@@ -182,8 +180,8 @@ def test_zero_amplitudes_give_zero_waves():
     shape = (tgrid.nt,) + grid.shape
     eng = pb.WaveEngine(2, 8, 2, grid, tgrid, np.zeros(shape), np.zeros(shape),
                         np.zeros(tgrid.nt), np.zeros((tgrid.nt, 3) + grid.shape), KAPPA)
-    assert np.allclose(eng.velocity(0), 0.0)
-    assert np.allclose(eng.temperature(0), 0.0)
+    assert np.allclose(sum(eng.wave_parts(0, "w")), 0.0)
+    assert np.allclose(sum(eng.wave_parts(0, "chi")), 0.0)
 
 
 def test_parameter_validation():
@@ -207,15 +205,3 @@ def test_radicand_contract_breach_raises():
     with pytest.raises(pb.AmplitudeError):
         pb.WaveEngine(1, 8, 2, grid, tgrid, a_big, None,
                       np.full(tgrid.nt, 10 * KAPPA), v, KAPPA)
-
-
-def test_build_wave_api_round_trip():
-    eng = make_engine()
-    amps = pb.AmplitudeSet(eng)
-    w_no, w_nc = pb.build_velocity_wave(1, amps, lam=eng.lam, mu=eng.mu)
-    assert np.allclose(w_no.evaluate(2) + w_nc.evaluate(2), eng.velocity(2))
-    terms = w_no.terms(2)
-    assert len(terms) == 8
-    assert terms[3][1] == eng.xi(3)
-    with pytest.raises(pb.ParameterError):
-        pb.build_velocity_wave(1, amps, lam=eng.lam + 1)

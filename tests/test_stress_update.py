@@ -61,10 +61,10 @@ def test_oscillation_modes_rebuild_main_wave_square():
     eng = make_engine()
     asm = make_assembler(eng)
     j = 4
-    U = eng.base_fields(j)["U"]
-    S = eng.assemble(U)  # scalar main-wave sum
+    U = eng.base_rows(j)["U"]
+    S = eng.assemble_hat(tf.fft3(U), eng.classes(j))  # scalar main-wave sum
     dc = 2.0 * np.sum(np.abs(U) ** 2, axis=0)
-    rebuilt = mode_field(eng.grid, asm.oscillation_modes(j), eng.carrier) + dc
+    rebuilt = mode_field(eng.grid, asm.oscillation_modes(j, "w"), eng.carrier) + dc
     assert np.max(np.abs(rebuilt - S * S)) < 1e-10 * max(np.max(S * S), 1.0)
 
 
@@ -72,11 +72,11 @@ def test_flux_oscillation_modes_rebuild_cross_product():
     eng = make_engine()
     asm = make_assembler(eng)
     j = 2
-    bf = eng.base_fields(j)
-    Sw = eng.assemble(bf["U"])
-    Sx = eng.assemble(bf["V"])
+    bf = eng.base_rows(j)
+    Sw = eng.assemble_hat(tf.fft3(bf["U"]), eng.classes(j))
+    Sx = eng.assemble_hat(tf.fft3(bf["V"]), eng.classes(j))
     dc = 2.0 * np.sum((bf["U"] * bf["V"].conj()).real, axis=0)
-    rebuilt = mode_field(eng.grid, asm.flux_oscillation_modes(j), eng.carrier) + dc
+    rebuilt = mode_field(eng.grid, asm.oscillation_modes(j, "chi"), eng.carrier) + dc
     scale = max(np.max(np.abs(Sw * Sx)), 1.0)
     assert np.max(np.abs(rebuilt - Sw * Sx)) < 1e-10 * scale
 
@@ -85,7 +85,7 @@ def test_oscillation_dc_matches_cancelled_block():
     # the removed zero mode is exactly the block being cancelled
     eng = make_engine()
     j = 3
-    U = eng.base_fields(j)["U"]
+    U = eng.base_rows(j)["U"]
     dc = 2.0 * np.sum(np.abs(U) ** 2, axis=0)
     rad = eng.e_vals[j] - eng.a_n[j]
     assert np.max(np.abs(dc - rad)) < 1e-10 * KAPPA
@@ -94,7 +94,7 @@ def test_oscillation_dc_matches_cancelled_block():
 def test_mode_keys_are_positive_multiples():
     eng = make_engine()
     asm = make_assembler(eng)
-    modes = asm.oscillation_modes(5)
+    modes = asm.oscillation_modes(5, "w")
     assert all(isinstance(q, int) and q > 0 for q in modes)
 
 
@@ -202,9 +202,9 @@ def test_cancel_block_within_budget():
 def test_assemble_interactions_api():
     eng = make_engine()
     asm = make_assembler(eng)
-    M = asm.oscillation_modes(4)
+    M = asm.oscillation_modes(4, "w")
     N6, _ = asm.N_field(4)
-    K = asm.flux_oscillation_modes(4)
+    K = asm.oscillation_modes(4, "chi")
     assert isinstance(M, dict) and len(M) > 0
     assert isinstance(K, dict) and len(K) > 0
     assert N6.shape == (6,) + eng.grid.shape
@@ -308,3 +308,52 @@ def test_negative_control_corrupts_store_only(corrupt_transport):
     assert np.allclose(clean.delta_R, bad.delta_R, atol=1e-13)
     diff = np.max(np.abs(clean.div_R_store - bad.div_R_store))
     assert diff > 1e-8 * max(np.max(np.abs(clean.div_R_store)), 1e-30)
+
+
+def test_run_substep_is_deterministic():
+    reports, states = [], []
+    for _ in range(2):
+        state = make_state()
+        report = su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
+        report.pop("wall_time")
+        reports.append(report)
+        states.append(state)
+    assert reports[0] == reports[1]
+    for name, store in vars(states[0]).items():
+        if isinstance(store, np.ndarray):
+            assert np.array_equal(store, getattr(states[1], name)), name
+
+
+@pytest.mark.parametrize("term, name", [("N_field", "delta_R"),
+                                        ("flux_theta_drift", "delta_f")])
+def test_non_finite_slice_is_refused(monkeypatch, term, name):
+    clean = getattr(su.SubstepAssembler, term)
+
+    def poisoned(self, j):
+        field, div = clean(self, j)
+        return field * np.nan, div
+    monkeypatch.setattr(su.SubstepAssembler, term, poisoned)
+    state = make_state()
+    with pytest.raises(ValueError, match=rf"substep 1: {name} is not finite "
+                                         rf"at slice 0 \(t = 0\.0000\)"):
+        su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
+
+
+def test_non_finite_wave_is_refused(monkeypatch):
+    clean = pb.WaveEngine.wave_parts
+
+    def poisoned(self, j, kind):
+        main, corr = clean(self, j, kind)
+        return (main, corr * np.nan) if (kind, j) == ("chi", 2) else (main, corr)
+
+    def finite_slice(ncomp, div_shape):
+        # zero slices, so that only the wave increment can trip the check
+        return lambda self, j: (np.zeros((ncomp,) + self.grid.shape),
+                                np.zeros(div_shape + self.grid.shape), {})
+    monkeypatch.setattr(pb.WaveEngine, "wave_parts", poisoned)
+    monkeypatch.setattr(su.SubstepAssembler, "delta_R_slice", finite_slice(6, (3,)))
+    monkeypatch.setattr(su.SubstepAssembler, "delta_f_slice", finite_slice(3, ()))
+    state = make_state()
+    with pytest.raises(ValueError, match=r"substep 1: the chi wave is not finite "
+                                         r"at slice 2 \(t = 0\.2500\)"):
+        su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)

@@ -63,37 +63,6 @@ def test_gradient_stacks_components(grid):
             assert np.max(np.abs(got - per_axis)) < 1e-12 * np.max(np.abs(per_axis))
 
 
-def test_inv_laplacian_round_trip(grid):
-    rng = np.random.default_rng(0)
-    fh = np.zeros(grid.shape, dtype=complex)
-    # random band-limited mean-zero field
-    f = rng.standard_normal(grid.shape)
-    f = tf.dealias(f, grid)
-    f -= np.mean(f)
-    u = tf.inv_laplacian(f, grid)
-    lap = sum(tf.derivative(tf.derivative(u, ax, grid), ax, grid) for ax in "xyz")
-    assert np.max(np.abs(lap - f)) < 1e-10 * np.max(np.abs(f))
-
-
-def test_inv_laplacian_rejects_mean(grid):
-    f = np.ones(grid.shape)
-    with pytest.raises(tf.MeanZeroError):
-        tf.inv_laplacian(f, grid)
-
-
-def test_shifted_inv_laplacian(grid):
-    # For a(x) e^{i xi.x}, Lap^{-1} acts with symbol -1/|m+xi|^2; applying
-    # the shifted Laplacian back must return the amplitude.
-    X, Y, Z = grid.meshes()
-    a = np.cos(X) * np.sin(3 * Y) + 0j
-    xi = (3, 5, 0)
-    u = tf.inv_laplacian(a, grid, xi=xi)
-    lap = sum(
-        tf.derivative(tf.derivative(u, ax, grid, xi=xi), ax, grid, xi=xi) for ax in "xyz"
-    )
-    assert np.max(np.abs(lap - a)) < 1e-9 * np.max(np.abs(a))
-
-
 def test_time_derivative_fourth_order():
     # exact on quartics by construction
     tg = tf.TimeGrid(0.0, 2.0, 21)
