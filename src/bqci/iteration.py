@@ -278,11 +278,9 @@ def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, pou=None,
     div_R0 = np.zeros((nt, 3) + grid.shape)
     div_f0 = np.zeros((nt,) + grid.shape)
     for j in range(nt):
-        grad_v[j] = tf.gradient(v[j], grid)
-        dzz_v[j] = tf.second_derivative(v[j], "z", grid)
-        grad_theta[j] = tf.gradient(theta[j], grid)
-        dzz_theta[j] = tf.second_derivative(theta[j], "z", grid)
-        div_R0[j] = tf.divergence(tf.sym_unpack(data["R0"][j]), grid)
+        grad_v[j], dzz_v[j] = tf.gradient_and_dzz(v[j], grid)
+        grad_theta[j], dzz_theta[j] = tf.gradient_and_dzz(theta[j], grid)
+        div_R0[j] = tf.divergence(data["R0"][j], grid)
         div_f0[j] = tf.divergence(data["f0"][j], grid)
     dt_v = tf.time_derivative(v, tgrid)
     dt_theta = tf.time_derivative(theta, tgrid)
@@ -310,8 +308,11 @@ def begin_step(state, ell1, ell1z, band=None):
     mollify them once at the step's base scales.  Returns the block report.
 
     Like the per-substep engine inputs, the mollified coefficients are
-    truncated to the resolved band: the carried stress contains folded
-    carrier images that the mollifier damps but cannot remove."""
+    truncated to the resolved band in the mollifier's pass: the carried
+    stress contains folded carrier images that the mollifier damps but
+    cannot remove.  A failed state (run_substep) is refused."""
+    if state.failed:
+        raise ValueError(f"begin_step on a failed state ({state.failed})")
     if state.completed:
         raise ValueError("begin_step on a state with completed substeps")
     if band is None:
@@ -320,10 +321,8 @@ def begin_step(state, ell1, ell1z, band=None):
     a_raw = np.moveaxis(gam, 0, 1)  # (nt, 6, grid)
     bvec = algebra.decompose_vec(np.moveaxis(state.f0, 1, 0))
     c_raw = np.moveaxis(bvec, 0, 1)
-    state.a = tf.low_pass(
-        tf.mollify(a_raw, state.tgrid, state.grid, ell1, ell1z), state.grid, band)
-    state.c = tf.low_pass(
-        tf.mollify(c_raw, state.tgrid, state.grid, ell1, ell1z), state.grid, band)
+    state.a = tf.mollify(a_raw, state.tgrid, state.grid, ell1, ell1z, band=band)
+    state.c = tf.mollify(c_raw, state.tgrid, state.grid, ell1, ell1z, band=band)
     a_sup = tf.sup_norm(state.a)
     c_sup = tf.sup_norm(state.c)
     report = {

@@ -337,7 +337,7 @@ class SubstepAssembler:
         if self.R0 is None:
             return None
         Rm6 = self.R0[j] - np.einsum("i...,im->m...", self.a_ell[j], _DYADS6)
-        return Rm6, tf.divergence(tf.sym_unpack(Rm6), self.grid)
+        return Rm6, tf.divergence(Rm6, self.grid)
 
     def mollification_f(self, j):
         if self.f0 is None:
@@ -418,6 +418,8 @@ class StepState:
     accumulate the substep updates, and div_*_store their exact divergences.
     The *_coarse stores hold the half-resolution time-derivative companions
     used for discretization-floor estimates (None when nt does not halve).
+    failed is None, or the message of the refused slice that left the
+    stores partly updated (run_substep).
     """
 
     def __init__(self, grid, tgrid, mu, kappa, e_vals, pou,
@@ -454,6 +456,7 @@ class StepState:
         self.div_R_store = np.zeros((nt, 3) + grid.shape)
         self.div_f_store = np.zeros((nt,) + grid.shape)
         self.completed = 0
+        self.failed = None
         self.reports = []
 
     # -- assembled views ------------------------------------------------------
@@ -515,26 +518,27 @@ def run_substep(state, n, lam, ell, ell_z, band=None):
     adds the wave to the velocity (and temperature, substeps 1-3) together
     with all derivative stores.  Returns the substep report.
 
-    The mollified engine inputs are truncated to |m| <= band on every axis
-    (default: smallest grid extent over four).  Sampling folds the carried
-    wave carriers onto in-band grid frequencies; the mollifier damps but
-    cannot remove those images, and any remnant makes the cell-amplitude
+    The mollifier's pass truncates the engine inputs to |m| <= band on every
+    axis (default: smallest grid extent over four).  Sampling folds the
+    carried wave carriers onto in-band grid frequencies; the mollifier damps
+    but cannot remove those images, and any remnant makes the cell-amplitude
     fields under-resolved, which shows up directly in the equation residual.
 
     A slice whose delta R / delta f (or their divergence) or wave increment
     is not finite raises ValueError naming the substep, the slice and its
-    time, before that quantity reaches the state (earlier slices stay
-    accumulated).
+    time, before that quantity reaches the state.  Earlier slices stay
+    accumulated, so the state is marked failed and refused from then on.
     """
+    if state.failed:
+        raise ValueError(f"substep {n} on a failed state ({state.failed})")
     if n != state.completed + 1 or not 1 <= n <= 6:
         raise ValueError(f"substep {n} out of order (completed = {state.completed})")
     t_start = time.perf_counter()
     grid, tgrid = state.grid, state.tgrid
     if band is None:
         band = min(grid.shape) // 4
-    v_ell = tf.low_pass(tf.mollify(state.v, tgrid, grid, ell, ell_z), grid, band)
-    theta_ell = tf.low_pass(
-        tf.mollify(state.theta, tgrid, grid, ell, ell_z), grid, band)
+    v_ell = tf.mollify(state.v, tgrid, grid, ell, ell_z, band=band)
+    theta_ell = tf.mollify(state.theta, tgrid, grid, ell, ell_z, band=band)
     engine = WaveEngine(
         n, lam, state.mu, grid, tgrid,
         state.a[:, n - 1],
@@ -562,8 +566,10 @@ def run_substep(state, n, lam, ell, ell_z, band=None):
 
     def require_finite(j, name, *fields):
         if not all(np.isfinite(f).all() for f in fields):
-            raise ValueError(f"substep {n}: {name} is not finite at slice {j} "
-                             f"(t = {times[j]:.4f})")
+            state.failed = (f"substep {n}: {name} is not finite at slice {j} "
+                            f"(t = {times[j]:.4f})")
+            raise ValueError(f"{state.failed}; the state holds a partial "
+                             f"update and is marked failed")
 
     for j in range(nt):
         r1, r2 = engine.cancellation_residual(j)

@@ -48,8 +48,7 @@ class Grid3:
         return tuple(np.arange(n) * (TWO_PI / n) for n in self.shape)
 
     def meshes(self):
-        x, y, z = self.axes()
-        return np.meshgrid(x, y, z, indexing="ij")
+        return np.meshgrid(*self.axes(), indexing="ij")
 
     def wavenumbers(self):
         """Integer wavenumber arrays broadcastable to the grid shape."""
@@ -158,8 +157,9 @@ def _rfft_symbol(grid, a):
     return ks
 
 
-def _apply_symbol(f, grid, xi, symbol):
-    """symbol(K, fh) applied to the spectrum fh of f, K the wavenumbers.
+def _apply_symbol(f, grid, xi, *symbols):
+    """symbol(K, fh) applied to the spectrum fh of f, K the wavenumbers; one
+    result per symbol, all from one forward transform of f.
 
     Real unshifted input goes through the half spectrum (K from
     _rfft_symbol) and comes back real; complex or shifted input goes
@@ -167,9 +167,20 @@ def _apply_symbol(f, grid, xi, symbol):
     complex (the amplitude of a modulated field)."""
     if xi is None and not np.iscomplexobj(f):
         K = tuple(_rfft_symbol(grid, a) for a in range(3))
-        return sfft.irfftn(symbol(K, sfft.rfftn(f, axes=_AXES)), s=grid.shape,
-                           axes=_AXES)
-    return ifft3(symbol(shifted_k(grid, xi), fft3(f)))
+        fh = sfft.rfftn(f, axes=_AXES)
+        out = [sfft.irfftn(sym(K, fh), s=grid.shape, axes=_AXES) for sym in symbols]
+    else:
+        K, fh = shifted_k(grid, xi), fft3(f)
+        out = [ifft3(sym(K, fh)) for sym in symbols]
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def _second_symbol(a):
+    return lambda K, fh: -(K[a] * K[a]) * fh
+
+
+def _gradient_symbol(K, fh):
+    return np.stack([1j * K[a] * fh for a in range(3)])
 
 
 def derivative(f, axis, grid, xi=None):
@@ -185,20 +196,32 @@ def derivative(f, axis, grid, xi=None):
 
 def second_derivative(f, axis, grid, xi=None):
     """Spectral second derivative along one axis: symbol -(m + xi)_axis^2."""
-    a = _AXIS_INDEX[axis]
-    return _apply_symbol(f, grid, xi, lambda K, fh: -(K[a] * K[a]) * fh)
+    return _apply_symbol(f, grid, xi, _second_symbol(_AXIS_INDEX[axis]))
 
 
 def gradient(f, grid, xi=None):
     """All three spatial derivatives, stacked on a new leading axis."""
-    return _apply_symbol(f, grid, xi,
-                         lambda K, fh: np.stack([1j * K[a] * fh for a in range(3)]))
+    return _apply_symbol(f, grid, xi, _gradient_symbol)
+
+
+def gradient_and_dzz(f, grid):
+    """(gradient(f, grid), second_derivative(f, "z", grid)) of a real field
+    from one forward transform, equal to the two calls bit for bit."""
+    return _apply_symbol(f, grid, None, _gradient_symbol, _second_symbol(2))
+
+
+# rows of a packed symmetric tensor (sym_pack order): row i holds T_i0..T_i2
+_PACKED_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 
 def divergence(T, grid, xi=None):
-    """Divergence of a vector (3, ...) -> scalar or tensor (3, 3, ...) ->
-    vector, contracting the second index."""
+    """Divergence of a vector (3, ...) -> scalar, of a tensor (3, 3, ...) ->
+    vector, contracting the second index, or of a packed symmetric tensor
+    (6, ...) -> vector, from its six spectra."""
     T = np.asarray(T)
+    if T.shape == (6,) + grid.shape:
+        return _apply_symbol(T, grid, xi, lambda K, Th: 1j * np.stack([
+            K[0] * Th[r[0]] + K[1] * Th[r[1]] + K[2] * Th[r[2]] for r in _PACKED_ROWS]))
     if T.shape not in ((3,) + grid.shape, (3, 3) + grid.shape):
         raise ValueError(f"unsupported shape {T.shape}")
     return _apply_symbol(T, grid, xi, lambda K, Th: 1j * (
@@ -244,36 +267,15 @@ _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 def time_derivative_weights(nt, dt):
     """Row j of the returned (nt, 5) table holds the stencil weights applied
     to samples at indices time_derivative_support(nt)[j]."""
-    W = np.zeros((nt, 5))
-    for j in range(nt):
-        if j == 0:
-            W[j] = _EDGE0
-        elif j == 1:
-            W[j] = _EDGE1
-        elif j == nt - 2:
-            W[j] = -_EDGE1[::-1]
-        elif j == nt - 1:
-            W[j] = -_EDGE0[::-1]
-        else:
-            W[j] = _CENT
+    W = np.tile(_CENT, (nt, 1))
+    W[0], W[1], W[-2], W[-1] = _EDGE0, _EDGE1, -_EDGE1[::-1], -_EDGE0[::-1]
     return W / dt
 
 
 def time_derivative_support(nt):
     """Index array (nt, 5): sample indices each stencil row touches."""
-    S = np.zeros((nt, 5), dtype=np.int64)
-    for j in range(nt):
-        if j == 0:
-            S[j] = np.arange(5)
-        elif j == 1:
-            S[j] = np.arange(5)
-        elif j == nt - 2:
-            S[j] = np.arange(nt - 5, nt)
-        elif j == nt - 1:
-            S[j] = np.arange(nt - 5, nt)
-        else:
-            S[j] = np.arange(j - 2, j + 3)
-    return S
+    start = np.clip(np.arange(nt, dtype=np.int64) - 2, 0, nt - 5)
+    return start[:, None] + np.arange(5)
 
 
 def time_derivative(f, tgrid):
@@ -315,28 +317,34 @@ def mollifier_transform(u):
     return out if out.size > 1 else float(out[0])
 
 
-def mollify(f, tgrid, grid, ell, ell_z, time_axis=True):
+def mollify(f, tgrid, grid, ell, ell_z, time_axis=True, band=None):
     """Anisotropic mollification: scale ell in t, x, y; ell_z in z.
 
-    Spatial part acts in frequency space (periodic convolution); time part is
-    direct quadrature with zero extension (valid for compactly supported
-    data). Scales below 2 grid cells pass through with a warning. The T^3
-    mean at each time is preserved (unit-mass kernels).
-    """
+    Space first: one real multiplier on the rfft half spectrum, between one
+    forward and one inverse real transform. It is the mollifier's transform
+    times, with band given, the sharp truncation |m| <= band on every axis
+    (low_pass after mollify, to roundoff). Then time: direct quadrature with
+    zero extension (valid for compactly supported data). Scales below 2 grid
+    cells pass through with a warning. The T^3 mean at each time is
+    preserved (unit-mass kernels)."""
     f = np.asarray(f, dtype=np.float64)
     hx, hy, hz = grid.spacing()
     kx, ky, kz = grid.wavenumbers()
-    fac = np.ones(grid.shape)
+    kz = np.abs(kz[..., : grid.nz // 2 + 1])
+    fac = np.ones(grid.shape[:2] + kz.shape[2:])
     if ell >= 2 * hx:
         fac = fac * mollifier_transform(np.abs(kx * ell)).reshape(kx.shape)
         fac = fac * mollifier_transform(np.abs(ky * ell)).reshape(ky.shape)
     else:
         warnings.warn(f"mollify: ell = {ell:.3g} below 2 grid cells; horizontal pass-through")
     if ell_z >= 2 * hz:
-        fac = fac * mollifier_transform(np.abs(kz * ell_z)).reshape(kz.shape)
+        fac = fac * mollifier_transform(kz * ell_z).reshape(kz.shape)
     else:
         warnings.warn(f"mollify: ell_z = {ell_z:.3g} below 2 grid cells; vertical pass-through")
-    out = ifft3(fft3(f) * fac).real
+    if band is not None:
+        fac = fac * ((np.abs(kx) <= band) & (np.abs(ky) <= band) & (kz <= band))
+    out = sfft.irfftn(sfft.rfftn(f, axes=_AXES) * fac, s=grid.shape, axes=_AXES,
+                      overwrite_x=True)
 
     if time_axis:
         dt = tgrid.dt
@@ -350,7 +358,8 @@ def mollify(f, tgrid, grid, ell, ell_z, time_axis=True):
             conv = np.zeros_like(out)
             for o, wo in zip(offs, w):
                 lo, hi = max(0, -o), min(nt, nt - o)
-                conv[lo:hi] += wo * out[lo + o : hi + o]
+                if lo < hi:  # offsets beyond the series see only zeros
+                    conv[lo:hi] += wo * out[lo + o : hi + o]
             out = conv
         else:
             warnings.warn(f"mollify: ell = {ell:.3g} below 2 time cells; time pass-through")
@@ -387,20 +396,6 @@ def holder_seminorm(f, alpha, grid, tgrid=None, axes="xyz", radius=4):
     return best
 
 
-def norms(f, grid, tgrid=None, holder_alpha=None):
-    """Norm suite: sup, C1 (1 + all first derivatives incl. time), C1z."""
-    f = np.asarray(f)
-    rep = {"sup": sup_norm(f)}
-    g = gradient(f, grid)
-    rep["C1"] = rep["sup"] + sum(sup_norm(g[a]) for a in range(3))
-    if tgrid is not None and f.shape[0] == tgrid.nt:
-        rep["C1"] += sup_norm(time_derivative(f, tgrid))
-    rep["C1z"] = rep["sup"] + sup_norm(g[2])
-    if holder_alpha is not None:
-        rep[f"holder{holder_alpha}"] = holder_seminorm(f, holder_alpha, grid, tgrid)
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # symmetric-tensor packing and binary snapshots
 
@@ -414,8 +409,7 @@ def sym_pack(T):
 
 def sym_unpack(P):
     """(6, ...) -> full (3, 3, ...)."""
-    idx = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
-    return np.stack([np.stack([P[idx[i][j]] for j in range(3)]) for i in range(3)])
+    return np.stack([np.stack([P[k] for k in row]) for row in _PACKED_ROWS])
 
 
 _RANK_NCOMP = {0: 1, 1: 3, 2: 6}

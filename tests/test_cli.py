@@ -135,6 +135,24 @@ def test_step_non_finite_update_is_runtime_error(tmp_path, monkeypatch, capsys):
     assert "substep 1: delta_R is not finite at slice 0 (t = 0.7500)" in err
 
 
+def test_step_partial_update_is_runtime_error(tmp_path, monkeypatch, capsys):
+    # a slice refused after earlier slices were accumulated leaves a failed
+    # state: exit 1, the message says so, and no report is written
+    clean = su.SubstepAssembler.N_field
+
+    def poisoned(self, j):
+        field, div = clean(self, j)
+        return (field * np.nan if j == 3 else field), div
+    monkeypatch.setattr(su.SubstepAssembler, "N_field", poisoned)
+    ells = ",".join(["0.9"] * 6)
+    assert cli.main(["step", "--set", f"ells={ells}", "--set", f"ellzs={ells}"]
+                    + SMALL + _out(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert ("runtime error: substep 1: delta_R is not finite at slice 3 (t = 2.0625); "
+            "the state holds a partial update and is marked failed") in err
+    assert not (tmp_path / "step.txt").exists()
+
+
 def test_scaling_rejects_unknown_quantity(tmp_path):
     assert cli.main(["scaling", "--set", "quantity=banana"]
                     + _out(tmp_path)) == 2

@@ -147,6 +147,21 @@ def test_initial_state_stores_are_consistent():
     assert st.dt_v_coarse.shape[0] == 5
 
 
+def test_initial_state_stores_equal_per_slice_operators():
+    # one forward transform per field and the packed divergence reproduce
+    # the per-slice operators bit for bit
+    st = make_state(n=24)
+    for j in range(st.tgrid.nt):
+        assert np.array_equal(st.grad_v[j], tf.gradient(st.v[j], st.grid))
+        assert np.array_equal(st.dzz_v[j], tf.second_derivative(st.v[j], "z", st.grid))
+        assert np.array_equal(st.grad_theta[j], tf.gradient(st.theta[j], st.grid))
+        assert np.array_equal(st.dzz_theta[j],
+                              tf.second_derivative(st.theta[j], "z", st.grid))
+        assert np.array_equal(st.div_R0_store[j],
+                              tf.divergence(tf.sym_unpack(st.R0[j]), st.grid))
+        assert np.array_equal(st.div_f0_store[j], tf.divergence(st.f0[j], st.grid))
+
+
 def test_initial_state_without_coarse_companion():
     st = make_state(coarse=False)
     assert st.dt_v_coarse is None and st.dt_theta_coarse is None
@@ -181,6 +196,13 @@ def test_begin_step_rejects_started_state():
     assert "a_sup" in rep and "violations" in rep
     st.completed = 3
     with pytest.raises(ValueError):
+        it.begin_step(st, 0.9, 0.9)
+
+
+def test_begin_step_refuses_failed_state():
+    st = make_state()
+    st.failed = "substep 1: delta_R is not finite at slice 3 (t = 2.0625)"
+    with pytest.raises(ValueError, match=r"begin_step on a failed state \(substep 1"):
         it.begin_step(st, 0.9, 0.9)
 
 

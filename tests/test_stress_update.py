@@ -357,3 +357,55 @@ def test_non_finite_wave_is_refused(monkeypatch):
     with pytest.raises(ValueError, match=r"substep 1: the chi wave is not finite "
                                          r"at slice 2 \(t = 0\.2500\)"):
         su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
+
+
+def test_refused_slice_marks_state_failed(monkeypatch):
+    clean = su.SubstepAssembler.N_field
+
+    def poisoned(self, j):
+        field, div = clean(self, j)
+        return (field * np.nan if j == 3 else field), div
+    monkeypatch.setattr(su.SubstepAssembler, "N_field", poisoned)
+    state = make_state()
+    with pytest.raises(ValueError, match=r"substep 1: delta_R is not finite at slice 3 "
+                                         r"\(t = 0\.3750\); .* marked failed"):
+        su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
+    # slices 0-2 are already accumulated: a rerun would add them twice
+    assert state.completed == 0
+    assert np.max(np.abs(state.delta_R[0])) > 0
+    assert state.failed == "substep 1: delta_R is not finite at slice 3 (t = 0.3750)"
+    monkeypatch.undo()
+    delta_R = state.delta_R.copy()
+    with pytest.raises(ValueError, match=r"substep 1 on a failed state \(substep 1: "
+                                         r"delta_R is not finite at slice 3"):
+        su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
+    assert np.array_equal(state.delta_R, delta_R)
+
+
+def test_substep_stores_gain_the_materialized_chi_wave(monkeypatch):
+    # at 24^3, lam = 16 the temperature wave's correction is resolved (on the
+    # 16^3, lam = 8 states it is roundoff), so this store run exercises it
+    engines = []
+
+    class Recording(pb.WaveEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+    monkeypatch.setattr(su, "WaveEngine", Recording)
+    state = make_state(N=24)
+    report = su.run_substep(state, 1, lam=16, ell=1.0, ell_z=1.0)
+    eng, = engines
+    assert report["chi_corr_sup"] > 1e-6
+    corr_sup = grad_corr_sup = 0.0
+    for j in range(state.tgrid.nt):
+        # the stores start at zero, so each holds exactly what it gained
+        main, corr = eng.wave_parts(j, "chi")
+        go, gc = eng.wave_gradient_parts(j, "chi")
+        dzz = eng.assemble_hat(eng.dzz_hat(j, "chi"), eng.classes(j))
+        assert np.array_equal(state.theta[j], main + corr)
+        assert np.array_equal(state.grad_theta[j], go + gc)
+        assert np.array_equal(state.dzz_theta[j], dzz)
+        corr_sup = max(corr_sup, tf.sup_norm(corr))
+        grad_corr_sup = max(grad_corr_sup, tf.sup_norm(gc))
+    assert corr_sup == report["chi_corr_sup"]
+    assert grad_corr_sup > 1e-6

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bqci import torus_field as tf
 
@@ -127,6 +129,56 @@ def test_mollify_pass_through_warns(grid):
         tf.mollify(f, tg, grid, 1e-6, 1e-6)
 
 
+# the banded mollifier against its slow path, low_pass after mollify; scales
+# are drawn in grid cells (x, y / z) on both sides of the 2-cell pass-through
+sizes = st.sampled_from([8, 10, 12, 16])
+
+
+@pytest.mark.filterwarnings("ignore:mollify:UserWarning")
+@settings(max_examples=25, deadline=None)
+@example(shape=(16, 16, 16), nt=9, ncomp=6, cells=(1.5, 3.0), band=4, seed=0)
+@example(shape=(8, 12, 10), nt=5, ncomp=1, cells=(3.0, 1.0), band=6, seed=1)
+@given(shape=st.tuples(sizes, sizes, sizes), nt=st.integers(5, 9),
+       ncomp=st.sampled_from([1, 3, 6]),
+       cells=st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0)),
+       band=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+def test_banded_mollify_matches_low_pass(shape, nt, ncomp, cells, band, seed):
+    grid = tf.Grid3(*shape)
+    tg = tf.TimeGrid(0.0, 1.0, nt)
+    ell, ell_z = cells[0] * grid.spacing()[0], cells[1] * grid.spacing()[2]
+    f = np.random.default_rng(seed).standard_normal((nt, ncomp) + grid.shape)
+    got = tf.mollify(f, tg, grid, ell, ell_z, band=band)
+    ref = tf.low_pass(tf.mollify(f, tg, grid, ell, ell_z), grid, band)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_banded_mollify_warns_as_before(grid):
+    tg = tf.TimeGrid(0.0, 1.0, 9)
+    f = np.zeros((tg.nt,) + grid.shape)
+    for band in (None, 3):
+        with pytest.warns(UserWarning) as rec:
+            tf.mollify(f, tg, grid, 1e-6, 1e-6, band=band)
+        assert len(rec) == 3
+
+
+def test_packed_divergence_matches_unpacked(grid):
+    A = np.random.default_rng(6).standard_normal((3, 3) + grid.shape)
+    T = A + np.swapaxes(A, 0, 1)
+    for field, xi in ((T, None), ((1 - 2j) * T, (3, -40, 7))):
+        got = tf.divergence(tf.sym_pack(field), grid, xi=xi)
+        assert got.shape == (3,) + grid.shape
+        assert np.array_equal(got, tf.divergence(field, grid, xi=xi))
+
+
+def test_gradient_and_dzz_match_separate_calls(grid):
+    rng = np.random.default_rng(7)
+    for f in (rng.standard_normal(grid.shape), rng.standard_normal((3,) + grid.shape)):
+        g, dzz = tf.gradient_and_dzz(f, grid)
+        assert np.array_equal(g, tf.gradient(f, grid))
+        assert np.array_equal(dzz, tf.second_derivative(f, "z", grid))
+
+
 def test_dealias_removes_top_third(grid):
     X, _, _ = grid.meshes()
     f = np.cos(7 * X) + np.cos(2 * X)  # 7 > 16/3, 2 <= 16/3
@@ -141,15 +193,6 @@ def test_holder_seminorm_lower_bound(grid):
     # sampled bound must bound below the true seminorm and see the large-scale
     # variation: |sin|_{C^0.5} >= |f(x+h)-f(x)|/h^0.5 at the steepest pair
     assert 0.1 < h < 3.0
-
-
-def test_norms_report(grid):
-    X, Y, Z = grid.meshes()
-    f = np.sin(X)
-    rep = tf.norms(f, grid)
-    assert abs(rep["sup"] - 1.0) < 1e-6
-    assert abs(rep["C1"] - 2.0) < 1e-6
-    assert abs(rep["C1z"] - 1.0) < 1e-6
 
 
 def test_sym_pack_round_trip():
