@@ -12,6 +12,7 @@ report), 2 configuration or format error.
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -110,29 +111,47 @@ def _get_int(cfg, key):
 
 def _get_float(cfg, key):
     try:
-        return float(cfg[key])
+        val = float(cfg[key])
     except ValueError:
         raise ConfigError(f"{key} = {cfg[key]!r} is not a number") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"{key} = {cfg[key]!r} is not finite")
+    return val
 
 
 def _get_list(cfg, key, conv=float):
+    """Comma list of finite numbers ([] for a blank value)."""
     raw = cfg[key].strip()
     if not raw:
         return []
     try:
-        return [conv(x) for x in raw.split(",")]
+        vals = [conv(x) for x in raw.split(",")]
     except ValueError:
         raise ConfigError(f"{key} = {cfg[key]!r} is not a comma list") from None
+    if not all(math.isfinite(x) for x in vals):
+        raise ConfigError(f"{key} = {cfg[key]!r} is not finite")
+    return vals
 
 
 def _grids(cfg):
-    grid = tf.Grid3(_get_int(cfg, "nx"), _get_int(cfg, "ny"), _get_int(cfg, "nz"))
-    nt = _get_int(cfg, "nt")
-    if nt < 5:
-        raise ConfigError(f"nt = {nt} is below the 5-sample minimum of the "
-                          "4th-order time stencil")
-    tgrid = tf.TimeGrid(_get_float(cfg, "t0"), _get_float(cfg, "t1"), nt)
-    return grid, tgrid
+    n = [_get_int(cfg, key) for key in ("nx", "ny", "nz")]
+    try:
+        grid = tf.Grid3(*n)
+    except ValueError as exc:
+        raise ConfigError(f"nx, ny, nz = {n[0]}, {n[1]}, {n[2]}: {exc}") from None
+    t = (_get_float(cfg, "t0"), _get_float(cfg, "t1"), _get_int(cfg, "nt"))
+    try:
+        return grid, tf.TimeGrid(*t)
+    except ValueError as exc:
+        raise ConfigError(f"t0, t1, nt = {t[0]}, {t[1]}, {t[2]}: {exc}") from None
+
+
+def _ladders(cfg):
+    """The six-substep lams, ells and ellzs lists."""
+    ladders = _get_list(cfg, "lams", int), _get_list(cfg, "ells"), _get_list(cfg, "ellzs")
+    if any(len(x) != 6 for x in ladders):
+        raise ConfigError("lams, ells, ellzs must each list six values")
+    return ladders
 
 
 def _kappa_bar(cfg, kappa):
@@ -221,11 +240,7 @@ def cmd_step(cfg):
         return 0
     if cfg["mode"] != "desk":
         raise ConfigError(f"unknown mode {cfg['mode']!r} (desk | asymptotic)")
-    lams = _get_list(cfg, "lams", int)
-    ells = _get_list(cfg, "ells")
-    ellzs = _get_list(cfg, "ellzs")
-    if not (len(lams) == len(ells) == len(ellzs) == 6):
-        raise ConfigError("lams, ells, ellzs must each list six values")
+    lams, ells, ellzs = _ladders(cfg)
     _kappa_bar(cfg, _get_float(cfg, "kappa"))
     state = _desk_state(cfg)
     blocks = it.begin_step(state, ells[0], ellzs[0])
@@ -251,11 +266,7 @@ def cmd_outer(cfg):
     steps = _get_int(cfg, "steps")
     if steps < 1:
         raise ConfigError(f"steps = {steps} must be >= 1")
-    lams = _get_list(cfg, "lams", int)
-    ells = _get_list(cfg, "ells")
-    ellzs = _get_list(cfg, "ellzs")
-    if not (len(lams) == len(ells) == len(ellzs) == 6):
-        raise ConfigError("lams, ells, ellzs must each list six values")
+    lams, ells, ellzs = _ladders(cfg)
     out = _outdir(cfg)
     cfg = dict(cfg)
     # kappa_n = schedule_a ** (-schedule_b ** n) starts at 1 / schedule_a
@@ -361,10 +372,7 @@ def main(argv=None):
         cfg = load_config(args.config, args.set)
         with _fft_workers(cfg):
             code = args.func(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except it.ContractError as exc:
+    except (ConfigError, it.ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -45,14 +45,14 @@ def _momentum_slice(state, j, dt_v_j):
     grad_p = tf.gradient(state.p[j], state.grid)
     mom = dt_v_j + adv + grad_p - state.dzz_v[j]
     mom[2] -= state.theta[j]
-    mom -= state.stress_divergence(j)
+    mom -= state.carried_divergence("R", j)
     return mom
 
 
 def _flux_slice(state, j, dt_theta_j):
     v = state.v[j]
     adv = np.einsum("b...,b...->...", v, state.grad_theta[j])
-    return dt_theta_j + adv - state.dzz_theta[j] - state.flux_divergence(j)
+    return dt_theta_j + adv - state.dzz_theta[j] - state.carried_divergence("f", j)
 
 
 def system_residual(state, stencil="fine"):
@@ -119,25 +119,13 @@ def richardson_floor(state, tolerance=5.0):
     fine-stencil momentum residual."""
     fine = system_residual(state, "fine")
     coarse = system_residual(state, "coarse")
-    guard_m = 1e-13 * max(tf.sup_norm(state.dt_v), 1.0)
-    guard_f = 1e-13 * max(tf.sup_norm(state.dt_theta), 1.0)
-    floor_m = max(coarse["momentum_sup"] / 16.0, guard_m)
-    floor_f = max(coarse["flux_sup"] / 16.0, guard_f)
-    ratio_m = fine["momentum_sup"] / floor_m
-    ratio_f = fine["flux_sup"] / floor_f
-    passed = bool(ratio_m <= tolerance and ratio_f <= tolerance)
-    out = {
-        "momentum_fine": fine["momentum_sup"],
-        "momentum_coarse": coarse["momentum_sup"],
-        "momentum_floor": floor_m,
-        "momentum_ratio": ratio_m,
-        "flux_fine": fine["flux_sup"],
-        "flux_coarse": coarse["flux_sup"],
-        "flux_floor": floor_f,
-        "flux_ratio": ratio_f,
-        "tolerance": tolerance,
-        "passed": passed,
-    }
+    out = {}
+    for eq, dt in (("momentum", state.dt_v), ("flux", state.dt_theta)):
+        floor = max(coarse[f"{eq}_sup"] / 16.0, 1e-13 * max(tf.sup_norm(dt), 1.0))
+        out.update({f"{eq}_fine": fine[f"{eq}_sup"], f"{eq}_coarse": coarse[f"{eq}_sup"],
+                    f"{eq}_floor": floor, f"{eq}_ratio": fine[f"{eq}_sup"] / floor})
+    passed = bool(out["momentum_ratio"] <= tolerance and out["flux_ratio"] <= tolerance)
+    out.update({"tolerance": tolerance, "passed": passed})
     if not passed:
         j = int(np.argmax(fine["momentum_slices"]))
         out.update({"witness_t": state.tgrid.times()[j], "witness_slice": j,
@@ -150,10 +138,8 @@ def block_projection(state, j=None):
     blocks (should vanish after each substep)."""
     if j is None:
         j = state.tgrid.nt // 2
-    S = state.stress_field()[j] - state.delta_R[j]
-    gam = algebra.decompose_sym(tf.sym_unpack(S))
-    F = state.flux_field()[j] - state.delta_f[j]
-    bvec = algebra.decompose_vec(F)
+    gam = algebra.decompose_sym(tf.sym_unpack(state.carried("R", j) - state.delta_R[j]))
+    bvec = algebra.decompose_vec(state.carried("f", j) - state.delta_f[j])
     n = state.completed
     out = {
         "completed": n,

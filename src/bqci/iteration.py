@@ -15,16 +15,16 @@ cancellation substeps, and rolling the accumulated updates into the next
 step's input.
 """
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 
-from . import algebra
 from . import diagnostics as dg
 from . import partition as pt
 from . import torus_field as tf
-from .stress_update import StepState, run_substep
+from .stress_update import BLOCKS, StepState, run_substep
 
 __all__ = [
     "ContractError",
@@ -317,27 +317,17 @@ def begin_step(state, ell1, ell1z, band=None):
         raise ValueError("begin_step on a state with completed substeps")
     if band is None:
         band = min(state.grid.shape) // 4
-    gam = algebra.decompose_sym(tf.sym_unpack(np.moveaxis(state.R0, 1, 0)))
-    a_raw = np.moveaxis(gam, 0, 1)  # (nt, 6, grid)
-    bvec = algebra.decompose_vec(np.moveaxis(state.f0, 1, 0))
-    c_raw = np.moveaxis(bvec, 0, 1)
-    state.a = tf.mollify(a_raw, state.tgrid, state.grid, ell1, ell1z, band=band)
-    state.c = tf.mollify(c_raw, state.tgrid, state.grid, ell1, ell1z, band=band)
-    a_sup = tf.sup_norm(state.a)
-    c_sup = tf.sup_norm(state.c)
-    report = {
-        "a_sup": a_sup,
-        "c_sup": c_sup,
-        "a_bound": 5.0 * state.kappa,
-        "c_bound": 2.0 * state.kappa,
-        "violations": [],
-    }
-    if a_sup > 5.0 * state.kappa:
-        report["violations"].append(
-            f"block coefficients {a_sup:.4g} exceed 5 kappa = {5 * state.kappa:.4g}")
-    if c_sup > 2.0 * state.kappa:
-        report["violations"].append(
-            f"flux coefficients {c_sup:.4g} exceed 2 kappa = {2 * state.kappa:.4g}")
+    report = {"violations": []}
+    for blk in BLOCKS.values():
+        raw = blk.decompose(np.moveaxis(getattr(state, blk.store), 1, 0))
+        coef = tf.mollify(np.moveaxis(raw, 0, 1), state.tgrid, state.grid,
+                          ell1, ell1z, band=band)
+        setattr(state, blk.coef, coef)
+        sup, bound = tf.sup_norm(coef), blk.bound * state.kappa
+        report.update({f"{blk.coef}_sup": sup, f"{blk.coef}_bound": bound})
+        if sup > bound:
+            report["violations"].append(f"{blk.noun} coefficients {sup:.4g} exceed "
+                                        f"{blk.bound:g} kappa = {bound:.4g}")
     return report
 
 
@@ -349,26 +339,18 @@ def run_step(state, lams, ells, ellzs):
     if len(lams) != 6 or len(ells) != 6 or len(ellzs) != 6:
         raise ValueError("need six lambda / ell / ell_z values")
     t0 = time.perf_counter()
-    subs = []
-    for n in range(1, 7):
-        subs.append(run_substep(state, n, lams[n - 1], ells[n - 1], ellzs[n - 1]))
-    sup_b = max(r["sup_b"] for r in subs)
+    subs = [run_substep(state, n, lams[n - 1], ells[n - 1], ellzs[n - 1]) for n in range(1, 7)]
+    report = {key: max(r[key] for r in subs) for key in (
+        "sup_b", "w_sup", "w_main_sup", "chi_sup", "chi_main_sup", "cancel_r1", "cancel_r2")}
     sqk = math.sqrt(state.kappa)
-    report = {
+    report.update({
         "kappa": state.kappa,
-        "M_rec": 300.0 * sup_b / sqk if sqk > 0 else 0.0,
-        "sup_b": sup_b,
-        "w_sup": max(r["w_sup"] for r in subs),
-        "w_main_sup": max(r["w_main_sup"] for r in subs),
-        "chi_sup": max(r["chi_sup"] for r in subs),
-        "chi_main_sup": max(r["chi_main_sup"] for r in subs),
-        "cancel_r1": max(r["cancel_r1"] for r in subs),
-        "cancel_r2": max(r["cancel_r2"] for r in subs),
+        "M_rec": 300.0 * report["sup_b"] / sqk if sqk > 0 else 0.0,
         "delta_R_sup": tf.sup_norm(state.delta_R),
         "delta_f_sup": tf.sup_norm(state.delta_f),
         "wall_time": time.perf_counter() - t0,
         "substeps": subs,
-    }
+    })
     return report
 
 
@@ -380,17 +362,10 @@ def advance_step(state, kappa_next, e_vals_next):
     place."""
     if state.completed != 6:
         raise ValueError(f"cannot advance: only {state.completed} substeps completed")
-    return StepState(
-        state.grid, state.tgrid, state.mu, kappa_next, e_vals_next, state.pou,
-        v=state.v, theta=state.theta, p=state.p,
-        grad_v=state.grad_v, grad_theta=state.grad_theta,
-        dt_v=state.dt_v, dt_theta=state.dt_theta,
-        dzz_v=state.dzz_v, dzz_theta=state.dzz_theta,
-        R0=state.delta_R, f0=state.delta_f,
+    return dataclasses.replace(
+        state, kappa=kappa_next, e_vals=e_vals_next, R0=state.delta_R, f0=state.delta_f,
         div_R0_store=state.div_R_store, div_f0_store=state.div_f_store,
-        a=np.zeros_like(state.a), c=np.zeros_like(state.c),
-        dt_v_coarse=state.dt_v_coarse, dt_theta_coarse=state.dt_theta_coarse,
-    )
+        a=np.zeros_like(state.a), c=np.zeros_like(state.c))
 
 
 def run_outer(state, lams, ells, ellzs, steps, schedule_b=1.5, tolerance=5.0):
@@ -403,6 +378,8 @@ def run_outer(state, lams, ells, ellzs, steps, schedule_b=1.5, tolerance=5.0):
     carried stress.  Every step ends with the Richardson check.  Returns the
     final state and the report: per-step reports (with the velocity and
     temperature increments), the kappas, and whether every check passed."""
+    if steps < 1:
+        raise ValueError(f"steps = {steps} must be >= 1")
     kappas = [state.kappa ** (schedule_b ** s) for s in range(steps)]
     reports = []
     for s, kappa in enumerate(kappas):

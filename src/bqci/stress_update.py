@@ -21,19 +21,24 @@ omitted from the stores; they sit far below the time-discretization floor.
 The velocity and temperature terms share their code where the paper's
 construction does: a wave kind ("w" or "chi") selects the antidivergence
 (R on vector amplitudes, G on scalar ones), the block it cancels and the
-StepState stores it updates.
+StepState stores it updates.  Likewise the stress R = sum_i gamma_i k_i (x) k_i
+and the flux f = sum_i b_i k_i share one block path: a block kind ("R" or
+"f", BLOCKS) selects the stores, coefficients, basis and accumulators.
 """
 
+import dataclasses
 import time
+from collections import namedtuple
 
 import numpy as np
 
 from . import algebra
 from . import torus_field as tf
 from .inverse_div import g_hat, r_hat
+from .partition import PartitionOfUnity
 from .perturbation import WaveEngine
 
-__all__ = ["StepState", "SubstepAssembler", "run_substep"]
+__all__ = ["BLOCKS", "StepState", "SubstepAssembler", "run_substep"]
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +49,9 @@ class SubstepAssembler:
 
     v_prev / theta_prev are the accumulated fields *before* this substep's
     wave is added; grad_* are their exact materialized gradients.  theta_ell
-    is the mollified temperature driving the flux interaction terms.  The
-    R0 / a_ell (f0 / c_ell) pairs are only supplied on the first substep,
-    where the mollification residual enters the update.
+    is the mollified temperature driving the flux interaction terms.  start
+    is the step state on the first substep only (None later): there the
+    mollification residual of its carried stress and flux enters the update.
 
     The waves and their gradients are the engine's materializations
     (WaveEngine.wave_parts / wave_gradient_parts); a wave kind selects the
@@ -54,7 +59,7 @@ class SubstepAssembler:
     """
 
     def __init__(self, engine, v_prev, grad_v_prev, theta_prev, grad_theta_prev,
-                 theta_ell, R0=None, a_ell=None, f0=None, c_ell=None):
+                 theta_ell, start=None):
         self.e = engine
         self.grid = engine.grid
         self.v_prev = v_prev
@@ -62,10 +67,7 @@ class SubstepAssembler:
         self.theta_prev = theta_prev
         self.grad_theta_prev = grad_theta_prev
         self.theta_ell = theta_ell
-        self.R0 = R0
-        self.a_ell = a_ell
-        self.f0 = f0
-        self.c_ell = c_ell
+        self.start = start
         self._j = None
         self._memo = {}
 
@@ -333,17 +335,15 @@ class SubstepAssembler:
 
     # -- mollification residuals (first substep only) -------------------------
 
-    def mollification_R(self, j):
-        if self.R0 is None:
+    def mollification(self, j, kind):
+        """Carried stress ('R') or flux ('f') of the start state minus its
+        mollified block sum, with its divergence (None after substep 1)."""
+        if self.start is None:
             return None
-        Rm6 = self.R0[j] - np.einsum("i...,im->m...", self.a_ell[j], _DYADS6)
-        return Rm6, tf.divergence(Rm6, self.grid)
-
-    def mollification_f(self, j):
-        if self.f0 is None:
-            return None
-        fm = self.f0[j] - np.einsum("i...,ia->a...", self.c_ell[j][:3], _KVECS[:3])
-        return fm, tf.divergence(fm, self.grid)
+        blk = BLOCKS[kind]
+        m = (getattr(self.start, blk.store)[j]
+             - np.einsum("i...,im->m...", getattr(self.start, blk.coef)[j], blk.basis))
+        return m, tf.divergence(m, self.grid)
 
     # -- slice totals ---------------------------------------------------------
 
@@ -357,7 +357,7 @@ class SubstepAssembler:
             ("transport", tr),
             ("error_N", nn),
             ("error_corr", (pr[0] - zz[0], pr[1] - zz[1])),
-            ("mollification", self.mollification_R(j)),
+            ("mollification", self.mollification(j, "R")),
         ])
 
     def delta_f_slice(self, j):
@@ -372,7 +372,7 @@ class SubstepAssembler:
             ("error_N", self.flux_drift(j)),
             ("error_N", self.flux_theta_osc(j)),
             ("error_N", self.flux_theta_drift(j)),
-            ("mollification", self.mollification_f(j)),
+            ("mollification", self.mollification(j, "f")),
         ])
 
 
@@ -407,97 +407,106 @@ _DYADS6 = np.stack([
     tf.sym_pack(np.outer(_KVECS[i], _KVECS[i])) for i in range(6)
 ])
 
+# per block kind: the carried store and its divergence, the coefficients,
+# their basis (packed k_i (x) k_i of rank 2, or k_i) and offset (stress block
+# i is (a_i - e) k_i (x) k_i, flux block i is c_i k_i), the accumulated update
+# and its divergence, the assembler's slice method, the decomposition of a
+# packed field into coefficients (looked up at call time, so a wrapped algebra
+# function runs), and the coefficient bound in units of kappa
+_Block = namedtuple("Block", "store div_store coef basis rank offset delta div_delta "
+                             "slice decompose bound noun")
+BLOCKS = {
+    "R": _Block(store="R0", div_store="div_R0_store", coef="a", basis=_DYADS6, rank=2,
+                offset="e_vals", delta="delta_R", div_delta="div_R_store",
+                slice="delta_R_slice", bound=5.0, noun="block",
+                decompose=lambda T: algebra.decompose_sym(tf.sym_unpack(T))),
+    "f": _Block(store="f0", div_store="div_f0_store", coef="c", basis=_KVECS[:3], rank=1,
+                offset=None, delta="delta_f", div_delta="div_f_store",
+                slice="delta_f_slice", bound=2.0, noun="flux",
+                decompose=lambda F: algebra.decompose_vec(F)),
+}
 
+
+@dataclasses.dataclass(eq=False)
 class StepState:
-    """Mutable state carried through the six substeps of one outer step.
+    """State carried through the six substeps of one outer step.
 
-    All fields are (nt, ...) arrays.  grad_v / grad_theta, dt_*, dzz_* are the
-    exact derivative stores of the accumulated fields (initialized from the
-    slow starting tuple, extended wave by wave).  a / c hold the mollified
-    block coefficients fixed at the start of the step; delta_R / delta_f
-    accumulate the substep updates, and div_*_store their exact divergences.
-    The *_coarse stores hold the half-resolution time-derivative companions
-    used for discretization-floor estimates (None when nt does not halve).
-    failed is None, or the message of the refused slice that left the
-    stores partly updated (run_substep).
+    Every store is an (nt, ...) array: the accumulated v, theta, p; the exact
+    derivative stores grad_*, dt_*, dzz_* (from the slow starting tuple,
+    extended wave by wave) and the half-resolution dt_*_coarse companions of
+    the discretization-floor estimate (None when nt does not halve); the
+    stress / flux R0 / f0 carried into the step with their exact divergences
+    div_*0_store; and a / c, the mollified block coefficients (begin_step).
+
+    __post_init__ sets what a step accumulates, so dataclasses.replace starts
+    a fresh step: the updates delta_R / delta_f with their exact divergences
+    div_R_store / div_f_store (zeros), completed, failed (None or the message
+    of a refused slice that left the stores partly updated, run_substep) and
+    the substep reports.  eq=False: a generated __eq__ would compare arrays
+    and make the state unhashable.
     """
 
-    def __init__(self, grid, tgrid, mu, kappa, e_vals, pou,
-                 v, theta, p, grad_v, grad_theta,
-                 dt_v, dt_theta, dzz_v, dzz_theta,
-                 R0, f0, div_R0_store, div_f0_store, a, c,
-                 dt_v_coarse=None, dt_theta_coarse=None):
-        self.grid = grid
-        self.tgrid = tgrid
-        self.mu = mu
-        self.kappa = kappa
-        self.e_vals = np.asarray(e_vals, dtype=np.float64)
-        self.pou = pou
-        self.v = v
-        self.theta = theta
-        self.p = p
-        self.grad_v = grad_v
-        self.grad_theta = grad_theta
-        self.dt_v = dt_v
-        self.dt_theta = dt_theta
-        self.dzz_v = dzz_v
-        self.dzz_theta = dzz_theta
-        self.R0 = R0
-        self.f0 = f0
-        self.div_R0_store = div_R0_store
-        self.div_f0_store = div_f0_store
-        self.a = a
-        self.c = c
-        self.dt_v_coarse = dt_v_coarse
-        self.dt_theta_coarse = dt_theta_coarse
-        nt = tgrid.nt
-        self.delta_R = np.zeros((nt, 6) + grid.shape)
-        self.delta_f = np.zeros((nt, 3) + grid.shape)
-        self.div_R_store = np.zeros((nt, 3) + grid.shape)
-        self.div_f_store = np.zeros((nt,) + grid.shape)
-        self.completed = 0
-        self.failed = None
-        self.reports = []
+    grid: tf.Grid3
+    tgrid: tf.TimeGrid
+    mu: int
+    kappa: float
+    e_vals: np.ndarray
+    pou: PartitionOfUnity
+    v: np.ndarray
+    theta: np.ndarray
+    p: np.ndarray
+    grad_v: np.ndarray
+    grad_theta: np.ndarray
+    dt_v: np.ndarray
+    dt_theta: np.ndarray
+    dzz_v: np.ndarray
+    dzz_theta: np.ndarray
+    R0: np.ndarray
+    f0: np.ndarray
+    div_R0_store: np.ndarray
+    div_f0_store: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    dt_v_coarse: np.ndarray = None
+    dt_theta_coarse: np.ndarray = None
 
-    # -- assembled views ------------------------------------------------------
+    def __post_init__(self):
+        self.e_vals = np.asarray(self.e_vals, dtype=np.float64)
+        nt, shape = self.tgrid.nt, self.grid.shape
+        self.delta_R = np.zeros((nt, 6) + shape)
+        self.delta_f = np.zeros((nt, 3) + shape)
+        self.div_R_store = np.zeros((nt, 3) + shape)
+        self.div_f_store = np.zeros((nt,) + shape)
+        self.completed, self.failed, self.reports = 0, None, []
 
-    def stress_field(self):
-        """Current stress (nt, 6): remaining structured blocks plus the
-        accumulated delta (before any substep this is just R0)."""
+    # -- current stress / flux at one time sample ---------------------------
+
+    def carried(self, kind, j):
+        """Current stress ('R', packed (6, grid)) or flux ('f', (3, grid)) at
+        time sample j: the accumulated update plus the blocks not yet
+        cancelled (before any substep, a copy of R0 / f0)."""
+        blk = BLOCKS[kind]
         if self.completed == 0:
-            return self.R0.copy()
-        out = self.delta_R.copy()
-        e = self.e_vals.reshape(-1, *([1] * 4))
-        for i in range(self.completed, 6):
-            out -= (e - self.a[:, i : i + 1]) * _DYADS6[i].reshape(1, 6, 1, 1, 1)
+            return getattr(self, blk.store)[j].copy()
+        out = getattr(self, blk.delta)[j].copy()
+        coef = getattr(self, blk.coef)[j]
+        offset = getattr(self, blk.offset)[j] if blk.offset else 0.0
+        for i in range(self.completed, len(blk.basis)):
+            out += (coef[i] - offset) * blk.basis[i].reshape(-1, 1, 1, 1)
         return out
 
-    def flux_field(self):
+    def carried_divergence(self, kind, j):
+        """Exact divergence of carried(kind, j)."""
+        blk = BLOCKS[kind]
         if self.completed == 0:
-            return self.f0.copy()
-        out = self.delta_f.copy()
-        for i in range(self.completed, 3):
-            out += self.c[:, i : i + 1] * _KVECS[i].reshape(1, 3, 1, 1, 1)
-        return out
-
-    def stress_divergence(self, j):
-        """Exact divergence of the current stress at time sample j."""
-        if self.completed == 0:
-            return self.div_R0_store[j]
-        out = self.div_R_store[j].copy()
-        for i in range(self.completed, 6):
+            return getattr(self, blk.div_store)[j]
+        out = getattr(self, blk.div_delta)[j].copy()
+        coef = getattr(self, blk.coef)[j]
+        for i in range(self.completed, len(blk.basis)):
             k = _KVECS[i].reshape(3, 1, 1, 1)
-            # div(a k (x) k) = (k . grad a) k
-            out += tf.divergence(self.a[j, i] * k, self.grid) * k
-        return out
-
-    def flux_divergence(self, j):
-        if self.completed == 0:
-            return self.div_f0_store[j]
-        out = self.div_f_store[j].copy()
-        for i in range(self.completed, 3):
-            out += tf.divergence(self.c[j, i] * _KVECS[i].reshape(3, 1, 1, 1),
-                                 self.grid)
+            # div(c k) = k . grad c and div(a k (x) k) = (k . grad a) k
+            div = tf.divergence(coef[i] * k, self.grid)
+            out += div * k if blk.rank == 2 else div
         return out
 
 
@@ -546,19 +555,14 @@ def run_substep(state, n, lam, ell, ell_z, band=None):
         state.e_vals, v_ell, state.kappa, pou=state.pou,
         companion=state.dt_v_coarse is not None,
     )
-    first = n == 1
-    asm = SubstepAssembler(
-        engine, state.v, state.grad_v, state.theta, state.grad_theta, theta_ell,
-        R0=state.R0 if first else None, a_ell=state.a if first else None,
-        f0=state.f0 if first else None, c_ell=state.c if first else None,
-    )
+    asm = SubstepAssembler(engine, state.v, state.grad_v, state.theta, state.grad_theta,
+                           theta_ell, start=state if n == 1 else None)
     nt = tgrid.nt
     times = tgrid.times()
     sup = dict.fromkeys(
         ["w", "w_main", "w_corr", "chi", "chi_main", "chi_corr",
          "delta_R", "delta_f", "cancel_r1", "cancel_r2"], 0.0)
-    parts_R = dict.fromkeys(CATEGORIES, 0.0)
-    parts_f = dict.fromkeys(CATEGORIES, 0.0)
+    parts = {kind: dict.fromkeys(CATEGORIES, 0.0) for kind in BLOCKS}
     probe_js = sorted({nt // 4, nt // 2, (3 * nt) // 4})
     wave_mean_max = 0.0
     wave_div_rel = 0.0
@@ -576,21 +580,14 @@ def run_substep(state, n, lam, ell, ell_z, band=None):
         sup["cancel_r1"] = max(sup["cancel_r1"], r1)
         sup["cancel_r2"] = max(sup["cancel_r2"], r2)
 
-        d6, dv3, pR = asm.delta_R_slice(j)
-        require_finite(j, "delta_R", d6, dv3)
-        state.delta_R[j] += d6
-        state.div_R_store[j] += dv3
-        sup["delta_R"] = max(sup["delta_R"], tf.sup_norm(d6))
-        for key, field in pR.items():
-            parts_R[key] = max(parts_R[key], tf.sup_norm(field))
-
-        f3, df1, pf = asm.delta_f_slice(j)
-        require_finite(j, "delta_f", f3, df1)
-        state.delta_f[j] += f3
-        state.div_f_store[j] += df1
-        sup["delta_f"] = max(sup["delta_f"], tf.sup_norm(f3))
-        for key, field in pf.items():
-            parts_f[key] = max(parts_f[key], tf.sup_norm(field))
+        for kind, blk in BLOCKS.items():
+            delta, div, slice_parts = getattr(asm, blk.slice)(j)
+            require_finite(j, blk.delta, delta, div)
+            getattr(state, blk.delta)[j] += delta
+            getattr(state, blk.div_delta)[j] += div
+            sup[blk.delta] = max(sup[blk.delta], tf.sup_norm(delta))
+            for key, field in slice_parts.items():
+                parts[kind][key] = max(parts[kind][key], tf.sup_norm(field))
 
         if j in probe_js:
             for kind in engine.kinds:
@@ -632,8 +629,7 @@ def run_substep(state, n, lam, ell, ell_z, band=None):
         "sup_b": engine.sup_b(),
         "wave_mean_max": wave_mean_max,
         "wave_div_rel": wave_div_rel,
-        "parts_R": parts_R,
-        "parts_f": parts_f,
+        **{f"parts_{kind}": p for kind, p in parts.items()},
         "cancel_r1": sup.pop("cancel_r1"),
         "cancel_r2": sup.pop("cancel_r2"),
         **{f"{k}_sup": val for k, val in sup.items()},

@@ -64,6 +64,25 @@ def test_validate_initial_rejects_short_time_grid(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    # an infinite end time leaves an all-zero tuple whose residuals read 0
+    ("validate-initial", "t1", "inf", "t1 = 'inf' is not finite"),
+    # a NaN amplitude would reach the partition of unity and raise there
+    ("step", "M", "nan", "M = 'nan' is not finite"),
+    ("step", "ells", "0.9,nan,0.9,0.9,0.9,0.9",
+     "ells = '0.9,nan,0.9,0.9,0.9,0.9' is not finite"),
+    ("validate-initial", "nx", "7",
+     "nx, ny, nz = 7, 16, 16: grid size 7 must be even and >= 8"),
+    ("validate-initial", "t1", "0.5", "t0, t1, nt = 0.75, 0.5, 9: empty time interval"),
+])
+def test_bad_value_is_config_error(tmp_path, capsys, command, key, value, message):
+    # SMALL's 16^3 grid with lambda = 16, as the step would run
+    args = SMALL + ["--set", "lams=" + ",".join(["16"] * 6), "--set", f"{key}={value}"]
+    assert cli.main([command] + args + _out(tmp_path)) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_budget_contract_is_config_error(tmp_path):
     code = cli.main(["validate-initial", "--set", "kappa_bar=0.9"]
                     + SMALL + _out(tmp_path))

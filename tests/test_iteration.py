@@ -169,9 +169,10 @@ def test_initial_state_without_coarse_companion():
 
 def test_structured_fields_before_any_substep():
     st = make_state()
-    assert np.allclose(st.stress_field(), st.R0)
-    assert np.allclose(st.flux_field(), st.f0)
-    assert np.allclose(st.stress_divergence(2), st.div_R0_store[2])
+    assert np.array_equal(st.carried("R", 2), st.R0[2])
+    assert np.array_equal(st.carried("f", 2), st.f0[2])
+    assert np.array_equal(st.carried_divergence("R", 2), st.div_R0_store[2])
+    assert np.array_equal(st.carried_divergence("f", 2), st.div_f0_store[2])
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +223,38 @@ def test_advance_step_requires_completed_step():
 def test_advance_step_rolls_updates_forward():
     st = make_state()
     st.completed = 6
+    st.reports.append({"n": 6})
     st.delta_R[:] = 1.5
     st.div_R_store[:] = 0.25
+    st.delta_f[:] = -0.5
+    st.div_f_store[:] = 0.125
     nxt = it.advance_step(st, 0.125, 0.5 * st.e_vals)
-    assert nxt.completed == 0
+    assert nxt.completed == 0 and nxt.failed is None and nxt.reports == []
+    assert st.reports == [{"n": 6}]
     assert nxt.kappa == 0.125
-    assert np.allclose(nxt.R0, 1.5)
-    assert np.allclose(nxt.div_R0_store, 0.25)
+    assert np.array_equal(nxt.e_vals, 0.5 * st.e_vals)
+    assert nxt.R0 is st.delta_R and nxt.f0 is st.delta_f
+    assert nxt.div_R0_store is st.div_R_store and nxt.div_f0_store is st.div_f_store
     assert np.allclose(nxt.a, 0.0) and np.allclose(nxt.c, 0.0)
     assert nxt.v is st.v and nxt.dt_v is st.dt_v
+    assert nxt.dt_v_coarse is st.dt_v_coarse
+    # the new accumulators are fresh zeros, not views of the rolled stores
+    for acc, rolled in (("delta_R", "R0"), ("delta_f", "f0"),
+                        ("div_R_store", "div_R0_store"), ("div_f_store", "div_f0_store")):
+        new = getattr(nxt, acc)
+        assert new.shape == getattr(st, acc).shape and not np.any(new), acc
+        assert not np.shares_memory(new, getattr(nxt, rolled)), acc
+        assert not np.shares_memory(new, getattr(st, acc)), acc
+    assert np.all(nxt.R0 == 1.5) and np.all(nxt.f0 == -0.5)
+    # the state is compared and hashed by identity
+    assert nxt != st and len({nxt, st}) == 2
+
+
+def test_run_outer_rejects_zero_steps():
+    st = make_state()
+    with pytest.raises(ValueError, match="steps = 0 must be >= 1"):
+        it.run_outer(st, [16] * 6, [0.9] * 6, [0.9] * 6, steps=0)
+    assert st.completed == 0 and not np.any(st.a)
 
 
 def test_mini_step_report(mini_stepped):

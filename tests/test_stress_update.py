@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bqci import algebra
+from bqci import diagnostics as dg
 from bqci import inverse_div as idv
 from bqci import partition as pt
 from bqci import perturbation as pb
@@ -278,19 +279,85 @@ def test_run_substep_mini_step():
 def test_structured_blocks_after_substep():
     state = make_state()
     su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
-    S = state.stress_field()
     j = 4
-    gam = algebra.decompose_sym(tf.sym_unpack(S[j] - state.delta_R[j]))
+    gam = algebra.decompose_sym(tf.sym_unpack(state.carried("R", j) - state.delta_R[j]))
     # cancelled block projects to zero; remaining blocks carry -(e - a_i)
     assert np.max(np.abs(gam[0])) < 1e-10
     for i in range(1, 6):
         ref = -(state.e_vals[j] - state.a[j, i])
         assert np.max(np.abs(gam[i] - ref)) < 1e-10
-    F = state.flux_field()
-    bvec = algebra.decompose_vec(F[j] - state.delta_f[j])
+    bvec = algebra.decompose_vec(state.carried("f", j) - state.delta_f[j])
     assert np.max(np.abs(bvec[0])) < 1e-10
     for i in range(1, 3):
         assert np.max(np.abs(bvec[i] - state.c[j, i])) < 1e-10
+
+
+# whole-array reference bodies of the current stress / flux and their
+# divergences, for the per-slice block path
+
+def _stress_field(st):
+    if st.completed == 0:
+        return st.R0.copy()
+    out = st.delta_R.copy()
+    e = st.e_vals.reshape(-1, *([1] * 4))
+    for i in range(st.completed, 6):
+        out -= (e - st.a[:, i : i + 1]) * su._DYADS6[i].reshape(1, 6, 1, 1, 1)
+    return out
+
+
+def _flux_field(st):
+    if st.completed == 0:
+        return st.f0.copy()
+    out = st.delta_f.copy()
+    for i in range(st.completed, 3):
+        out += st.c[:, i : i + 1] * su._KVECS[i].reshape(1, 3, 1, 1, 1)
+    return out
+
+
+def _stress_divergence(st, j):
+    if st.completed == 0:
+        return st.div_R0_store[j]
+    out = st.div_R_store[j].copy()
+    for i in range(st.completed, 6):
+        k = su._KVECS[i].reshape(3, 1, 1, 1)
+        out += tf.divergence(st.a[j, i] * k, st.grid) * k
+    return out
+
+
+def _flux_divergence(st, j):
+    if st.completed == 0:
+        return st.div_f0_store[j]
+    out = st.div_f_store[j].copy()
+    for i in range(st.completed, 3):
+        out += tf.divergence(st.c[j, i] * su._KVECS[i].reshape(3, 1, 1, 1), st.grid)
+    return out
+
+
+def test_block_path_matches_whole_array_bodies():
+    state = make_state()
+    rng = np.random.default_rng(7)
+    # every block, accumulator and energy value nonzero and distinct
+    for name in ("a", "c", "delta_R", "delta_f", "div_R_store", "div_f_store"):
+        setattr(state, name, rng.standard_normal(getattr(state, name).shape))
+    state.e_vals = 1.0 + rng.random(state.tgrid.nt)
+    for n in range(7):
+        state.completed = n
+        S, F = _stress_field(state), _flux_field(state)
+        for j in range(state.tgrid.nt):
+            assert np.array_equal(state.carried("R", j), S[j]), (n, j)
+            assert np.array_equal(state.carried("f", j), F[j]), (n, j)
+            assert np.array_equal(state.carried_divergence("R", j),
+                                  _stress_divergence(state, j)), (n, j)
+            assert np.array_equal(state.carried_divergence("f", j),
+                                  _flux_divergence(state, j)), (n, j)
+        j = state.tgrid.nt // 2
+        gam = algebra.decompose_sym(tf.sym_unpack(S[j] - state.delta_R[j]))
+        bvec = algebra.decompose_vec(F[j] - state.delta_f[j])
+        sups_R = [float(np.max(np.abs(gam[i]))) for i in range(n)]
+        sups_f = [float(np.max(np.abs(bvec[i]))) for i in range(min(n, 3))]
+        assert dg.block_projection(state) == {
+            "completed": n, "gamma_cancelled": sups_R, "flux_cancelled": sups_f,
+            "max_cancelled": max(sups_R + sups_f, default=0.0)}
 
 
 def test_substep_order_enforced():
