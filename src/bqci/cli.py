@@ -168,6 +168,9 @@ def _kappa_bar(cfg, kappa):
 
 def _desk_state(cfg):
     grid, tgrid = _grids(cfg)
+    if not np.any(it.time_cutoff(tgrid.times())):
+        raise ConfigError(f"t0, t1, nt = {tgrid.t0}, {tgrid.t1}, {tgrid.nt}: the "
+                          "time cutoff (support (1, 4)) is zero at every sample")
     kappa = _get_float(cfg, "kappa")
     level = (_get_float(cfg, "energy_level") if cfg["energy_level"].strip()
              else 10 * kappa)
@@ -279,21 +282,41 @@ def cmd_outer(cfg):
     return 0 if report["passed"] else 1
 
 
+def _check_sweep(quantity, sweep):
+    """Refuse, naming the value, a sweep the study cannot run as given."""
+    if len(sweep) < 3:
+        raise ConfigError("sweep needs at least 3 points for a slope fit")
+    if quantity == "all":
+        raise ConfigError("sweep needs one quantity (lambda, mu or mollification)")
+    for i, x in enumerate(sweep):
+        if x in sweep[:i]:
+            raise ConfigError(f"sweep value {x:g} repeats")
+        if x <= 0:
+            raise ConfigError(f"sweep value {x:g} is not positive")
+        if quantity != "mollification" and x != int(x):
+            raise ConfigError(f"sweep value {x:g} is not an integer {quantity}")
+        if quantity == "lambda" and x % dg.LAMBDA_STUDY_MU:
+            raise ConfigError(f"sweep value {x:g} is not a multiple of the "
+                              f"lambda study's mu = {dg.LAMBDA_STUDY_MU}")
+        if quantity == "mu" and dg.MU_STUDY_LAM % x:
+            raise ConfigError(f"sweep value {x:g} does not divide the "
+                              f"mu study's lambda = {dg.MU_STUDY_LAM}")
+
+
 def cmd_scaling(cfg):
     """Fit decay slopes of the update terms over parameter ladders."""
     quantity = cfg["quantity"]
     if quantity not in _SCALING_QUANTITIES:
         raise ConfigError(f"unknown quantity {quantity!r}; valid: "
                           + ", ".join(_SCALING_QUANTITIES))
-    sweep = _get_list(cfg, "sweep")
-    if sweep and len(sweep) < 3:
-        raise ConfigError("sweep needs at least 3 points for a slope fit")
+    sweep = _get_list(cfg, "sweep")  # a checked sweep has one quantity
+    if sweep:
+        _check_sweep(quantity, sweep)
     out = _outdir(cfg)
     report = {}
     ok = True
     if quantity in ("lambda", "all"):
-        lams = [int(x) for x in sweep] if (sweep and quantity == "lambda") \
-            else (16, 32, 64, 128)
+        lams = [int(x) for x in sweep] or (16, 32, 64, 128)
         res = dg.lambda_scaling(lams=lams)
         rows = list(zip(res["lams"], *(res["norms"][k] for k in sorted(res["norms"]))))
         dg.write_csv(os.path.join(out, "scaling_lambda.csv"),
@@ -301,16 +324,14 @@ def cmd_scaling(cfg):
         report["lambda"] = {"slopes": res["slopes"]}
         ok &= all(-1.2 < s < -0.8 for s in res["slopes"].values())
     if quantity in ("mu", "all"):
-        mus = [int(x) for x in sweep] if (sweep and quantity == "mu") \
-            else (2, 4, 8, 16)
+        mus = [int(x) for x in sweep] or (2, 4, 8, 16)
         res = dg.mu_scaling(mus=mus)
         dg.write_csv(os.path.join(out, "scaling_mu.csv"), ["mu", "norm"],
                      list(zip(res["mus"], res["norms"])))
         report["mu"] = {"slope": res["slope"]}
         ok &= -1.3 < res["slope"] < -0.7
     if quantity in ("mollification", "all"):
-        ells = sweep if (sweep and quantity == "mollification") \
-            else (0.15, 0.3, 0.6)
+        ells = sweep or (0.15, 0.3, 0.6)
         res = dg.mollification_scaling(ells=ells)
         dg.write_csv(os.path.join(out, "scaling_mollification.csv"),
                      ["ell", "norm"], list(zip(res["ells"], res["norms"])))

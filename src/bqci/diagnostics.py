@@ -183,7 +183,11 @@ def _slope(xs, ys):
                             np.log(np.asarray(ys, float)), 1)[0])
 
 
-def lambda_scaling(lams=(16, 32, 64, 128), mu=2, N=32, nt=9):
+# what each probe ladder holds fixed: mu on the lambda one, lam on the mu one
+LAMBDA_STUDY_MU, MU_STUDY_LAM = 2, 128
+
+
+def lambda_scaling(lams=(16, 32, 64, 128), mu=LAMBDA_STUDY_MU, N=32, nt=9):
     """Sup norms of the inverse-divergence update terms over a frequency
     ladder; each should decay like 1/lambda."""
     terms = {"oscillation": [], "transport": [], "flux_oscillation": [],
@@ -203,7 +207,7 @@ def lambda_scaling(lams=(16, 32, 64, 128), mu=2, N=32, nt=9):
     }
 
 
-def mu_scaling(mus=(2, 4, 8, 16), lam=128, N=32, nt=9):
+def mu_scaling(mus=(2, 4, 8, 16), lam=MU_STUDY_LAM, N=32, nt=9):
     """Sup norm of the slow interaction term over a cell-scale ladder; with
     the carrier velocity paired to the wave it decays like 1/mu.  The
     frequency is kept well above the ladder so the correction wave's

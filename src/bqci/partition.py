@@ -6,7 +6,9 @@ normalized so that sum_l alpha_l(p)^2 = 1 exactly. The cutoff radius is
 below 1, so corners outside the containing cube never activate and the
 per-point work is a fixed 8-corner gather no matter how many lattice cells
 the data visits. Each corner also carries a parity index in 0..7 grouping
-cells whose waves share a phase class.
+cells whose waves share a phase class; the 8 corners of a cube realize all
+8 classes, so corner_alphas returns them in class order: slot c holds the
+corner of class c.
 """
 
 from dataclasses import dataclass
@@ -36,24 +38,24 @@ class PartitionOfUnity:
         return np.where(inside, np.exp(-(c2sq - c1sq) / denom), 0.0)
 
     def corner_alphas(self, p):
-        """Weights at the 8 cube corners around each point.
+        """Weights at the 8 cube corners around each point, in parity-class
+        order.
 
         p: array of shape (3, ...). Returns (corners, alphas) with corners
         of integer shape (8, 3, ...) and alphas of shape (8, ...) satisfying
-        sum_c alphas[c]^2 = 1 pointwise.
+        sum_c alphas[c]^2 = 1 pointwise. Slot c is the corner l of the
+        containing cube with parity_index(l) == c: along axis d its
+        component is even exactly when bit d of c is set, so it is
+        base_d + (odd_d ^ (1 - bit_d(c))) with base = floor(p), odd = base & 1.
         """
         p = np.asarray(p, dtype=np.float64)
         if p.shape[0] != 3:
             raise ValueError("expected leading axis of length 3")
         base = np.floor(p).astype(np.int64)
-        corners = np.empty((8,) + p.shape, dtype=np.int64)
-        betas = np.empty((8,) + p.shape[1:])
-        for c in range(8):
-            off = np.array([(c >> d) & 1 for d in range(3)], dtype=np.int64)
-            corner = base + off.reshape((3,) + (1,) * (p.ndim - 1))
-            corners[c] = corner
-            d2 = np.sum((p - corner) ** 2, axis=0)
-            betas[c] = self.bump(np.sqrt(d2))
+        flip = np.array([[1 - ((c >> d) & 1) for d in range(3)] for c in range(8)],
+                        dtype=np.int64).reshape((8, 3) + (1,) * (p.ndim - 1))
+        corners = base + ((base & 1) ^ flip)
+        betas = self.bump(np.sqrt(np.sum((p - corners) ** 2, axis=1)))
         norm = np.sqrt(np.sum(betas * betas, axis=0))
         if np.any(norm == 0.0):
             raise FloatingPointError("partition not covering: a point saw no corner")
@@ -79,12 +81,5 @@ def active_cells(p, pou=None):
     if pou is None:
         pou = PartitionOfUnity()
     corners, alphas = pou.corner_alphas(np.asarray(p, dtype=np.float64))
-    live = alphas > 0.0
-    cells = set()
-    flat_c = corners.reshape(8, 3, -1)
-    flat_a = live.reshape(8, -1)
-    for c in range(8):
-        idx = np.nonzero(flat_a[c])[0]
-        for i in idx:
-            cells.add(tuple(int(v) for v in flat_c[c, :, i]))
-    return sorted(cells)
+    live = np.moveaxis(corners, 1, -1)[alphas > 0.0]
+    return sorted(set(map(tuple, live.tolist())))

@@ -14,7 +14,10 @@ e^{-i omega t} factor is folded into the amplitude at each time sample).
 Because the partition cutoff is below one, the cells active at a point are
 exactly the 8 corners of one unit cube and those corners realize all 8
 parity classes, so per-class sums have pointwise at most one contributing
-cell and all per-point work is a fixed 8-slot gather.
+cell and all per-point work is a fixed 8-slot gather. The partition returns
+the corners in class order, so slot c is class c with no sort, and since
+omega = (lam/mu) 2^c (k_h-perp . l) with an integer k_h-perp . l, each
+class's phase factors come from one table over its integer range.
 
 The two waves are one construction: a slow class scalar S times a
 polarization plus a 1/lam correction, (pol S + corr(S)/(i lam 2^c)) e^{i xi_c.x}.
@@ -104,6 +107,7 @@ class WaveEngine:
         self.khsq = self.frame.kh_sq
         self.kinds = ("w", "chi") if self.c_n is not None and n <= 3 else ("w",)
         self._ladder = self.lam * 2.0 ** np.arange(8)  # per-class lam 2^c
+        self._omega_ladder = (self.lam / self.mu) * np.ldexp(1.0, np.arange(8))
         self._kv = grid.wavenumbers()
         kx, ky, kz = self._kv
         s, t = self.avec[0], self.avec[1]
@@ -116,8 +120,9 @@ class WaveEngine:
             "w": np.stack(np.broadcast_arrays(ky - t * kz, s * kz - kx, t * kx - s * ky)),
             "chi": (kp[0] * kx + kp[1] * ky + kp[2] * kz) / self.khsq,
         }
-        self.companion = bool(companion) and self._has_coarse_stencil()
-        self._slot_cache = {}
+        # the companion needs a 4th-order stencil (5 samples) at stride 2
+        self.companion = (bool(companion) and (tgrid.nt - 1) % 2 == 0
+                          and (tgrid.nt - 1) // 2 + 1 >= 5)
         self._bin_cache = {}
         self._bmax = {}
         self._amp_cache = {}
@@ -152,11 +157,10 @@ class WaveEngine:
     # -- slot gather ----------------------------------------------------------
 
     def slot_data(self, j):
-        """Per-slot cell data at time sample j: b, beta, omega (8, grid),
-        parity pc (8, grid, int), l/mu (8, 3, grid), and perm (8, npts),
-        the per-point permutation that bins the slots into parity classes."""
-        if j in self._slot_cache:
-            return self._slot_cache[j]
+        """Per-slot cell data at time sample j, slot c holding the corner of
+        parity class c (PartitionOfUnity.corner_alphas): b, beta (8, grid),
+        the integer k_h-perp . l (8, grid) and l/mu (8, 3, grid). Uncached:
+        _binned keeps what the class sums read."""
         p = self.mu * self.v_ell[j]
         corners, alphas = self.pou.corner_alphas(p)
         rad = np.maximum(self.e_vals[j] - self.a_n[j], 0.0)
@@ -167,55 +171,32 @@ class WaveEngine:
             beta = np.where(rad > 0, -self.c_n[j] / safe, 0.0) * alphas
         else:
             beta = None
-        even = (corners % 2 == 0).astype(np.int64)
-        pc = even[:, 0] + 2 * even[:, 1] + 4 * even[:, 2]
-        kp_dot = sum(self.carrier[d] * corners[:, d] for d in range(3)).astype(np.float64)
-        omega = (self.lam / self.mu) * np.ldexp(1.0, pc) * kp_dot
+        kdot = sum(self.carrier[d] * corners[:, d] for d in range(3))
         lmu = corners.astype(np.float64) / self.mu
-        pcf = pc.reshape(8, self.grid.npts)
-        perm = np.argsort(pcf, axis=0, kind="stable")
-        if not np.array_equal(np.take_along_axis(pcf, perm, axis=0),
-                              np.broadcast_to(np.arange(8)[:, None], pcf.shape)):
-            raise AmplitudeError("slot parities do not exhaust the classes")
-        data = (b, beta, omega, pc, lmu, perm)
-        self._slot_cache[j] = data
-        while len(self._slot_cache) > 6:
-            self._slot_cache.pop(next(iter(self._slot_cache)))
-        return data
+        return b, beta, kdot, lmu
 
     def _binned(self, j):
-        """Slot data of sample j binned into parity classes, kept on the
-        classes whose amplitude b is nonzero somewhere at j (every other
-        class row is identically zero): 'classes' (sorted class indices),
-        b, beta, omega (na, grid) and l/mu (na, 3, grid). Binned once per
-        sample, since every class sum that reads sample j (its own and the
-        time stencils of its neighbours) only permutes these values.
-
-        The eight slots of a cell are its corners, whose parities exhaust
-        the eight classes, so binning is the pointwise permutation built in
-        slot_data; row c of perm is the slot holding class c."""
+        """Slot data of sample j on the parity classes whose amplitude b is
+        nonzero somewhere at j (every other class row is identically zero):
+        'classes' (sorted class indices), b, beta, the integer
+        k_h-perp . l 'kdot' (na, grid), its per-class 'range' (na, 2: min,
+        max) and l/mu (na, 3, grid). Slot c is class c, so binning takes
+        rows; it is done once per sample, since every class sum that reads
+        sample j (its own and the time stencils of its neighbours) reuses
+        these rows."""
         if j in self._bin_cache:
             return self._bin_cache[j]
-        b, beta, omega, _, lmu, perm = self.slot_data(j)
-        npts, shape = self.grid.npts, self.grid.shape
-        b_bin = np.take_along_axis(b.reshape(8, npts), perm, axis=0)
-        cls = np.flatnonzero(np.any(b_bin != 0.0, axis=1))
-        rows = perm[cls]
-
-        def gather(x):
-            return np.take_along_axis(x.reshape(8, npts), rows, axis=0).reshape(
-                (len(cls),) + shape)
-
-        omega_rows = gather(omega)
+        b, beta, kdot, lmu = self.slot_data(j)
+        cls = np.flatnonzero(np.any(b.reshape(8, -1) != 0.0, axis=1))
+        kdot = kdot[cls]
+        flat = kdot.reshape(len(cls), self.grid.npts)
         data = {
             "classes": cls,
-            "b": b_bin[cls].reshape((len(cls),) + shape),
-            "omega": omega_rows,
-            # omega takes few distinct values (2^parity times an integer
-            # carrier dot): phase factors are evaluated on these and gathered
-            "omega_unique": np.unique(omega_rows.ravel(), return_inverse=True),
-            "lmu": np.stack([gather(lmu[:, d]) for d in range(3)], axis=1),
-            "beta": gather(beta) if beta is not None else None,
+            "b": b[cls],
+            "kdot": kdot,
+            "range": np.stack([flat.min(axis=1), flat.max(axis=1)], axis=1),
+            "lmu": lmu[cls],
+            "beta": beta[cls] if beta is not None else None,
         }
         self._bmax[j] = float(np.max(b))
         self._bin_cache[j] = data
@@ -224,16 +205,17 @@ class WaveEngine:
         return data
 
     def _phase_factor(self, j_amp, t_phase):
-        """e^{-i omega t} for the binned omegas of sample j_amp, evaluated on
-        their unique values and gathered."""
+        """e^{-i omega t} on the binned rows of sample j_amp: per class, a
+        table of the phase over the integer range of k_h-perp . l, indexed
+        by k_h-perp . l - min. A table has at most
+        |k_h-perp|_1 (mu span(v_ell) + 2) + 1 entries."""
         bn = self._binned(j_amp)
-        uq, inv = bn["omega_unique"]
-        return np.exp(-1j * t_phase * uq)[inv].reshape(bn["omega"].shape)
-
-    def _has_coarse_stencil(self):
-        """Whether the stride-2 time grid carries a 4th-order stencil."""
-        nt = self.tgrid.nt
-        return (nt - 1) % 2 == 0 and (nt - 1) // 2 + 1 >= 5
+        out = np.empty(bn["kdot"].shape, dtype=complex)
+        for row, c in enumerate(bn["classes"]):
+            lo, hi = bn["range"][row]
+            omega = self._omega_ladder[c] * np.arange(lo, hi + 1)
+            out[row] = np.exp(-1j * t_phase * omega)[bn["kdot"][row] - lo]
+        return out
 
     def classes(self, j):
         """Parity classes (sorted int array) with amplitude anywhere in the
@@ -272,6 +254,8 @@ class WaveEngine:
             out[rows] = x
             return out
 
+        if full:  # omega = ((lam/mu) 2^c) (k_h-perp . l)
+            omega = self._per_class(self._omega_ladder, bn["classes"], 4) * bn["kdot"]
         out = {}
         for kind in self.kinds:
             keys = self.KEYS[kind]
@@ -279,7 +263,7 @@ class WaveEngine:
             out[keys.base] = place(A)
             if full:
                 out[keys.momentum] = place(A[:, None] * bn["lmu"])
-                out[keys.phase] = place(-1j * bn["omega"] * A)
+                out[keys.phase] = place(-1j * omega * A)
         return out
 
     def _time_stencil(self, j, stride):
@@ -376,12 +360,6 @@ class WaveEngine:
         kx, ky, kz = self._kv
         return 1j * (kx * Mh[:, 0] + ky * Mh[:, 1] + kz * Mh[:, 2])
 
-    def _shifted_dzz(self, Sh, cls):
-        """Shifted second z-derivative of class scalars: the symbol is
-        -(m_z + xi_z)^2 (xi_z = 0 in the standard reading)."""
-        mz = self._shift_sym(2, cls, Sh.ndim)
-        return -(mz * mz) * Sh
-
     def base_hat(self, j, key):
         """Spectrum of the base class scalar `key` at sample j on the rows
         of classes(j) (None when there is none)."""
@@ -423,10 +401,13 @@ class WaveEngine:
             + self._div_hat(self.momentum_hat(j, kind))))
 
     def dzz_hat(self, j, kind):
-        """Spectrum of the amplitude of d_zz of the wave per class."""
+        """Spectrum of the amplitude of d_zz of the wave per class: the
+        shifted symbol -(m_z + xi_z)^2 on the base scalar (xi_z = 0 in the
+        standard reading)."""
         cls = self.classes(j)
+        mz = self._shift_sym(2, cls, 4)
         return self._kind_memo(j, kind, "dzz", lambda: self._amp_hat(
-            self._shifted_dzz(self.base_hat(j, self.KEYS[kind].base), cls), cls, kind))
+            -(mz * mz) * self.base_hat(j, self.KEYS[kind].base), cls, kind))
 
     def dt_hat(self, j, kind, stride=1):
         """Spectrum of the amplitude of d_t of the wave per class: the
@@ -491,10 +472,6 @@ class WaveEngine:
 
     # -- identities -----------------------------------------------------------
 
-    def _in_band(self, xi):
-        n = self.grid.shape
-        return all(abs(xi[d]) < n[d] // 2 for d in range(3))
-
     def wave_mean(self, j, kind):
         """Exact T^3 mean of wave kind (polarization-shaped).
 
@@ -511,8 +488,8 @@ class WaveEngine:
             return out
         for row, c in enumerate(self.classes(j)):
             xi = self.xi(c)
-            if not self._in_band(xi):
-                continue
+            if not all(abs(x) < n // 2 for x, n in zip(xi, self.grid.shape)):
+                continue  # outside the resolved band
             idx = tuple(np.ravel([-x % n for x, n in zip(xi, self.grid.shape)]))
             hat = hats[0][row] + hats[1][row]
             coef = hat[..., idx[0], idx[1], idx[2]] / self.grid.npts
@@ -529,8 +506,10 @@ class WaveEngine:
 
     def cancellation_residual(self, j):
         """(|2 sum_l b^2 - (e - a)|_sup, |2 sum_l beta b + c|_sup); both are
-        exact partition identities, nonzero only through roundoff."""
-        b, beta = self.slot_data(j)[:2]
+        exact partition identities, nonzero only through roundoff. The
+        classes _binned leaves out have b = 0 and add nothing."""
+        bn = self._binned(j)
+        b, beta = bn["b"], bn["beta"]
         rad = np.maximum(self.e_vals[j] - self.a_n[j], 0.0)
         r1 = float(np.max(np.abs(2.0 * np.sum(b * b, axis=0) - rad)))
         if beta is None:

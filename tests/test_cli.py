@@ -192,3 +192,43 @@ def test_scaling_mollification_writes_csv(tmp_path):
     norms = [float(r.split(",")[1]) for r in rows[1:]]
     assert norms[0] < norms[1] < norms[2]
     assert "passed=True" in (tmp_path / "scaling.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["validate-initial", "step", "outer"])
+@pytest.mark.parametrize("t0, t1, shown", [
+    ("5", "6", "t0, t1, nt = 5.0, 6.0, 9"),
+    ("0.75", "1e300", "t0, t1, nt = 0.75, 1e+300, 9"),
+])
+def test_window_outside_time_cutoff_is_config_error(tmp_path, capsys, command,
+                                                     t0, t1, shown):
+    # the starting tuple is zero at every sample: validate-initial would
+    # pass vacuously on momentum=0, flux=0
+    args = SMALL + ["--set", f"t0={t0}", "--set", f"t1={t1}"]
+    assert cli.main([command] + args + _out(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: {shown}: the time cutoff (support (1, 4)) is zero "
+            "at every sample") in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("quantity, sweep, message", [
+    ("lambda", "16.5,32,64", "sweep value 16.5 is not an integer lambda"),
+    ("lambda", "0,32,64", "sweep value 0 is not positive"),
+    ("lambda", "16,32,16", "sweep value 16 repeats"),
+    ("lambda", "15,32,64", "sweep value 15 is not a multiple of the lambda study's mu = 2"),
+    ("mu", "3,4,8", "sweep value 3 does not divide the mu study's lambda = 128"),
+    ("mu", "2,4,-8", "sweep value -8 is not positive"),
+    ("mollification", "0.15,0.3,0.15", "sweep value 0.15 repeats"),
+    ("mollification", "0.15,0,0.6", "sweep value 0 is not positive"),
+    ("all", "16,32,64", "sweep needs one quantity (lambda, mu or mollification)"),
+])
+def test_scaling_sweep_is_checked_before_any_probe(tmp_path, capsys, monkeypatch,
+                                                   quantity, sweep, message):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("a probe ran on a refused sweep")
+    for name in ("lambda_scaling", "mu_scaling", "mollification_scaling"):
+        monkeypatch.setattr(cli.dg, name, no_probe)
+    args = ["--set", f"quantity={quantity}", "--set", f"sweep={sweep}"]
+    assert cli.main(["scaling"] + args + _out(tmp_path)) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

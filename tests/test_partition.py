@@ -82,3 +82,43 @@ def test_active_cells_near_corner():
 def test_partition_rejects_bad_radii():
     with pytest.raises(ValueError):
         pt.PartitionOfUnity(c1=0.99, c2=0.95)
+
+
+def offset_order_corner_alphas(pou, p):
+    """The former corner gather, kept as the oracle of the class-ordered
+    one: slot c is floor(p) + (bits of c), normalized in that order."""
+    p = np.asarray(p, dtype=np.float64)
+    base = np.floor(p).astype(np.int64)
+    corners = np.empty((8,) + p.shape, dtype=np.int64)
+    betas = np.empty((8,) + p.shape[1:])
+    for c in range(8):
+        off = np.array([(c >> d) & 1 for d in range(3)], dtype=np.int64)
+        corner = base + off.reshape((3,) + (1,) * (p.ndim - 1))
+        corners[c] = corner
+        d2 = np.sum((p - corner) ** 2, axis=0)
+        betas[c] = pou.bump(np.sqrt(d2))
+    norm = np.sqrt(np.sum(betas * betas, axis=0))
+    return corners, betas / norm
+
+
+# lattice points, cube centres and arbitrary points, negative ones included
+coord = st.one_of(st.integers(-20, 20).map(float),
+                  st.integers(-20, 20).map(lambda k: k + 0.5),
+                  st.floats(-50.0, 50.0, allow_nan=False))
+
+
+@given(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=40))
+def test_corners_come_in_class_order(points):
+    pou = pt.PartitionOfUnity()
+    p = np.array(points).T
+    corners, alphas = pou.corner_alphas(p)
+    # slot c holds the corner of class c, inside the containing cube
+    pc = pt.parity_index(np.moveaxis(corners, 1, -1))
+    assert np.array_equal(pc, np.broadcast_to(np.arange(8)[:, None], pc.shape))
+    base = np.floor(p).astype(np.int64)
+    assert np.all((corners >= base) & (corners <= base + 1))
+    # the same (corner, alpha) pairs as the offset-order gather
+    old_c, old_a = offset_order_corner_alphas(pou, p)
+    slot = pt.parity_index(np.moveaxis(old_c, 1, -1))
+    assert np.array_equal(np.take_along_axis(corners, slot[:, None], axis=0), old_c)
+    assert np.max(np.abs(np.take_along_axis(alphas, slot, axis=0) - old_a)) <= 4e-16

@@ -4,6 +4,7 @@ import pytest
 from bqci import partition as pt
 from bqci import perturbation as pb
 from bqci import torus_field as tf
+from test_partition import offset_order_corner_alphas
 
 KAPPA = 0.1
 
@@ -205,3 +206,57 @@ def test_radicand_contract_breach_raises():
     with pytest.raises(pb.AmplitudeError):
         pb.WaveEngine(1, 8, 2, grid, tgrid, a_big, None,
                       np.full(tgrid.nt, 10 * KAPPA), v, KAPPA)
+
+
+def sorted_binning(eng, j):
+    """The former slot gather, kept as the oracle of the binned-by-
+    construction one: offset-order corners, slot parities argsorted
+    pointwise into classes, omega gathered, and phases evaluated on
+    np.unique(omega) (returned as a function of t)."""
+    corners, alphas = offset_order_corner_alphas(eng.pou, eng.mu * eng.v_ell[j])
+    rad = np.maximum(eng.e_vals[j] - eng.a_n[j], 0.0)
+    b = np.sqrt(rad / 2.0) * alphas
+    safe = np.sqrt(2.0 * np.maximum(rad, 1e-300))
+    beta = np.where(rad > 0, -eng.c_n[j] / safe, 0.0) * alphas
+    even = (corners % 2 == 0).astype(np.int64)
+    pc = even[:, 0] + 2 * even[:, 1] + 4 * even[:, 2]
+    kp_dot = sum(eng.carrier[d] * corners[:, d] for d in range(3)).astype(np.float64)
+    omega = (eng.lam / eng.mu) * np.ldexp(1.0, pc) * kp_dot
+    lmu = corners.astype(np.float64) / eng.mu
+    npts, shape = eng.grid.npts, eng.grid.shape
+    perm = np.argsort(pc.reshape(8, npts), axis=0, kind="stable")
+    b_bin = np.take_along_axis(b.reshape(8, npts), perm, axis=0)
+    cls = np.flatnonzero(np.any(b_bin != 0.0, axis=1))
+    rows = perm[cls]
+
+    def gather(x):
+        return np.take_along_axis(x.reshape(8, npts), rows, axis=0).reshape(
+            (len(cls),) + shape)
+
+    omega_rows = gather(omega)
+    uq, inv = np.unique(omega_rows.ravel(), return_inverse=True)
+    return {
+        "classes": cls,
+        "b": b_bin[cls].reshape((len(cls),) + shape),
+        "beta": gather(beta),
+        "lmu": np.stack([gather(lmu[:, d]) for d in range(3)], axis=1),
+        "kdot": gather(kp_dot),
+        "phase": lambda t: np.exp(-1j * t * uq)[inv].reshape(omega_rows.shape),
+    }
+
+
+@pytest.mark.parametrize("lam, mu", [(8, 2), (32, 8)])
+def test_binned_rows_match_sorted_gather(lam, mu):
+    eng = make_engine(lam=lam, mu=mu)
+    for j in (0, 4, 8):
+        bn, ref = eng._binned(j), sorted_binning(eng, j)
+        assert np.array_equal(bn["classes"], ref["classes"])
+        assert np.array_equal(bn["kdot"], ref["kdot"])
+        assert np.array_equal(bn["lmu"], ref["lmu"])
+        flat = ref["kdot"].reshape(len(ref["classes"]), -1)
+        assert np.array_equal(bn["range"], np.stack([flat.min(1), flat.max(1)], 1))
+        for key in ("b", "beta"):
+            scale = np.max(np.abs(ref[key]))
+            assert np.max(np.abs(bn[key] - ref[key])) <= 4e-16 * scale
+        for t in eng.tgrid.times()[[0, j, -1]]:
+            assert np.array_equal(eng._phase_factor(j, t), ref["phase"](t))

@@ -232,3 +232,24 @@ def test_snapshot_rejects_bad_magic(tmp_path):
     p.write_bytes(b"XXXX" + b"\0" * 100)
     with pytest.raises(tf.SnapshotFormatError):
         tf.read_snapshot(p)
+
+
+# the roll-materialization against the explicit carrier multiply: integer
+# shifts far beyond the grid's band, band-limited complex amplitudes
+@settings(max_examples=30, deadline=None)
+@example(shape=(16, 16, 16), ncomp=3, xi=(2999, -3000, 0), band=4, seed=0)
+@given(shape=st.tuples(sizes, sizes, sizes), ncomp=st.sampled_from([1, 3]),
+       xi=st.tuples(*[st.integers(-3000, 3000)] * 3), band=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_add_shifted_is_the_carrier_multiply(shape, ncomp, xi, band, seed):
+    grid = tf.Grid3(*shape)
+    rng = np.random.default_rng(seed)
+    f = tf.low_pass(rng.standard_normal((ncomp,) + grid.shape)
+                    + 1j * rng.standard_normal((ncomp,) + grid.shape), grid, band)
+    acc = np.zeros(f.shape, dtype=complex)
+    tf.add_shifted(acc, tf.fft3(f), xi)
+    # e^{i xi_d x_d} at x_d = 2 pi j / n_d, its phase reduced exactly mod 2 pi
+    e = [np.exp(2j * np.pi * ((x * np.arange(n)) % n) / n) for x, n in zip(xi, shape)]
+    carrier = e[0][:, None, None] * e[1][None, :, None] * e[2][None, None, :]
+    ref = f * carrier
+    assert np.max(np.abs(tf.ifft3(acc) - ref)) <= 1e-12 * np.max(np.abs(ref))
