@@ -119,6 +119,15 @@ def _get_float(cfg, key):
     return val
 
 
+def _get_above(cfg, key, floor):
+    """A finite number above floor (kappa, kappa_bar > 0; schedule_a,
+    schedule_b > 1)."""
+    val = _get_float(cfg, key)
+    if not val > floor:
+        raise ConfigError(f"{key} = {val:g} must be > {floor:g}")
+    return val
+
+
 def _get_list(cfg, key, conv=float):
     """Comma list of finite numbers ([] for a blank value)."""
     raw = cfg[key].strip()
@@ -147,16 +156,26 @@ def _grids(cfg):
 
 
 def _ladders(cfg):
-    """The six-substep lams, ells and ellzs lists."""
+    """The six-substep lams, ells and ellzs lists; the lams values and the
+    cell scale mu must be positive integers, mu dividing every lams value
+    (the wave engine's contract)."""
     ladders = _get_list(cfg, "lams", int), _get_list(cfg, "ells"), _get_list(cfg, "ellzs")
     if any(len(x) != 6 for x in ladders):
         raise ConfigError("lams, ells, ellzs must each list six values")
+    mu = _get_int(cfg, "mu")
+    if mu < 1:
+        raise ConfigError(f"mu = {mu} is not a positive integer")
+    for lam in ladders[0]:
+        if lam < 1:
+            raise ConfigError(f"lams value {lam} is not a positive integer")
+        if lam % mu:
+            raise ConfigError(f"mu = {mu} does not divide the lams value {lam}")
     return ladders
 
 
 def _kappa_bar(cfg, kappa):
     if cfg["kappa_bar"].strip():
-        kb = _get_float(cfg, "kappa_bar")
+        kb = _get_above(cfg, "kappa_bar", 0)
     else:
         kb = kappa ** 1.5
     if kb > kappa ** 1.5:
@@ -171,7 +190,7 @@ def _desk_state(cfg):
     if not np.any(it.time_cutoff(tgrid.times())):
         raise ConfigError(f"t0, t1, nt = {tgrid.t0}, {tgrid.t1}, {tgrid.nt}: the "
                           "time cutoff (support (1, 4)) is zero at every sample")
-    kappa = _get_float(cfg, "kappa")
+    kappa = _get_above(cfg, "kappa", 0)
     level = (_get_float(cfg, "energy_level") if cfg["energy_level"].strip()
              else 10 * kappa)
     e_vals = np.full(tgrid.nt, level)
@@ -201,7 +220,7 @@ def _fft_workers(cfg):
 
 def cmd_validate_initial(cfg):
     """Build the starting tuple and check its normalized residuals."""
-    _kappa_bar(cfg, _get_float(cfg, "kappa"))
+    _kappa_bar(cfg, _get_above(cfg, "kappa", 0))
     state = _desk_state(cfg)
     res = dg.normalized_residuals(state)
     tol = _get_float(cfg, "tolerance")
@@ -216,7 +235,7 @@ def cmd_validate_initial(cfg):
 
 
 def _asymptotic_report(cfg):
-    kappa = _get_float(cfg, "kappa")
+    kappa = _get_above(cfg, "kappa", 0)
     params = it.choose_params(
         _get_float(cfg, "L_v"), kappa, _kappa_bar(cfg, kappa),
         _get_float(cfg, "Lam"), _get_float(cfg, "Lam_bar"),
@@ -244,7 +263,7 @@ def cmd_step(cfg):
     if cfg["mode"] != "desk":
         raise ConfigError(f"unknown mode {cfg['mode']!r} (desk | asymptotic)")
     lams, ells, ellzs = _ladders(cfg)
-    _kappa_bar(cfg, _get_float(cfg, "kappa"))
+    _kappa_bar(cfg, _get_above(cfg, "kappa", 0))
     state = _desk_state(cfg)
     blocks = it.begin_step(state, ells[0], ellzs[0])
     report = it.run_step(state, lams, ells, ellzs)
@@ -270,13 +289,16 @@ def cmd_outer(cfg):
     if steps < 1:
         raise ConfigError(f"steps = {steps} must be >= 1")
     lams, ells, ellzs = _ladders(cfg)
+    # kappa_n = schedule_a ** (-schedule_b ** n) starts at 1 / schedule_a
+    # and shrinks only for schedule_a, schedule_b > 1
+    schedule_a = _get_above(cfg, "schedule_a", 1)
+    schedule_b = _get_above(cfg, "schedule_b", 1)
+    tolerance = _get_float(cfg, "residual_tolerance")
     out = _outdir(cfg)
     cfg = dict(cfg)
-    # kappa_n = schedule_a ** (-schedule_b ** n) starts at 1 / schedule_a
-    cfg["kappa"] = repr(1.0 / _get_float(cfg, "schedule_a"))
+    cfg["kappa"] = repr(1.0 / schedule_a)
     _, report = it.run_outer(_desk_state(cfg), lams, ells, ellzs, steps,
-                             schedule_b=_get_float(cfg, "schedule_b"),
-                             tolerance=_get_float(cfg, "residual_tolerance"))
+                             schedule_b=schedule_b, tolerance=tolerance)
     it.write_report(os.path.join(out, "outer.txt"), report)
     print("\n".join(it.format_report(report)))
     return 0 if report["passed"] else 1

@@ -166,13 +166,14 @@ def _probe_assembler(lam, mu, N=32, nt=9, kappa=0.1, pair_velocity=False):
     base = 0.45 * np.stack([np.sin(Y), np.cos(Z), np.sin(X + Y)])
     v_ell = base[None] * wob[:, None]
     eng = WaveEngine(1, lam, mu, grid, tgrid, a_n, c_n, e_vals, v_ell, kappa)
-    if pair_velocity:
-        v_prev = v_ell
-    else:
-        v_prev = 0.8 * v_ell
-    grad_v_prev = np.stack([tf.gradient(v_prev[j], grid) for j in range(nt)])
-    theta_prev = (0.3 * np.cos(X) * np.sin(Y))[None] * wob
-    grad_theta_prev = np.stack([tf.gradient(theta_prev[j], grid) for j in range(nt)])
+    # v_prev and theta_prev are a spatial profile times wob(t): each profile
+    # is differentiated once and its gradient scaled by wob
+    share = 1.0 if pair_velocity else 0.8
+    v_prev = share * v_ell
+    grad_v_prev = tf.gradient(share * base, grid)[None] * wob[..., None, None]
+    theta_profile = 0.3 * np.cos(X) * np.sin(Y)
+    theta_prev = theta_profile[None] * wob
+    grad_theta_prev = tf.gradient(theta_profile, grid)[None] * wob[..., None]
     theta_ell = theta_prev.copy()
     return SubstepAssembler(eng, v_prev, grad_v_prev, theta_prev,
                            grad_theta_prev, theta_ell)

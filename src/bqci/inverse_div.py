@@ -1,12 +1,13 @@
 """Antidivergence operators on the torus and their decay diagnostics.
 
 r_hat / g_hat are the symbols, acting on a spectrum with (shifted)
-wavenumbers K; the wave engine applies them class by class and mode by
-mode. R_op maps a vector field v to a symmetric tensor R with
-div R = v - mean(v); G_op maps a scalar f to a vector g with
-div g = f - mean(f). Both are order minus-one operators: fed a wave
-a(x) e^{i lam k.x} (through the shifted symbol path) their output decays
-like 1/lam, which decay_probe measures.
+wavenumbers K; the wave engine applies them class by class. div_mode_hat is
+their composition with the divergence on one oscillation mode A k (x) k
+(or A k) e^{i xi.x}, a real symbol on the scalar spectrum of A. R_op maps
+a vector field v to a symmetric tensor R with div R = v - mean(v); G_op
+maps a scalar f to a vector g with div g = f - mean(f). Both are order
+minus-one operators: fed a wave a(x) e^{i lam k.x} (through the shifted
+symbol path) their output decays like 1/lam, which decay_probe measures.
 """
 
 from dataclasses import dataclass
@@ -56,6 +57,37 @@ def g_hat(fh, K, npts):
         fh = np.where(sing, 0.0, fh)
     u = fh * (-1.0 / np.where(sing, 1.0, k2))
     return np.stack([1j * KX * u, 1j * KY * u, 1j * KZ * u]), mean
+
+
+def mode_factor(k, K):
+    """(k . K) / |K|^2 on the shifted wavenumbers K, 0 where K = 0: the one
+    real grid array of the oscillation mode symbol (div_mode_hat). For
+    K = m + q k_h-perp, k . K = k . m does not depend on the mode q."""
+    KX, KY, KZ = K
+    k2 = KX * KX + KY * KY + KZ * KZ
+    kK = k[0] * KX + k[1] * KY + k[2] * KZ
+    return np.divide(kK, k2, out=np.zeros(np.broadcast(kK, k2).shape), where=k2 != 0)
+
+
+def div_mode_hat(Ah, k, K, factor, rank):
+    """R(div(A k (x) k e^{i xi.x})) (rank 2, packed) or G(div(A k e^{i xi.x}))
+    (rank 1) as the spectrum of the slow amplitude, from the spectrum Ah of
+    A, for a shift xi with k . xi = 0 (K = m + xi, factor = mode_factor(k, K)).
+
+    It is r_hat / g_hat on the polarized input i (k . K) Ah, reduced to a real
+    symbol: the two factors of i cancel, the -1/|K|^2 folds into factor,
+    and the dropped mode K = 0 has zero input (k . K = 0 there):
+    Rh_ab = factor Ah (K_a k_b + K_b k_a - delta_ab k . K), Gh_a = factor Ah K_a.
+    """
+    cA = factor * Ah
+    if rank == 1:
+        return np.stack([K[a] * cA for a in range(3)])
+    kK = k[0] * K[0] + k[1] * K[1] + k[2] * K[2]
+    out = np.empty((6,) + cA.shape, dtype=complex)
+    for i, (a, b) in enumerate(tf.PACK):
+        sym = K[a] * k[b] + K[b] * k[a]
+        np.multiply(sym - kK if a == b else sym, cA, out=out[i])
+    return out
 
 
 def R_op(v, grid, xi=None):

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import algebra
 from . import torus_field as tf
-from .inverse_div import g_hat, r_hat
+from .inverse_div import div_mode_hat, g_hat, mode_factor, r_hat
 from .partition import PartitionOfUnity
 from .perturbation import WaveEngine
 
@@ -70,6 +70,7 @@ class SubstepAssembler:
         self.start = start
         self._j = None
         self._memo = {}
+        self._modes = {}
 
     # -- per-slice memo -------------------------------------------------------
 
@@ -134,6 +135,16 @@ class SubstepAssembler:
                         modes[q] = amp
         return modes
 
+    def _mode(self, q):
+        """(K, factor) of oscillation mode q: the shifted wavenumbers of
+        q carrier (1-D broadcasts) and mode_factor on them, one real grid
+        array. Built on first use and kept for the substep, so every slice
+        and both wave kinds read the same entry."""
+        if q not in self._modes:
+            K = tf.shifted_k(self.grid, q * self.e.carrier)
+            self._modes[q] = K, mode_factor(self.e.k, K)
+        return self._modes[q]
+
     # -- inverse-divergence applications --------------------------------------
 
     def r_div_M(self, j):
@@ -147,8 +158,9 @@ class SubstepAssembler:
     def _oscillation(self, j, kind):
         """R(div M) ('w') or G(div K) ('chi'): per mode the input is the
         scalar k . grad A times the polarization (k or 1), so each mode costs
-        one forward transform and the symbol; the phase multiplies fold into
-        one accumulated inverse transform.
+        one forward transform and the real mode symbol (div_mode_hat, with
+        the mode's factor from _mode); the phase multiplies fold into one
+        accumulated inverse transform.
 
         The stored divergence is not the per-mode symbol identity but the
         pointwise main-wave advection of the main wave of kind, plus its
@@ -161,17 +173,15 @@ class SubstepAssembler:
         modes = self.oscillation_modes(j, kind)
         if modes is None:
             return None
-        sym, ncomp, block = _ANTIDIV[kind]
+        _, ncomp, rank, block = _ANTIDIV[kind]
         acc = np.zeros((ncomp,) + self.grid.shape, dtype=complex)
-        k = self.e.k.astype(np.float64)
+        k = self.e.k
         for q, A in modes.items():
-            xi = q * self.e.carrier
-            K = tf.shifted_k(self.grid, xi)
-            dh = 1j * (k[0] * K[0] + k[1] * K[1] + k[2] * K[2]) * tf.fft3(A)
-            out, _ = sym(self.e.polarize(dh, kind), K, self.grid.npts)
+            K, factor = self._mode(q)
             # e^{i q carrier.x} on the sampled grid is an exact spectral
             # shift (tf.add_shifted)
-            tf.add_shifted(acc, out, xi)
+            tf.add_shifted(acc, div_mode_hat(tf.fft3(A), k, K, factor, rank),
+                           q * self.e.carrier)
         w_o = self.e.wave_parts(j, "w")[0]
         go = self.e.wave_gradient_parts(j, "w")[0]
         div_wo = go[0, 0] + go[1, 1] + go[2, 2]
@@ -187,7 +197,7 @@ class SubstepAssembler:
         to a sum of class-carrier amplitudes given by their spectra on the
         rows of classes(j); field is the materialized input, and the stored
         divergence is field minus its (exact) mean."""
-        sym, ncomp, _ = _ANTIDIV[kind]
+        sym, ncomp, _, _ = _ANTIDIV[kind]
         acc = np.zeros((ncomp,) + self.grid.shape, dtype=complex)
         mean = 0.0
         for row, c in enumerate(self.e.classes(j)):
@@ -377,9 +387,10 @@ class SubstepAssembler:
 
 
 # per wave kind: the antidivergence its terms take (R on vector amplitudes,
-# G on scalar ones), the symbol's output components, and the engine
-# attribute holding the block its oscillation term cancels
-_ANTIDIV = {"w": (r_hat, 6, "a_n"), "chi": (g_hat, 3, "c_n")}
+# G on scalar ones), the symbol's output components, the tensor rank of its
+# oscillation modes (div_mode_hat), and the engine attribute holding the
+# block its oscillation term cancels
+_ANTIDIV = {"w": (r_hat, 6, 2, "a_n"), "chi": (g_hat, 3, 1, "c_n")}
 
 # the update categories every slice reports
 CATEGORIES = ("oscillation", "transport", "error_N", "error_corr", "mollification")

@@ -232,3 +232,44 @@ def test_scaling_sweep_is_checked_before_any_probe(tmp_path, capsys, monkeypatch
     assert cli.main(["scaling"] + args + _out(tmp_path)) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    # 1 / schedule_a is the first budget: a ZeroDivisionError traceback
+    ("outer", "schedule_a", "0", "schedule_a = 0 must be > 1"),
+    # a negative budget reached the wave engine's radicand check
+    ("outer", "schedule_a", "-4", "schedule_a = -4 must be > 1"),
+    ("outer", "schedule_a", "1", "schedule_a = 1 must be > 1"),
+    ("outer", "schedule_b", "1", "schedule_b = 1 must be > 1"),
+    ("outer", "schedule_b", "0.5", "schedule_b = 0.5 must be > 1"),
+    # kappa^(3/2) of a negative kappa is complex
+    ("validate-initial", "kappa", "-0.25", "kappa = -0.25 must be > 0"),
+    ("validate-initial", "kappa_bar", "0", "kappa_bar = 0 must be > 0"),
+    ("validate-initial", "kappa", "0", "kappa = 0 must be > 0"),
+    ("step", "kappa", "0", "kappa = 0 must be > 0"),
+    # the wave engine refused mu only after the first mollification
+    ("step", "mu", "0", "mu = 0 is not a positive integer"),
+    ("step", "mu", "-2", "mu = -2 is not a positive integer"),
+    ("step", "mu", "3", "mu = 3 does not divide the lams value 16"),
+    ("outer", "mu", "5", "mu = 5 does not divide the lams value 16"),
+    ("step", "lams", "16,16,-16,16,16,16", "lams value -16 is not a positive integer"),
+])
+def test_bad_budget_or_cell_scale_is_refused_before_any_state(
+        tmp_path, capsys, monkeypatch, command, key, value, message):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was built from a refused config")
+    monkeypatch.setattr(cli.it, "initial_state", no_state)
+    args = SMALL + ["--set", "lams=" + ",".join(["16"] * 6), "--set", f"{key}={value}"]
+    assert cli.main([command] + args + _out(tmp_path)) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["0", "-0.01"])
+def test_asymptotic_step_refuses_non_positive_kappa_bar(tmp_path, capsys, value):
+    # choose_params divides by kappa_bar: a ZeroDivisionError or, through a
+    # complex power, a TypeError traceback
+    args = ["--set", "mode=asymptotic", "--set", f"kappa_bar={value}"]
+    assert cli.main(["step"] + args + _out(tmp_path)) == 2
+    assert f"config error: kappa_bar = {float(value):g} must be > 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

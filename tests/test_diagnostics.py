@@ -90,6 +90,17 @@ def test_mu_scaling_slope():
     assert all(a > b for a, b in zip(out["norms"], out["norms"][1:]))
 
 
+@pytest.mark.parametrize("pair_velocity", [False, True])
+def test_probe_gradient_stores_are_the_per_slice_gradients(pair_velocity):
+    asm = dg._probe_assembler(16, 2, N=16, nt=9, pair_velocity=pair_velocity)
+    for field, grad in ((asm.v_prev, asm.grad_v_prev),
+                        (asm.theta_prev, asm.grad_theta_prev)):
+        assert grad.shape == (9, 3) + field.shape[1:]
+        for j in range(9):
+            want = tf.gradient(field[j], asm.grid)
+            assert np.max(np.abs(grad[j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_mollification_scaling_slope():
     out = dg.mollification_scaling()
     assert 0.7 < out["slope"] < 1.3

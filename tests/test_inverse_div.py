@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bqci import algebra
 from bqci import inverse_div as idv
 from bqci import torus_field as tf
 
@@ -107,3 +108,56 @@ def test_decay_probe_slowly_varying(grid):
 def test_decay_probe_G_constant(grid):
     rep = idv.decay_probe(grid, [4, 8, 16, 32], op="G")
     assert abs(rep.slope + 1.0) < 0.05
+
+
+def polarized_mode_hat(Ah, k, K, rank, npts):
+    """The path div_mode_hat replaces: r_hat ('w', rank 2) or g_hat ('chi',
+    rank 1) on the polarized mode input i (k . K) Ah."""
+    dh = 1j * (k[0] * K[0] + k[1] * K[1] + k[2] * K[2]) * Ah
+    if rank == 2:
+        return idv.r_hat(k.reshape(3, 1, 1, 1) * dh, K, npts)[0]
+    return idv.g_hat(dh, K, npts)[0]
+
+
+def check_mode_hat(n, q, shape, seed):
+    """div_mode_hat against polarized_mode_hat on a band-limited complex
+    amplitude of the mode q k_h-perp of frame n; returns the shifted K."""
+    grid = tf.Grid3(*shape)
+    frame = algebra.wave_frame(n)
+    k = frame.k_arr()
+    K = tf.shifted_k(grid, q * frame.k_perp_arr())
+    rng = np.random.default_rng(seed)
+    A = tf.dealias(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)
+    Ah = tf.fft3(A)
+    factor = idv.mode_factor(k, K)
+    assert factor.shape == grid.shape
+    for rank in (1, 2):
+        slow = polarized_mode_hat(Ah, k, K, rank, grid.npts)
+        fast = idv.div_mode_hat(Ah, k, K, factor, rank)
+        assert fast.shape == slow.shape
+        assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
+    return K
+
+
+grid_sizes = st.sampled_from(range(8, 25, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=1, q=1, shape=(8, 8, 8), seed=0)
+@example(n=4, q=-3, shape=(24, 10, 16), seed=1)
+@given(n=st.integers(1, 6), q=st.integers(-3000, 3000),
+       shape=st.tuples(grid_sizes, grid_sizes, grid_sizes),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_div_mode_hat_is_the_antidivergence_of_the_polarized_mode(n, q, shape, seed):
+    check_mode_hat(n, q, shape, seed)
+
+
+@pytest.mark.parametrize("n, q, shape", [(1, 1, (8, 8, 8)), (3, -2, (12, 24, 8)),
+                                         (6, 3, (16, 16, 24))])
+def test_div_mode_hat_drops_a_resolved_zero_mode(n, q, shape):
+    # q k_h-perp is a grid frequency, so K = 0 at one mode, which r_hat and
+    # g_hat drop and mode_factor sets to zero
+    K = check_mode_hat(n, q, shape, seed=n)
+    zero = (K[0] == 0) & (K[1] == 0) & (K[2] == 0)
+    assert np.count_nonzero(zero) == 1
+    assert np.all(idv.mode_factor(algebra.wave_frame(n).k_arr(), K)[zero] == 0.0)
