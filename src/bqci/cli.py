@@ -254,10 +254,9 @@ def _asymptotic_report(cfg):
 
 def cmd_step(cfg):
     """Run one six-substep update (or report parameters in asymptotic mode)."""
-    out = _outdir(cfg)
     if cfg["mode"] == "asymptotic":
         report = _asymptotic_report(cfg)
-        it.write_report(os.path.join(out, "step.txt"), report)
+        it.write_report(os.path.join(_outdir(cfg), "step.txt"), report)
         print("\n".join(it.format_report(report)))
         return 0
     if cfg["mode"] != "desk":
@@ -265,6 +264,7 @@ def cmd_step(cfg):
     lams, ells, ellzs = _ladders(cfg)
     _kappa_bar(cfg, _get_above(cfg, "kappa", 0))
     state = _desk_state(cfg)
+    out = _outdir(cfg)
     blocks = it.begin_step(state, ells[0], ellzs[0])
     report = it.run_step(state, lams, ells, ellzs)
     report["blocks"] = blocks
@@ -294,10 +294,11 @@ def cmd_outer(cfg):
     schedule_a = _get_above(cfg, "schedule_a", 1)
     schedule_b = _get_above(cfg, "schedule_b", 1)
     tolerance = _get_float(cfg, "residual_tolerance")
-    out = _outdir(cfg)
     cfg = dict(cfg)
     cfg["kappa"] = repr(1.0 / schedule_a)
-    _, report = it.run_outer(_desk_state(cfg), lams, ells, ellzs, steps,
+    state = _desk_state(cfg)
+    out = _outdir(cfg)
+    _, report = it.run_outer(state, lams, ells, ellzs, steps,
                              schedule_b=schedule_b, tolerance=tolerance)
     it.write_report(os.path.join(out, "outer.txt"), report)
     print("\n".join(it.format_report(report)))

@@ -115,8 +115,8 @@ def richardson_floor(state, tolerance=5.0):
 
     floor = coarse residual / 16 (4th-order stencil), with a roundoff guard;
     passes when the fine residual is within `tolerance` times the floor.
-    A failed check also names its witness: the time sample of the worst
-    fine-stencil momentum residual."""
+    A failed check also names its witness: the equation with the larger
+    ratio and the time sample of its worst fine-stencil residual."""
     fine = system_residual(state, "fine")
     coarse = system_residual(state, "coarse")
     out = {}
@@ -124,12 +124,14 @@ def richardson_floor(state, tolerance=5.0):
         floor = max(coarse[f"{eq}_sup"] / 16.0, 1e-13 * max(tf.sup_norm(dt), 1.0))
         out.update({f"{eq}_fine": fine[f"{eq}_sup"], f"{eq}_coarse": coarse[f"{eq}_sup"],
                     f"{eq}_floor": floor, f"{eq}_ratio": fine[f"{eq}_sup"] / floor})
-    passed = bool(out["momentum_ratio"] <= tolerance and out["flux_ratio"] <= tolerance)
-    out.update({"tolerance": tolerance, "passed": passed})
-    if not passed:
-        j = int(np.argmax(fine["momentum_slices"]))
-        out.update({"witness_t": state.tgrid.times()[j], "witness_slice": j,
-                    "witness_sup": fine["momentum_slices"][j]})
+    failed = [eq for eq in ("momentum", "flux") if not out[f"{eq}_ratio"] <= tolerance]
+    out.update({"tolerance": tolerance, "passed": not failed})
+    if failed:
+        eq = max(failed, key=lambda e: out[f"{e}_ratio"])
+        slices = fine[f"{eq}_slices"]
+        j = int(np.argmax(slices))
+        out.update({"witness_eq": eq, "witness_t": state.tgrid.times()[j],
+                    "witness_slice": j, "witness_sup": slices[j]})
     return out
 
 

@@ -1,15 +1,19 @@
 """Antidivergence operators on the torus and their decay diagnostics.
 
-r_hat / g_hat are the symbols, acting on a spectrum with (shifted)
-wavenumbers K; the wave engine applies them class by class. div_mode_hat is
-their composition with the divergence on one oscillation mode A k (x) k
-(or A k) e^{i xi.x}, a real symbol on the scalar spectrum of A. R_op maps
-a vector field v to a symmetric tensor R with div R = v - mean(v); G_op
-maps a scalar f to a vector g with div g = f - mean(f). Both are order
-minus-one operators: fed a wave a(x) e^{i lam k.x} (through the shifted
-symbol path) their output decays like 1/lam, which decay_probe measures.
+shift_entry tabulates what every symbol below reads for one integer shift
+xi: the shifted wavenumbers K = m + xi, -1/|K|^2 (0 at K = 0) and the grid
+index of K = 0. r_hat / g_hat are the symbols, acting on the spectrum of the
+slow amplitude of a(x) e^{i xi.x}; the wave engine applies them class by
+class. div_mode_hat is their composition with the divergence on one
+oscillation mode A k (x) k (or A k) e^{i xi.x}, a real symbol on the scalar
+spectrum of A. R_op maps a vector field v to a symmetric tensor R with
+div R = v - mean(v); G_op maps a scalar f to a vector g with
+div g = f - mean(f). Both are order minus-one operators: fed a wave
+a(x) e^{i lam k.x} (through the shifted symbol path) their output decays like
+1/lam, which decay_probe measures.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,22 +21,43 @@ import numpy as np
 from . import torus_field as tf
 
 
-def r_hat(vh, K, npts):
-    """Symmetric inverse-divergence symbol on a shifted vector spectrum.
+class ShiftEntry(namedtuple("ShiftEntry", "xi K inv zero")):
+    """The symbol data of one integer shift xi (a tuple): K, the shifted
+    wavenumbers as 1-D broadcasts (tf.shifted_k); inv = -1/|K|^2 on the
+    grid, 0 at K = 0; zero, the grid index of K = 0 (None when it is not a
+    grid frequency)."""
 
-    Returns (Rh6 packed xx,xy,xz,yy,yz,zz and the dropped-mode mean, a length-3
-    complex coefficient; zero when the shift has no resolved zero mode).
-    """
-    KX, KY, KZ = K
-    k2 = KX * KX + KY * KY + KZ * KZ
-    sing = (k2 == 0)
-    mean = np.zeros(3, dtype=complex)
-    if np.any(sing):
-        mean = vh[:, sing].reshape(3) / npts
-        vh = np.where(sing, 0.0, vh)
-    inv = -1.0 / np.where(sing, 1.0, k2)
-    u = vh * inv
-    s = KX * u[0] + KY * u[1] + KZ * u[2]
+    def dropped_mean(self, fh):
+        """The T^3 mean of the amplitude's K = 0 mode, the coefficient the
+        symbols drop (leading axes of fh kept; 0 without a zero mode)."""
+        if self.zero is None:
+            return 0.0
+        return fh[(Ellipsis,) + self.zero] / self.inv.size
+
+
+def shift_entry(grid, xi=None):
+    """ShiftEntry of the integer shift xi (None: no shift)."""
+    xi = (0, 0, 0) if xi is None else tuple(int(x) for x in xi)
+    K = tf.shifted_k(grid, xi)
+    # K_d = 0 at one index per axis at most, so K = 0 at one point at most
+    hits = [np.flatnonzero(Kd.ravel() == 0) for Kd in K]
+    zero = tuple(int(h[0]) for h in hits) if all(h.size for h in hits) else None
+    k2 = K[0] * K[0] + K[1] * K[1] + K[2] * K[2]
+    if zero is not None:
+        k2[zero] = np.inf  # so that -1/|K|^2 is 0 there
+    return ShiftEntry(xi, K, -1.0 / k2, zero)
+
+
+def r_hat(vh, entry):
+    """Symmetric inverse-divergence symbol on the spectrum vh of a shifted
+    vector amplitude, packed xx,xy,xz,yy,yz,zz; the mode K = 0 is dropped
+    (entry.dropped_mean)."""
+    K = entry.K
+    # u = i (-1/|K|^2) vh: multiplying by i is exact, so folding it in here
+    # costs three components instead of six
+    u = vh * entry.inv
+    u *= 1j
+    s = K[0] * u[0] + K[1] * u[1] + K[2] * u[2]
     # packed i (K_a u_b + K_b u_a - delta_ab K.u), built in place
     Rh6 = np.empty((6,) + u.shape[1:], dtype=complex)
     for i, (a, b) in enumerate(tf.PACK):
@@ -42,51 +67,37 @@ def r_hat(vh, K, npts):
         else:
             np.multiply(K[b], u[a], out=Rh6[i])
             Rh6[i] += K[a] * u[b]
-    Rh6 *= 1j
-    return Rh6, mean
+    return Rh6
 
 
-def g_hat(fh, K, npts):
-    """Gradient-of-inverse-Laplacian symbol on a shifted scalar spectrum."""
-    KX, KY, KZ = K
-    k2 = KX * KX + KY * KY + KZ * KZ
-    sing = (k2 == 0)
-    mean = 0.0 + 0.0j
-    if np.any(sing):
-        mean = complex(fh[sing].reshape(())) / npts
-        fh = np.where(sing, 0.0, fh)
-    u = fh * (-1.0 / np.where(sing, 1.0, k2))
-    return np.stack([1j * KX * u, 1j * KY * u, 1j * KZ * u]), mean
+def g_hat(fh, entry):
+    """Gradient-of-inverse-Laplacian symbol on the spectrum fh of a shifted
+    scalar amplitude; the mode K = 0 is dropped (entry.dropped_mean)."""
+    KX, KY, KZ = entry.K
+    u = fh * entry.inv
+    return np.stack([1j * KX * u, 1j * KY * u, 1j * KZ * u])
 
 
-def mode_factor(k, K):
-    """(k . K) / |K|^2 on the shifted wavenumbers K, 0 where K = 0: the one
-    real grid array of the oscillation mode symbol (div_mode_hat). For
-    K = m + q k_h-perp, k . K = k . m does not depend on the mode q."""
-    KX, KY, KZ = K
-    k2 = KX * KX + KY * KY + KZ * KZ
-    kK = k[0] * KX + k[1] * KY + k[2] * KZ
-    return np.divide(kK, k2, out=np.zeros(np.broadcast(kK, k2).shape), where=k2 != 0)
-
-
-def div_mode_hat(Ah, k, K, factor, rank):
+def div_mode_hat(Ah, k, entry, rank):
     """R(div(A k (x) k e^{i xi.x})) (rank 2, packed) or G(div(A k e^{i xi.x}))
     (rank 1) as the spectrum of the slow amplitude, from the spectrum Ah of
-    A, for a shift xi with k . xi = 0 (K = m + xi, factor = mode_factor(k, K)).
+    A, for a shift xi with k . xi = 0 (entry = shift_entry(grid, xi)).
 
     It is r_hat / g_hat on the polarized input i (k . K) Ah, reduced to a real
-    symbol: the two factors of i cancel, the -1/|K|^2 folds into factor,
-    and the dropped mode K = 0 has zero input (k . K = 0 there):
-    Rh_ab = factor Ah (K_a k_b + K_b k_a - delta_ab k . K), Gh_a = factor Ah K_a.
+    symbol: the two factors of i cancel, -1/|K|^2 is entry.inv, and the
+    dropped mode K = 0 has zero input (k . K = 0 there). With
+    c = -(k . K) inv: Rh_ab = c Ah (K_a k_b + K_b k_a - delta_ab k . K),
+    Gh_a = c Ah K_a.
     """
-    cA = factor * Ah
-    if rank == 1:
-        return np.stack([K[a] * cA for a in range(3)])
+    K = entry.K
     kK = k[0] * K[0] + k[1] * K[1] + k[2] * K[2]
+    cA = (kK * entry.inv) * Ah  # -c Ah: the sign goes on the small factors
+    if rank == 1:
+        return np.stack([-K[a] * cA for a in range(3)])
     out = np.empty((6,) + cA.shape, dtype=complex)
     for i, (a, b) in enumerate(tf.PACK):
         sym = K[a] * k[b] + K[b] * k[a]
-        np.multiply(sym - kK if a == b else sym, cA, out=out[i])
+        np.multiply(kK - sym if a == b else -sym, cA, out=out[i])
     return out
 
 
@@ -100,8 +111,7 @@ def R_op(v, grid, xi=None):
     v = np.asarray(v)
     if v.shape != (3,) + grid.shape:
         raise ValueError("expected a vector field on the grid")
-    Rh6, _ = r_hat(tf.fft3(v), tf.shifted_k(grid, xi), grid.npts)
-    out = tf.sym_unpack(tf.ifft3(Rh6))
+    out = tf.sym_unpack(tf.ifft3(r_hat(tf.fft3(v), shift_entry(grid, xi))))
     return out.real if (xi is None and not np.iscomplexobj(v)) else out
 
 
@@ -110,8 +120,7 @@ def G_op(f, grid, xi=None):
     f = np.asarray(f)
     if f.shape != grid.shape:
         raise ValueError("expected a scalar field on the grid")
-    gh, _ = g_hat(tf.fft3(f), tf.shifted_k(grid, xi), grid.npts)
-    out = tf.ifft3(gh)
+    out = tf.ifft3(g_hat(tf.fft3(f), shift_entry(grid, xi)))
     return out.real if (xi is None and not np.iscomplexobj(f)) else out
 
 

@@ -127,7 +127,7 @@ class ParamSet:
     (expected to be empty in the asymptotic regime, and informative in the
     desk regime)."""
 
-    def __init__(self, mode, mu, lams, ells, ellzs, lam0, violations, raw=None):
+    def __init__(self, mode, mu, lams, ells, ellzs, lam0, violations):
         self.mode = mode
         self.mu = int(mu)
         self.lams = tuple(int(v) for v in lams)
@@ -135,7 +135,6 @@ class ParamSet:
         self.ellzs = tuple(float(v) for v in ellzs)
         self.lam0 = float(lam0)
         self.violations = list(violations)
-        self.raw = dict(raw or {})
 
     def __repr__(self):
         return (f"ParamSet(mode={self.mode!r}, mu={self.mu}, lams={self.lams}, "
@@ -207,9 +206,7 @@ def choose_params(L_v, kappa, kappa_bar, Lam, Lam_bar, D_v, eps=0.05, n_max=6):
         lams.append(mu * math.ceil(lam / mu))
     lam0 = Lam / kappa + Lam_bar * ellzs[0] / (kappa * ells[0])
     violations = _predicates(mu, lams, ells, ellzs, kappa, Lam, Lam_bar, eps)
-    raw = {"L_v": L_v, "kappa": kappa, "kappa_bar": kappa_bar,
-           "Lam": Lam, "Lam_bar": Lam_bar, "D_v": D_v, "eps": eps}
-    return ParamSet("asymptotic", mu, lams, ells, ellzs, lam0, violations, raw)
+    return ParamSet("asymptotic", mu, lams, ells, ellzs, lam0, violations)
 
 
 def desk_params(mu, lams, ells, ellzs, kappa, Lam=None, Lam_bar=None, eps=0.05):

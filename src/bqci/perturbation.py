@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
+from . import inverse_div as idv
 from . import partition as pt
 from . import torus_field as tf
 
@@ -106,7 +107,7 @@ class WaveEngine:
         self.carrier = self.frame.k_perp_arr()
         self.khsq = self.frame.kh_sq
         self.kinds = ("w", "chi") if self.c_n is not None and n <= 3 else ("w",)
-        self._ladder = self.lam * 2.0 ** np.arange(8)  # per-class lam 2^c
+        self.class_q = self.lam * 2 ** np.arange(8)  # class c's carrier: class_q[c] k_h-perp
         self._omega_ladder = (self.lam / self.mu) * np.ldexp(1.0, np.arange(8))
         self._kv = grid.wavenumbers()
         kx, ky, kz = self._kv
@@ -127,13 +128,8 @@ class WaveEngine:
         self._bmax = {}
         self._amp_cache = {}
         self._amp_j = None
+        self._shifts = {}
         self._check_radicand()
-
-    # -- carriers and geometry ------------------------------------------------
-
-    def xi(self, c):
-        """Integer wavevector of parity class c."""
-        return tuple(int(v) for v in self.lam * (2 ** c) * self.carrier)
 
     def _check_radicand(self):
         worst = None
@@ -333,10 +329,6 @@ class WaveEngine:
         an ndim stack."""
         return np.asarray(values)[cls].reshape((len(cls),) + (1,) * (ndim - 1))
 
-    def _shift_sym(self, d, cls, ndim):
-        """Shifted wavenumber m_d + xi_d on the rows cls."""
-        return self._kv[d] + self._per_class(self._ladder * self.carrier[d], cls, ndim)
-
     def polarize(self, X, kind):
         """pol (x) X: the polarization axes of kind (3 for 'w', none for
         'chi') inserted before the three grid axes of X."""
@@ -350,7 +342,7 @@ class WaveEngine:
         h_{nl} ('chi') summed over the class; main=False gives the
         correction alone. (na,) + polarization + grid."""
         pol = self._pol[kind]
-        sym = self._corr_sym[kind] * (1.0 / self._per_class(self._ladder, cls, 4 + pol.ndim))
+        sym = self._corr_sym[kind] * (1.0 / self._per_class(self.class_q, cls, 4 + pol.ndim))
         if main:
             sym = sym + pol.reshape(pol.shape + (1, 1, 1))
         return Sh.reshape(Sh.shape[:1] + (1,) * pol.ndim + Sh.shape[1:]) * sym
@@ -402,12 +394,11 @@ class WaveEngine:
 
     def dzz_hat(self, j, kind):
         """Spectrum of the amplitude of d_zz of the wave per class: the
-        shifted symbol -(m_z + xi_z)^2 on the base scalar (xi_z = 0 in the
-        standard reading)."""
-        cls = self.classes(j)
-        mz = self._shift_sym(2, cls, 4)
+        symbol -m_z^2 on the base scalar (every carrier is horizontal, so
+        the shift leaves K_z = m_z)."""
+        mz = self._kv[2]
         return self._kind_memo(j, kind, "dzz", lambda: self._amp_hat(
-            -(mz * mz) * self.base_hat(j, self.KEYS[kind].base), cls, kind))
+            -(mz * mz) * self.base_hat(j, self.KEYS[kind].base), self.classes(j), kind))
 
     def dt_hat(self, j, kind, stride=1):
         """Spectrum of the amplitude of d_t of the wave per class: the
@@ -427,48 +418,61 @@ class WaveEngine:
         return self._kind_memo(j, kind, ("dt", stride), build)
 
     # -- materialization ------------------------------------------------------
+    #
+    # Every carrier and oscillation mode is e^{i q k_h-perp . x}, q an integer
+    # (lam 2^c for class c, lam (2^c +- 2^c') for a mode): one table, one loop.
+
+    def _entry(self, q):
+        """inverse_div.shift_entry of q k_h-perp, built on first use and kept
+        for the engine: every slice, both wave kinds and the class and mode
+        paths read the same entry."""
+        if q not in self._shifts:
+            self._shifts[q] = idv.shift_entry(self.grid, q * self.carrier)
+        return self._shifts[q]
+
+    def assemble(self, hats, qs, lead, op=None):
+        """2 Re sum_q op(hat_q, entry_q) e^{i q k_h-perp . x}, materialized:
+        hats and qs are matching iterables (hat_q a spectrum, op None taking
+        it as is), lead the leading shape of op's output. Each carrier is an
+        exact cyclic spectral shift, so all terms share one inverse
+        transform per component."""
+        acc = np.zeros(lead + self.grid.shape, dtype=complex)
+        for h, q in zip(hats, qs):
+            entry = self._entry(q)
+            tf.add_shifted(acc, h if op is None else op(h, entry), entry.xi)
+        return tf.twice_real_ifft3(acc)
 
     def assemble_hat(self, hats, cls):
         """2 Re sum_c amps_c E_c from the spectra hats (na, ..., grid) of the
-        classes cls: each carrier is an exact cyclic spectral shift, so all
-        classes share one inverse transform per component."""
-        acc = np.zeros(hats.shape[1:], dtype=complex)
-        for row, c in enumerate(cls):
-            tf.add_shifted(acc, hats[row], self.xi(c))
-        return tf.twice_real_ifft3(acc)
-
-    def gradient_hat(self, hats, cls):
-        """Materialized gradient of 2 Re sum_c amps_c E_c from the spectra of
-        the classes cls: the symbol of d_d on class c is i (m + xi_c)_d.
-        Returns (3 deriv, ..., grid)."""
-        return np.stack([
-            self.assemble_hat(1j * self._shift_sym(d, cls, hats.ndim) * hats, cls)
-            for d in range(3)])
+        classes cls."""
+        return self.assemble(hats, self.class_q[cls], hats.shape[1:-3])
 
     def wave_parts(self, j, kind):
         """Materialized (main, corr) of wave kind at sample j: polarization
         + grid each, the whole wave is their sum."""
-        return self._memo(j, ("wave", kind),
-                          lambda: self._materialize(j, kind, self.assemble_hat, ()))
+        return self._memo(j, ("wave", kind), lambda: self._materialize(j, kind, ()))
 
     def wave_gradient_parts(self, j, kind):
         """Materialized (grad main, grad corr) of wave kind at sample j:
-        (3 deriv) + polarization + grid each."""
-        return self._memo(j, ("grad", kind),
-                          lambda: self._materialize(j, kind, self.gradient_hat, (3,)))
+        (3 deriv) + polarization + grid each. The symbol of d_d on class c
+        is i K_d, stacked over d."""
+        return self._memo(j, ("grad", kind), lambda: self._materialize(
+            j, kind, (3,), lambda h, e: tf._gradient_symbol(e.K, h)))
 
-    def _materialize(self, j, kind, op, lead):
-        """op applied to the main and correction class sums of wave kind.
-        The main wave is pol times the base scalar 2 Re sum_c S_c E_c, so its
-        op takes one transform per op component, not one per polarization
-        component; zeros (lead + polarization + grid) without that wave."""
+    def _materialize(self, j, kind, lead, op=None):
+        """assemble with op (output lead + the spectrum's shape) of the main
+        and correction class sums of wave kind. The main wave is pol times
+        the base scalar 2 Re sum_c S_c E_c, so it takes one transform per op
+        component, not one per polarization component; zeros (lead +
+        polarization + grid) without that wave."""
         hats = self.wave_hats(j, kind)
         if hats is None:
             zero = np.zeros(lead + self._pol[kind].shape + self.grid.shape)
             return zero, zero.copy()
-        cls = self.classes(j)
-        main = self.polarize(op(self.base_hat(j, self.KEYS[kind].base), cls), kind)
-        return main, op(hats[1], cls)
+        qs = self.class_q[self.classes(j)]
+        main = self.base_hat(j, self.KEYS[kind].base)
+        return (self.polarize(self.assemble(main, qs, lead, op), kind),
+                self.assemble(hats[1], qs, lead + hats[1].shape[1:-3], op))
 
     # -- identities -----------------------------------------------------------
 
@@ -486,23 +490,18 @@ class WaveEngine:
         hats = self.wave_hats(j, kind)
         if hats is None:
             return out
-        for row, c in enumerate(self.classes(j)):
-            xi = self.xi(c)
-            if not all(abs(x) < n // 2 for x, n in zip(xi, self.grid.shape)):
+        for row, q in enumerate(self.class_q[self.classes(j)]):
+            entry = self._entry(q)
+            if not all(abs(x) < n // 2 for x, n in zip(entry.xi, self.grid.shape)):
                 continue  # outside the resolved band
-            idx = tuple(np.ravel([-x % n for x, n in zip(xi, self.grid.shape)]))
-            hat = hats[0][row] + hats[1][row]
-            coef = hat[..., idx[0], idx[1], idx[2]] / self.grid.npts
-            out = out + 2 * coef.real
+            out = out + 2 * entry.dropped_mean(hats[0][row] + hats[1][row]).real
         return out
 
     def wave_divergence(self, j):
         """Materialized div w_n via the shifted symbol (exactly the curl
         structure cancelling; nonzero only through FFT roundoff)."""
-        G = sum(self.wave_hats(j, "w"))
-        cls = self.classes(j)
-        div = sum(1j * self._shift_sym(d, cls, 4) * G[:, d] for d in range(3))
-        return self.assemble_hat(div, cls)
+        return self.assemble(sum(self.wave_hats(j, "w")), self.class_q[self.classes(j)], (),
+                             lambda h, e: sum(1j * e.K[d] * h[d] for d in range(3)))
 
     def cancellation_residual(self, j):
         """(|2 sum_l b^2 - (e - a)|_sup, |2 sum_l beta b + c|_sup); both are

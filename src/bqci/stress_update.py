@@ -34,7 +34,7 @@ import numpy as np
 
 from . import algebra
 from . import torus_field as tf
-from .inverse_div import div_mode_hat, g_hat, mode_factor, r_hat
+from .inverse_div import div_mode_hat, g_hat, r_hat
 from .partition import PartitionOfUnity
 from .perturbation import WaveEngine
 
@@ -70,7 +70,6 @@ class SubstepAssembler:
         self.start = start
         self._j = None
         self._memo = {}
-        self._modes = {}
 
     # -- per-slice memo -------------------------------------------------------
 
@@ -135,16 +134,6 @@ class SubstepAssembler:
                         modes[q] = amp
         return modes
 
-    def _mode(self, q):
-        """(K, factor) of oscillation mode q: the shifted wavenumbers of
-        q carrier (1-D broadcasts) and mode_factor on them, one real grid
-        array. Built on first use and kept for the substep, so every slice
-        and both wave kinds read the same entry."""
-        if q not in self._modes:
-            K = tf.shifted_k(self.grid, q * self.e.carrier)
-            self._modes[q] = K, mode_factor(self.e.k, K)
-        return self._modes[q]
-
     # -- inverse-divergence applications --------------------------------------
 
     def r_div_M(self, j):
@@ -158,9 +147,9 @@ class SubstepAssembler:
     def _oscillation(self, j, kind):
         """R(div M) ('w') or G(div K) ('chi'): per mode the input is the
         scalar k . grad A times the polarization (k or 1), so each mode costs
-        one forward transform and the real mode symbol (div_mode_hat, with
-        the mode's factor from _mode); the phase multiplies fold into one
-        accumulated inverse transform.
+        one forward transform and the real mode symbol (div_mode_hat, on the
+        engine's shift entry of the mode); the phase multiplies fold into
+        one accumulated inverse transform (WaveEngine.assemble).
 
         The stored divergence is not the per-mode symbol identity but the
         pointwise main-wave advection of the main wave of kind, plus its
@@ -174,14 +163,9 @@ class SubstepAssembler:
         if modes is None:
             return None
         _, ncomp, rank, block = _ANTIDIV[kind]
-        acc = np.zeros((ncomp,) + self.grid.shape, dtype=complex)
         k = self.e.k
-        for q, A in modes.items():
-            K, factor = self._mode(q)
-            # e^{i q carrier.x} on the sampled grid is an exact spectral
-            # shift (tf.add_shifted)
-            tf.add_shifted(acc, div_mode_hat(tf.fft3(A), k, K, factor, rank),
-                           q * self.e.carrier)
+        field = self.e.assemble(map(tf.fft3, modes.values()), modes.keys(), (ncomp,),
+                                lambda Ah, entry: div_mode_hat(Ah, k, entry, rank))
         w_o = self.e.wave_parts(j, "w")[0]
         go = self.e.wave_gradient_parts(j, "w")[0]
         div_wo = go[0, 0] + go[1, 1] + go[2, 2]
@@ -190,7 +174,7 @@ class SubstepAssembler:
         grad_block = tf.gradient(getattr(self.e, block)[j], self.grid)
         div = (np.einsum("b...,b...->...", w_o, gx_o) + x_o * div_wo
                + self.e.polarize(np.einsum("b...,b...->...", k, grad_block), kind))
-        return tf.twice_real_ifft3(acc), div
+        return field, div
 
     def _class_modes(self, j, kind, hats, field):
         """R ('w', vector amplitudes) or G ('chi', scalar amplitudes) applied
@@ -198,17 +182,11 @@ class SubstepAssembler:
         rows of classes(j); field is the materialized input, and the stored
         divergence is field minus its (exact) mean."""
         sym, ncomp, _, _ = _ANTIDIV[kind]
-        acc = np.zeros((ncomp,) + self.grid.shape, dtype=complex)
-        mean = 0.0
-        for row, c in enumerate(self.e.classes(j)):
-            if not np.any(hats[row]):
-                continue
-            xi = self.e.xi(c)
-            out, m = sym(hats[row], tf.shifted_k(self.grid, xi), self.grid.npts)
-            tf.add_shifted(acc, out, xi)
-            mean = mean + m.real
-        return (tf.twice_real_ifft3(acc),
-                field - 2.0 * np.reshape(mean, np.shape(mean) + (1, 1, 1)))
+        live = [(h, q) for h, q in zip(hats, self.e.class_q[self.e.classes(j)]) if np.any(h)]
+        out = self.e.assemble((h for h, _ in live), (q for _, q in live), (ncomp,), sym)
+        # the means the symbol drops (_entry stays private: an untraced lookup)
+        mean = sum(self.e._entry(q).dropped_mean(h).real for h, q in live)
+        return out, field - 2.0 * np.reshape(mean, np.shape(mean) + (1, 1, 1))
 
     def _field_modes(self, j, op, kind):
         """_class_modes of the engine's op spectra of wave kind (None

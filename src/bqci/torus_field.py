@@ -180,7 +180,11 @@ def _second_symbol(a):
 
 
 def _gradient_symbol(K, fh):
-    return np.stack([1j * K[a] * fh for a in range(3)])
+    """i K_a fh stacked over a, written in place."""
+    out = np.empty((3,) + fh.shape, dtype=complex)
+    for a in range(3):
+        np.multiply(1j * K[a], fh, out=out[a])
+    return out
 
 
 def derivative(f, axis, grid, xi=None):

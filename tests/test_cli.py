@@ -104,11 +104,15 @@ def test_asymptotic_step_is_report_only(tmp_path, capsys):
 
 
 def test_unknown_mode_is_config_error(tmp_path):
-    assert cli.main(["step", "--set", "mode=surreal"] + _out(tmp_path)) == 2
+    out = tmp_path / "out"
+    assert cli.main(["step", "--set", "mode=surreal", "--set", f"out={out}"]) == 2
+    assert not out.exists()  # refused before the output directory is made
 
 
 def test_step_rejects_wrong_ladder_length(tmp_path):
-    assert cli.main(["step", "--set", "lams=16,32"] + _out(tmp_path)) == 2
+    out = tmp_path / "out"
+    assert cli.main(["step", "--set", "lams=16,32", "--set", f"out={out}"]) == 2
+    assert not out.exists()
 
 
 def test_threads_beyond_cpu_count_is_config_error(tmp_path, capsys):
@@ -121,6 +125,13 @@ def test_threads_beyond_cpu_count_is_config_error(tmp_path, capsys):
 
 def test_outer_rejects_zero_steps(tmp_path):
     assert cli.main(["outer", "--set", "steps=0"] + _out(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("cmd", ["step", "outer"])
+def test_bad_grid_leaves_no_output_directory(tmp_path, cmd):
+    out = tmp_path / "out"
+    assert cli.main([cmd, "--set", "nx=0", "--set", f"out={out}"]) == 2
+    assert not out.exists()
 
 
 def test_outer_rejects_asymptotic_mode(tmp_path):

@@ -49,6 +49,20 @@ def test_full_step_keeps_residual_at_floor(mini_stepped):
     assert check["momentum_coarse"] > check["momentum_fine"]
 
 
+def test_richardson_witness_names_the_failing_equation():
+    # a defect in one flux time-derivative sample fails the flux ratio only;
+    # the witness is that equation's worst slice, not the momentum one's
+    state = _small_state()
+    state.dt_theta[3] += 10.0
+    check = dg.richardson_floor(state)
+    assert not check["passed"]
+    assert check["momentum_ratio"] <= check["tolerance"] < check["flux_ratio"]
+    assert check["witness_eq"] == "flux"
+    assert check["witness_slice"] == 3
+    assert check["witness_t"] == state.tgrid.times()[3]
+    assert check["witness_sup"] == check["flux_fine"] >= 10.0 - 1e-12
+
+
 def test_full_step_cancels_projected_blocks(mini_stepped):
     state, _ = mini_stepped
     proj = dg.block_projection(state)

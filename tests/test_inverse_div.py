@@ -110,33 +110,114 @@ def test_decay_probe_G_constant(grid):
     assert abs(rep.slope + 1.0) < 0.05
 
 
+# -- references: the symbols as they were before the shift entry, each with
+# its own |K|^2, zero-mode mask and dropped-mode mean
+
+def reference_r_hat(vh, K, npts):
+    """Symmetric inverse-divergence symbol on a shifted vector spectrum.
+
+    Returns (Rh6 packed xx,xy,xz,yy,yz,zz and the dropped-mode mean, a length-3
+    complex coefficient; zero when the shift has no resolved zero mode).
+    """
+    KX, KY, KZ = K
+    k2 = KX * KX + KY * KY + KZ * KZ
+    sing = (k2 == 0)
+    mean = np.zeros(3, dtype=complex)
+    if np.any(sing):
+        mean = vh[:, sing].reshape(3) / npts
+        vh = np.where(sing, 0.0, vh)
+    inv = -1.0 / np.where(sing, 1.0, k2)
+    u = vh * inv
+    s = KX * u[0] + KY * u[1] + KZ * u[2]
+    Rh6 = np.empty((6,) + u.shape[1:], dtype=complex)
+    for i, (a, b) in enumerate(tf.PACK):
+        if a == b:
+            np.multiply(2.0 * K[a], u[a], out=Rh6[i])
+            Rh6[i] -= s
+        else:
+            np.multiply(K[b], u[a], out=Rh6[i])
+            Rh6[i] += K[a] * u[b]
+    Rh6 *= 1j
+    return Rh6, mean
+
+
+def reference_g_hat(fh, K, npts):
+    """Gradient-of-inverse-Laplacian symbol on a shifted scalar spectrum."""
+    KX, KY, KZ = K
+    k2 = KX * KX + KY * KY + KZ * KZ
+    sing = (k2 == 0)
+    mean = 0.0 + 0.0j
+    if np.any(sing):
+        mean = complex(fh[sing].reshape(())) / npts
+        fh = np.where(sing, 0.0, fh)
+    u = fh * (-1.0 / np.where(sing, 1.0, k2))
+    return np.stack([1j * KX * u, 1j * KY * u, 1j * KZ * u]), mean
+
+
+def reference_mode_factor(k, K):
+    """(k . K) / |K|^2 on the shifted wavenumbers K, 0 where K = 0."""
+    KX, KY, KZ = K
+    k2 = KX * KX + KY * KY + KZ * KZ
+    kK = k[0] * KX + k[1] * KY + k[2] * KZ
+    return np.divide(kK, k2, out=np.zeros(np.broadcast(kK, k2).shape), where=k2 != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@example(xi=(0, 0, 0), shape=(8, 8, 8), seed=0)
+@example(xi=(0, 4, 0), shape=(8, 8, 8), seed=1)
+@example(xi=(3, -2, 1), shape=(12, 10, 16), seed=2)
+@given(xi=shifts, shape=st.tuples(*[st.sampled_from(range(8, 25, 2))] * 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_symbols_on_the_shift_entry_match_the_references(xi, shape, seed):
+    # the same numbers as the per-call references, the dropped mean included
+    grid = tf.Grid3(*shape)
+    entry = idv.shift_entry(grid, xi)
+    K = tf.shifted_k(grid, xi)
+    assert entry.xi == tuple(xi)
+    assert all(np.array_equal(a, b) for a, b in zip(entry.K, K))
+    assert entry.inv.shape == grid.shape and entry.inv.dtype == np.float64
+    rng = np.random.default_rng(seed)
+    vh = tf.fft3(rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape))
+    ref, ref_mean = reference_r_hat(vh, K, grid.npts)
+    assert np.array_equal(idv.r_hat(vh, entry), ref)
+    assert np.array_equal(np.broadcast_to(entry.dropped_mean(vh), (3,)), ref_mean)
+    ref, ref_mean = reference_g_hat(vh[0], K, grid.npts)
+    assert np.array_equal(idv.g_hat(vh[0], entry), ref)
+    # the reference divides a Python complex (true division), the entry a
+    # numpy one (times the reciprocal): one rounding apart at most
+    assert abs(entry.dropped_mean(vh[0]) - ref_mean) <= 2.3e-16 * abs(ref_mean)
+
+
 def polarized_mode_hat(Ah, k, K, rank, npts):
     """The path div_mode_hat replaces: r_hat ('w', rank 2) or g_hat ('chi',
     rank 1) on the polarized mode input i (k . K) Ah."""
     dh = 1j * (k[0] * K[0] + k[1] * K[1] + k[2] * K[2]) * Ah
     if rank == 2:
-        return idv.r_hat(k.reshape(3, 1, 1, 1) * dh, K, npts)[0]
-    return idv.g_hat(dh, K, npts)[0]
+        return reference_r_hat(k.reshape(3, 1, 1, 1) * dh, K, npts)[0]
+    return reference_g_hat(dh, K, npts)[0]
 
 
 def check_mode_hat(n, q, shape, seed):
     """div_mode_hat against polarized_mode_hat on a band-limited complex
-    amplitude of the mode q k_h-perp of frame n; returns the shifted K."""
+    amplitude of the mode q k_h-perp of frame n; returns the shift entry."""
     grid = tf.Grid3(*shape)
     frame = algebra.wave_frame(n)
     k = frame.k_arr()
-    K = tf.shifted_k(grid, q * frame.k_perp_arr())
+    entry = idv.shift_entry(grid, q * frame.k_perp_arr())
+    K = entry.K
     rng = np.random.default_rng(seed)
     A = tf.dealias(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)
     Ah = tf.fft3(A)
-    factor = idv.mode_factor(k, K)
-    assert factor.shape == grid.shape
+    # the mode factor (k . K)/|K|^2 is -(k . K) inv, to one rounding
+    factor = reference_mode_factor(k, K)
+    kK = k[0] * K[0] + k[1] * K[1] + k[2] * K[2]
+    assert np.max(np.abs(-(kK * entry.inv) - factor)) <= 2.3e-16 * np.max(np.abs(factor))
     for rank in (1, 2):
         slow = polarized_mode_hat(Ah, k, K, rank, grid.npts)
-        fast = idv.div_mode_hat(Ah, k, K, factor, rank)
+        fast = idv.div_mode_hat(Ah, k, entry, rank)
         assert fast.shape == slow.shape
         assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
-    return K
+    return entry
 
 
 grid_sizes = st.sampled_from(range(8, 25, 2))
@@ -156,8 +237,11 @@ def test_div_mode_hat_is_the_antidivergence_of_the_polarized_mode(n, q, shape, s
                                          (6, 3, (16, 16, 24))])
 def test_div_mode_hat_drops_a_resolved_zero_mode(n, q, shape):
     # q k_h-perp is a grid frequency, so K = 0 at one mode, which r_hat and
-    # g_hat drop and mode_factor sets to zero
-    K = check_mode_hat(n, q, shape, seed=n)
+    # g_hat drop: the entry names its index and its inv is zero there
+    entry = check_mode_hat(n, q, shape, seed=n)
+    K = entry.K
     zero = (K[0] == 0) & (K[1] == 0) & (K[2] == 0)
     assert np.count_nonzero(zero) == 1
-    assert np.all(idv.mode_factor(algebra.wave_frame(n).k_arr(), K)[zero] == 0.0)
+    assert tuple(int(i) for i in np.argwhere(zero)[0]) == entry.zero
+    assert entry.inv[entry.zero] == 0.0 and np.all(entry.inv[~zero] < 0)
+    assert reference_mode_factor(algebra.wave_frame(n).k_arr(), K)[entry.zero] == 0.0

@@ -117,6 +117,8 @@ def test_corners_come_in_class_order(points):
     assert np.array_equal(pc, np.broadcast_to(np.arange(8)[:, None], pc.shape))
     base = np.floor(p).astype(np.int64)
     assert np.all((corners >= base) & (corners <= base + 1))
+    # the squares partition unity at every point
+    assert np.max(np.abs(np.sum(alphas * alphas, axis=0) - 1.0)) <= 2e-15
     # the same (corner, alpha) pairs as the offset-order gather
     old_c, old_a = offset_order_corner_alphas(pou, p)
     slot = pt.parity_index(np.moveaxis(old_c, 1, -1))

@@ -8,6 +8,7 @@ from bqci import partition as pt
 from bqci import perturbation as pb
 from bqci import stress_update as su
 from bqci import torus_field as tf
+from test_inverse_div import reference_g_hat, reference_r_hat
 
 KAPPA = 0.1
 
@@ -104,7 +105,7 @@ def per_mode_oscillation(asm, j, kind):
     symbol: for every mode, r_hat ('w') or g_hat ('chi') on
     polarize(i (k . K) A-hat)."""
     eng, grid = asm.e, asm.grid
-    sym, ncomp = (idv.r_hat, 6) if kind == "w" else (idv.g_hat, 3)
+    sym, ncomp = (reference_r_hat, 6) if kind == "w" else (reference_g_hat, 3)
     acc = np.zeros((ncomp,) + grid.shape, dtype=complex)
     k = eng.k.astype(np.float64)
     for q, A in asm.oscillation_modes(j, kind).items():
@@ -114,6 +115,11 @@ def per_mode_oscillation(asm, j, kind):
         out, _ = sym(eng.polarize(dh, kind), K, grid.npts)
         tf.add_shifted(acc, out, xi)
     return tf.twice_real_ifft3(acc)
+
+
+def class_qs(eng, js):
+    """The q = lam 2^c of the classes the slices js carry."""
+    return {eng.lam * 2 ** int(c) for j in js for c in eng.classes(j)}
 
 
 def test_oscillation_matches_the_per_mode_antidivergence():
@@ -126,12 +132,79 @@ def test_oscillation_matches_the_per_mode_antidivergence():
             fast = asm._oscillation(j, kind)[0]
             assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
             qs |= set(asm.oscillation_modes(j, kind))
-    # one table entry per mode, shared by both kinds: the 1-D wavenumber
-    # broadcasts and one real grid array
-    assert set(asm._modes) == qs
-    for K, factor in asm._modes.values():
-        assert [x.size for x in K] == list(eng.grid.shape)
-        assert factor.shape == eng.grid.shape and factor.dtype == np.float64
+    # one table entry per shift, shared by both kinds: the modes and the
+    # classes of the materialized waves, each the 1-D wavenumber broadcasts
+    # and one real grid array
+    assert set(eng._shifts) == qs | class_qs(eng, (0, 4, 8))
+    for q, entry in eng._shifts.items():
+        assert entry.xi == tuple(int(x) for x in q * eng.carrier)
+        assert [x.size for x in entry.K] == list(eng.grid.shape)
+        assert entry.inv.shape == eng.grid.shape and entry.inv.dtype == np.float64
+
+
+def per_class_modes(asm, j, kind, hats, field):
+    """R ('w') or G ('chi') of class spectra as _class_modes summed them
+    before the shift table: per class, the shifted wavenumbers, the symbol
+    with its own |K|^2, mask and dropped mean, and its own shift."""
+    eng, grid = asm.e, asm.grid
+    sym, ncomp = (reference_r_hat, 6) if kind == "w" else (reference_g_hat, 3)
+    acc = np.zeros((ncomp,) + grid.shape, dtype=complex)
+    mean = 0.0
+    for row, c in enumerate(eng.classes(j)):
+        if not np.any(hats[row]):
+            continue
+        xi = tuple(int(v) for v in eng.lam * (2 ** int(c)) * eng.carrier)
+        out, m = sym(hats[row], tf.shifted_k(grid, xi), grid.npts)
+        tf.add_shifted(acc, out, xi)
+        mean = mean + m.real
+    return (tf.twice_real_ifft3(acc),
+            field - 2.0 * np.reshape(mean, np.shape(mean) + (1, 1, 1)))
+
+
+def test_class_terms_match_the_per_class_loop():
+    eng = make_engine()
+    asm = make_assembler(eng)
+    js = (0, 4, 8)
+    # make_engine's class 0 shift (0, 8, 0) on 16^3 puts K = 0 on the grid;
+    # random spectra give its dropped mean O(1) weight in the divergence
+    rng = np.random.default_rng(0)
+    na = len(eng.classes(4))
+    for kind, comps in (("w", (3,)), ("chi", ())):
+        hats = tf.fft3(rng.standard_normal((na,) + comps + eng.grid.shape))
+        field = rng.standard_normal(comps + eng.grid.shape)
+        slow = per_class_modes(asm, 4, kind, hats, field)
+        assert np.max(np.abs(slow[1] - field)) > 1e-3
+        for f, s in zip(asm._class_modes(4, kind, hats, field), slow):
+            assert np.max(np.abs(f - s)) <= 1e-13 * np.max(np.abs(s))
+    for j in js:
+        chi = eng.wave_hats(j, "chi")
+        buoy_hats = eng.dzz_hat(j, "w").copy()
+        buoy_hats[:, 2] += sum(chi)
+        buoy_field = asm.field(j, "dzz", "w").copy()
+        buoy_field[2] += sum(eng.wave_parts(j, "chi"))
+        cases = [
+            (asm.transport_R(j), "w", eng.transport_hat(j, "w"),
+             asm.field(j, "transport", "w")),
+            (asm.transport_f(j), "chi", eng.transport_hat(j, "chi"),
+             asm.field(j, "transport", "chi")),
+            (asm.r_dzz_and_buoyancy(j), "w", buoy_hats, buoy_field),
+        ]
+        for fast, kind, hats, field in cases:
+            slow = per_class_modes(asm, j, kind, hats, field)
+            for f, s in zip(fast, slow):
+                assert np.max(np.abs(f - s)) <= 1e-13 * np.max(np.abs(s))
+    # the table holds exactly the class shifts; the oscillation modes then
+    # add theirs and reuse the class entries they share
+    table = dict(eng._shifts)
+    assert set(table) == class_qs(eng, js)
+    modes = set()
+    for j in js:
+        for kind in ("w", "chi"):
+            asm._oscillation(j, kind)
+            modes |= set(asm.oscillation_modes(j, kind))
+    assert modes & set(table)
+    assert set(eng._shifts) == set(table) | modes
+    assert all(eng._shifts[q] is entry for q, entry in table.items())
 
 
 def test_inverse_div_symbol_exactness_resolved_mode():
@@ -141,8 +214,9 @@ def test_inverse_div_symbol_exactness_resolved_mode():
     rng = np.random.default_rng(3)
     xi = np.array([0, 3, 0])
     amp = tf.dealias(rng.standard_normal((3,) + grid.shape), grid).astype(complex)
-    K = tf.shifted_k(grid, xi)
-    Rh6, mean = idv.r_hat(tf.fft3(amp), K, grid.npts)
+    entry = idv.shift_entry(grid, xi)
+    ah = tf.fft3(amp)
+    Rh6, mean = idv.r_hat(ah, entry), entry.dropped_mean(ah)
     x, y, z = grid.axes()
     E = np.exp(1j * 3 * y)[None, :, None]
     R6 = 2.0 * (tf.ifft3(Rh6) * E).real
@@ -164,8 +238,9 @@ def test_gradient_inverse_laplacian_exactness_resolved_mode():
     rng = np.random.default_rng(4)
     xi = np.array([2, -2, 0])
     amp = tf.dealias(rng.standard_normal(grid.shape), grid).astype(complex)
-    K = tf.shifted_k(grid, xi)
-    Gh3, mean = idv.g_hat(tf.fft3(amp), K, grid.npts)
+    entry = idv.shift_entry(grid, xi)
+    ah = tf.fft3(amp)
+    Gh3, mean = idv.g_hat(ah, entry), entry.dropped_mean(ah)
     x, y, z = grid.axes()
     E = np.exp(1j * (2 * x[:, None, None] - 2 * y[None, :, None]))
     G3 = 2.0 * (tf.ifft3(Gh3) * E).real
