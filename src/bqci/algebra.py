@@ -57,16 +57,6 @@ def decompose_sym(R):
     return np.stack([g1, g2, g3, g4, g5, g6])
 
 
-def reconstruct_sym(gamma):
-    """Sum gamma_i k_i (x) k_i, pointwise over trailing axes."""
-    gamma = np.asarray(gamma)
-    out = np.zeros((3, 3) + gamma.shape[1:], dtype=gamma.dtype)
-    for i, k in enumerate(K):
-        kk = np.outer(k, k).astype(gamma.dtype)
-        out += kk.reshape((3, 3) + (1,) * (gamma.ndim - 1)) * gamma[i]
-    return out
-
-
 def decompose_vec(f):
     """Coefficients b_1..b_3 with b_1 k_1 + b_2 k_2 + b_3 k_3 = f (pointwise)."""
     f = np.asarray(f)
@@ -76,15 +66,6 @@ def decompose_vec(f):
     fk2 = f[1]
     fk3 = f[0] + f[2]
     return np.stack([2 * fk1 - fk3, fk2, fk3 - fk1])
-
-
-def reconstruct_vec(b):
-    b = np.asarray(b)
-    out = np.zeros((3,) + b.shape[1:], dtype=b.dtype)
-    for i in range(3):
-        k = np.array(K[i], dtype=b.dtype)
-        out += k.reshape((3,) + (1,) * (b.ndim - 1)) * b[i]
-    return out
 
 
 @dataclass(frozen=True)
@@ -130,25 +111,3 @@ def wave_frame(n):
     perp = (-k2, k1, 0)
     assert perp[0] * k1 + perp[1] * k2 + perp[2] * k3 == 0
     return WaveFrame(n=n, k=k, k_perp=perp, s=s, t=t, kh_sq=kh_sq)
-
-
-def gram_determinant():
-    """Determinant of the 6x6 Gram matrix of the k_i (x) k_i (exact integer)."""
-    mats = [np.outer(k, k) for k in K]
-    G = np.array([[int(np.sum(a * b)) for b in mats] for a in mats], dtype=object)
-    # integer Bareiss elimination
-    n = 6
-    M = [[int(G[i][j]) for j in range(n)] for i in range(n)]
-    prev = 1
-    for i in range(n - 1):
-        if M[i][i] == 0:
-            for r in range(i + 1, n):
-                if M[r][i] != 0:
-                    M[i], M[r] = M[r], M[i]
-                    prev = -prev
-                    break
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                M[r][c] = (M[r][c] * M[i][i] - M[r][i] * M[i][c]) // prev
-        prev = M[i][i]
-    return M[n - 1][n - 1]

@@ -2,17 +2,22 @@
 
 shift_entry tabulates what every symbol below reads for one integer shift
 xi: the shifted wavenumbers K = m + xi, -1/|K|^2 (0 at K = 0) and the grid
-index of K = 0. r_hat / g_hat are the symbols, acting on the spectrum of the
-slow amplitude of a(x) e^{i xi.x}; the wave engine applies them class by
-class. div_mode_hat is their composition with the divergence on one
-oscillation mode A k (x) k (or A k) e^{i xi.x}, a real symbol on the scalar
-spectrum of A. R_op maps a vector field v to a symmetric tensor R with
+index of K = 0. An entry depends only on the grid and xi, so the last 64 are
+cached (read-only) and shared by every engine that carries the same shift.
+r_hat / g_hat are the symbols, acting on the spectrum of the slow amplitude
+of a(x) e^{i xi.x}; the wave engine applies them class by class.
+div_mode_hat is G composed with the divergence on one oscillation mode
+A k e^{i xi.x}, a real symbol on the scalar spectrum of A; with k . xi = 0
+the stress mode follows from it pointwise, R(div(A k (x) k e^{i xi.x})) =
+g (x) k + k (x) g - (k . g) I for g = G(div(A k e^{i xi.x})) (mode_stress).
+R_op maps a vector field v to a symmetric tensor R with
 div R = v - mean(v); G_op maps a scalar f to a vector g with
 div g = f - mean(f). Both are order minus-one operators: fed a wave
 a(x) e^{i lam k.x} (through the shifted symbol path) their output decays like
 1/lam, which decay_probe measures.
 """
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -25,7 +30,7 @@ class ShiftEntry(namedtuple("ShiftEntry", "xi K inv zero")):
     """The symbol data of one integer shift xi (a tuple): K, the shifted
     wavenumbers as 1-D broadcasts (tf.shifted_k); inv = -1/|K|^2 on the
     grid, 0 at K = 0; zero, the grid index of K = 0 (None when it is not a
-    grid frequency)."""
+    grid frequency). The arrays are read-only: entries are shared."""
 
     def dropped_mean(self, fh):
         """The T^3 mean of the amplitude's K = 0 mode, the coefficient the
@@ -36,8 +41,14 @@ class ShiftEntry(namedtuple("ShiftEntry", "xi K inv zero")):
 
 
 def shift_entry(grid, xi=None):
-    """ShiftEntry of the integer shift xi (None: no shift)."""
-    xi = (0, 0, 0) if xi is None else tuple(int(x) for x in xi)
+    """ShiftEntry of the integer shift xi (None: no shift). An entry depends
+    only on the grid and xi, so the last 64 are kept (_entry) and shared by
+    every caller, hence their read-only arrays."""
+    return _entry((0, 0, 0) if xi is None else tuple(int(x) for x in xi), grid)
+
+
+@functools.lru_cache(maxsize=64)
+def _entry(xi, grid):
     K = tf.shifted_k(grid, xi)
     # K_d = 0 at one index per axis at most, so K = 0 at one point at most
     hits = [np.flatnonzero(Kd.ravel() == 0) for Kd in K]
@@ -45,7 +56,10 @@ def shift_entry(grid, xi=None):
     k2 = K[0] * K[0] + K[1] * K[1] + K[2] * K[2]
     if zero is not None:
         k2[zero] = np.inf  # so that -1/|K|^2 is 0 there
-    return ShiftEntry(xi, K, -1.0 / k2, zero)
+    inv = -1.0 / k2
+    for a in (*K, inv):
+        a.flags.writeable = False
+    return ShiftEntry(xi, K, inv, zero)
 
 
 def r_hat(vh, entry):
@@ -78,26 +92,36 @@ def g_hat(fh, entry):
     return np.stack([1j * KX * u, 1j * KY * u, 1j * KZ * u])
 
 
-def div_mode_hat(Ah, k, entry, rank):
-    """R(div(A k (x) k e^{i xi.x})) (rank 2, packed) or G(div(A k e^{i xi.x}))
-    (rank 1) as the spectrum of the slow amplitude, from the spectrum Ah of
-    A, for a shift xi with k . xi = 0 (entry = shift_entry(grid, xi)).
+def div_mode_hat(Ah, k, entry):
+    """G(div(A k e^{i xi.x})) as the spectrum of the slow amplitude, from the
+    spectrum Ah of A, for a shift xi with k . xi = 0 (entry =
+    shift_entry(grid, xi)).
 
-    It is r_hat / g_hat on the polarized input i (k . K) Ah, reduced to a real
+    It is g_hat on the polarized input i (k . K) Ah, reduced to a real
     symbol: the two factors of i cancel, -1/|K|^2 is entry.inv, and the
     dropped mode K = 0 has zero input (k . K = 0 there). With
-    c = -(k . K) inv: Rh_ab = c Ah (K_a k_b + K_b k_a - delta_ab k . K),
-    Gh_a = c Ah K_a.
+    c = -(k . K) inv: Gh_a = c Ah K_a.
     """
     K = entry.K
     kK = k[0] * K[0] + k[1] * K[1] + k[2] * K[2]
     cA = (kK * entry.inv) * Ah  # -c Ah: the sign goes on the small factors
-    if rank == 1:
-        return np.stack([-K[a] * cA for a in range(3)])
-    out = np.empty((6,) + cA.shape, dtype=complex)
+    out = np.empty((3,) + cA.shape, dtype=complex)
+    for a in range(3):
+        np.multiply(-K[a], cA, out=out[a])
+    return out
+
+
+def mode_stress(g, k):
+    """Packed g (x) k + k (x) g - (k . g) I: R(div(A k (x) k e^{i xi.x})) from
+    g = G(div(A k e^{i xi.x})) (k . xi = 0), pointwise, so it holds for
+    spectra and materialized fields alike."""
+    kg = k[0] * g[0] + k[1] * g[1] + k[2] * g[2]
+    out = np.empty((6,) + g.shape[1:], dtype=g.dtype)
     for i, (a, b) in enumerate(tf.PACK):
-        sym = K[a] * k[b] + K[b] * k[a]
-        np.multiply(kK - sym if a == b else -sym, cA, out=out[i])
+        np.multiply(k[b], g[a], out=out[i])
+        out[i] += k[a] * g[b]
+        if a == b:
+            out[i] -= kg
     return out
 
 

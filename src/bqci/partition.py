@@ -61,25 +61,8 @@ class PartitionOfUnity:
             raise FloatingPointError("partition not covering: a point saw no corner")
         return corners, betas / norm
 
-    def alpha(self, l, p):
-        """Weight of lattice cell l (integer 3-vector) at points p (3, ...)."""
-        corners, alphas = self.corner_alphas(p)
-        l = np.asarray(l, dtype=np.int64).reshape((3,) + (1,) * (np.ndim(p) - 1))
-        hit = np.all(corners == l, axis=1)
-        return np.sum(np.where(hit, alphas, 0.0), axis=0)
-
-
 def parity_index(l):
     """Class index in 0..7: bit d set when component l_d is even."""
     l = np.asarray(l, dtype=np.int64)
     even = (l % 2 == 0).astype(np.int64)
     return even[..., 0] + 2 * even[..., 1] + 4 * even[..., 2]
-
-
-def active_cells(p, pou=None):
-    """Sorted list of lattice cells with nonzero weight over the points p."""
-    if pou is None:
-        pou = PartitionOfUnity()
-    corners, alphas = pou.corner_alphas(np.asarray(p, dtype=np.float64))
-    live = np.moveaxis(corners, 1, -1)[alphas > 0.0]
-    return sorted(set(map(tuple, live.tolist())))

@@ -28,7 +28,6 @@ scalars (KEYS). Every wave method takes the kind and has one body.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +44,6 @@ class ParameterError(ValueError):
 class AmplitudeError(ValueError):
     """Radicand e - a non-positive on the stress support (input contract
     breach: the incoming stress was larger than the budget kappa)."""
-
-
-def _cross_with(gS, avec):
-    """(grad S) x a for a = (s, t, 1); gS has component axis 0."""
-    s, t = avec[0], avec[1]
-    gx, gy, gz = gS[0], gS[1], gS[2]
-    return np.stack([gy - t * gz, s * gz - gx, t * gx - s * gy])
 
 
 # Keys of a wave kind's base class scalars: the binned slot amplitude it is
@@ -128,6 +120,7 @@ class WaveEngine:
         self._bmax = {}
         self._amp_cache = {}
         self._amp_j = None
+        self._amp_syms = {}
         self._shifts = {}
         self._check_radicand()
 
@@ -342,15 +335,24 @@ class WaveEngine:
         h_{nl} ('chi') summed over the class; main=False gives the
         correction alone. (na,) + polarization + grid."""
         pol = self._pol[kind]
-        sym = self._corr_sym[kind] * (1.0 / self._per_class(self.class_q, cls, 4 + pol.ndim))
-        if main:
-            sym = sym + pol.reshape(pol.shape + (1, 1, 1))
-        return Sh.reshape(Sh.shape[:1] + (1,) * pol.ndim + Sh.shape[1:]) * sym
+        out = np.empty(Sh.shape[:1] + pol.shape + Sh.shape[1:], dtype=complex)
+        for row, c in enumerate(cls):
+            np.multiply(Sh[row], self._amp_sym(kind, main, c), out=out[row])
+        return out
 
-    def _div_hat(self, Mh):
-        """Spectrum of the slow divergence sum_d d_d M[:, d]."""
-        kx, ky, kz = self._kv
-        return 1j * (kx * Mh[:, 0] + ky * Mh[:, 1] + kz * Mh[:, 2])
+    def _amp_sym(self, kind, main, c):
+        """The real symbol of _amp_hat on class c: corr_sym/(lam 2^c), plus
+        pol when main (polarization + grid), built on first use and kept
+        for the engine, since it depends on neither the slice nor the
+        amplitude."""
+        key = (kind, main, int(c))
+        if key not in self._amp_syms:
+            pol = self._pol[kind]
+            sym = self._corr_sym[kind] * (1.0 / self.class_q[c])
+            if main:
+                sym = sym + pol.reshape(pol.shape + (1, 1, 1))
+            self._amp_syms[key] = sym
+        return self._amp_syms[key]
 
     def base_hat(self, j, key):
         """Spectrum of the base class scalar `key` at sample j on the rows
@@ -386,11 +388,21 @@ class WaveEngine:
         Only slow-amplitude derivatives appear: the phase contributions of
         d_t and (l/mu).grad cancel exactly, so this is the amplitude of the
         amplitude-only d_t plus the divergence (in d) of the momentum
-        amplitudes.
+        amplitudes. The slow divergence i m_d and the amplitude symbol are
+        both multipliers in m, so the divergence is taken on the base
+        scalars: one symbol pass on d_t S + i sum_d m_d S1_d.
         """
-        return self._kind_memo(j, kind, "transport", lambda: (
-            self._amp_hat(self.base_hat(j, self.KEYS[kind].dt), self.classes(j), kind)
-            + self._div_hat(self.momentum_hat(j, kind))))
+        def build():
+            keys = self.KEYS[kind]
+            S1h = self.base_hat(j, keys.momentum)
+            kx, ky, kz = self._kv
+            div = kx * S1h[:, 0]
+            div += ky * S1h[:, 1]
+            div += kz * S1h[:, 2]
+            div *= 1j
+            div += self.base_hat(j, keys.dt)
+            return self._amp_hat(div, self.classes(j), kind)
+        return self._kind_memo(j, kind, "transport", build)
 
     def dzz_hat(self, j, kind):
         """Spectrum of the amplitude of d_zz of the wave per class: the
@@ -524,45 +536,3 @@ class WaveEngine:
                 self._binned(j)
             worst = max(worst, self._bmax[j])
         return worst
-
-
-# ---------------------------------------------------------------------------
-# per-cell reference amplitudes (the oracle the engine is tested against)
-
-@dataclass
-class AmplitudeSet:
-    engine: WaveEngine
-
-    @property
-    def n(self):
-        return self.engine.n
-
-    def b(self, l, j):
-        """Amplitude b_nl on the grid at time sample j (direct formula)."""
-        e = self.engine
-        rad = np.maximum(e.e_vals[j] - e.a_n[j], 0.0)
-        return np.sqrt(rad / 2.0) * e.pou.alpha(l, e.mu * e.v_ell[j])
-
-    def beta(self, l, j):
-        e = self.engine
-        if e.c_n is None or e.n > 3:
-            return np.zeros(e.grid.shape)
-        rad = np.maximum(e.e_vals[j] - e.a_n[j], 0.0)
-        safe = np.sqrt(2.0 * np.maximum(rad, 1e-300))
-        return np.where(rad > 0, -e.c_n[j] / safe, 0.0) * e.pou.alpha(l, e.mu * e.v_ell[j])
-
-    def g(self, l, j, sign=+1):
-        """Wave coefficient g_{+-nl} (3, grid), complex."""
-        e = self.engine
-        b = self.b(l, j).astype(complex)
-        gb = tf.gradient(b, e.grid)
-        fac = 1.0 / (sign * 1j * e.lam * 2 ** pt.parity_index(l))
-        return b[None] * e.k.reshape(3, 1, 1, 1) + fac * _cross_with(gb, e.avec)
-
-    def h(self, l, j, sign=+1):
-        e = self.engine
-        beta = self.beta(l, j).astype(complex)
-        gb = tf.gradient(beta, e.grid)
-        kp = e.frame.k_perp_arr()
-        fac = 1.0 / (sign * 1j * e.lam * 2 ** pt.parity_index(l) * e.khsq)
-        return beta + fac * sum(kp[d] * gb[d] for d in range(3))

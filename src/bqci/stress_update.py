@@ -34,7 +34,7 @@ import numpy as np
 
 from . import algebra
 from . import torus_field as tf
-from .inverse_div import div_mode_hat, g_hat, r_hat
+from .inverse_div import div_mode_hat, g_hat, mode_stress, r_hat
 from .partition import PartitionOfUnity
 from .perturbation import WaveEngine
 
@@ -147,9 +147,12 @@ class SubstepAssembler:
     def _oscillation(self, j, kind):
         """R(div M) ('w') or G(div K) ('chi'): per mode the input is the
         scalar k . grad A times the polarization (k or 1), so each mode costs
-        one forward transform and the real mode symbol (div_mode_hat, on the
-        engine's shift entry of the mode); the phase multiplies fold into
-        one accumulated inverse transform (WaveEngine.assemble).
+        one forward transform and the real mode symbol of
+        g = G(div(A k e^{i xi.x})) (div_mode_hat, on the engine's shift
+        entry of the mode); the phase multiplies fold into one accumulated
+        inverse transform of g's three components (WaveEngine.assemble).
+        The stress modes follow from g pointwise (mode_stress: k is real and
+        constant), so 'w' transforms three components, not six.
 
         The stored divergence is not the per-mode symbol identity but the
         pointwise main-wave advection of the main wave of kind, plus its
@@ -162,10 +165,12 @@ class SubstepAssembler:
         modes = self.oscillation_modes(j, kind)
         if modes is None:
             return None
-        _, ncomp, rank, block = _ANTIDIV[kind]
+        block = _ANTIDIV[kind][2]
         k = self.e.k
-        field = self.e.assemble(map(tf.fft3, modes.values()), modes.keys(), (ncomp,),
-                                lambda Ah, entry: div_mode_hat(Ah, k, entry, rank))
+        field = self.e.assemble(map(tf.fft3, modes.values()), modes.keys(), (3,),
+                                lambda Ah, entry: div_mode_hat(Ah, k, entry))
+        if kind == "w":
+            field = mode_stress(field, k)
         w_o = self.e.wave_parts(j, "w")[0]
         go = self.e.wave_gradient_parts(j, "w")[0]
         div_wo = go[0, 0] + go[1, 1] + go[2, 2]
@@ -181,7 +186,7 @@ class SubstepAssembler:
         to a sum of class-carrier amplitudes given by their spectra on the
         rows of classes(j); field is the materialized input, and the stored
         divergence is field minus its (exact) mean."""
-        sym, ncomp, _, _ = _ANTIDIV[kind]
+        sym, ncomp, _ = _ANTIDIV[kind]
         live = [(h, q) for h, q in zip(hats, self.e.class_q[self.e.classes(j)]) if np.any(h)]
         out = self.e.assemble((h for h, _ in live), (q for _, q in live), (ncomp,), sym)
         # the means the symbol drops (_entry stays private: an untraced lookup)
@@ -325,13 +330,20 @@ class SubstepAssembler:
 
     def mollification(self, j, kind):
         """Carried stress ('R') or flux ('f') of the start state minus its
-        mollified block sum, with its divergence (None after substep 1)."""
+        mollified block sum, with its divergence (None after substep 1).
+
+        The divergence is the carried store's exact one (div_R0_store /
+        div_f0_store) minus the blocks' (StepState.block_divergence): from
+        the second outer step on the carried stress is the previous update,
+        whose fast content is aliased on the grid, so a grid divergence of
+        it would be wrong."""
         if self.start is None:
             return None
         blk = BLOCKS[kind]
         m = (getattr(self.start, blk.store)[j]
              - np.einsum("i...,im->m...", getattr(self.start, blk.coef)[j], blk.basis))
-        return m, tf.divergence(m, self.grid)
+        return m, (getattr(self.start, blk.div_store)[j]
+                   - self.start.block_divergence(kind, j, 0))
 
     # -- slice totals ---------------------------------------------------------
 
@@ -365,10 +377,9 @@ class SubstepAssembler:
 
 
 # per wave kind: the antidivergence its terms take (R on vector amplitudes,
-# G on scalar ones), the symbol's output components, the tensor rank of its
-# oscillation modes (div_mode_hat), and the engine attribute holding the
-# block its oscillation term cancels
-_ANTIDIV = {"w": (r_hat, 6, 2, "a_n"), "chi": (g_hat, 3, 1, "c_n")}
+# G on scalar ones), the symbol's output components, and the engine
+# attribute holding the block its oscillation term cancels
+_ANTIDIV = {"w": (r_hat, 6, "a_n"), "chi": (g_hat, 3, "c_n")}
 
 # the update categories every slice reports
 CATEGORIES = ("oscillation", "transport", "error_N", "error_corr", "mollification")
@@ -376,16 +387,18 @@ CATEGORIES = ("oscillation", "transport", "error_N", "error_corr", "mollificatio
 
 def _total(terms):
     """(delta, div, parts) of (category, (field, div) or None) terms summed
-    in list order; parts has every category, zero where it has no term."""
+    in list order, in place; parts has every category, zero where it has no
+    term (a category's only term is its part as is)."""
     terms = [(cat, term) for cat, term in terms if term is not None]
-    zero = np.zeros_like(terms[0][1][0])
-    parts = dict.fromkeys(CATEGORIES, zero)
-    delta, div = zero, np.zeros_like(terms[0][1][1])
+    delta = np.zeros_like(terms[0][1][0])
+    div = np.zeros_like(terms[0][1][1])
+    parts = dict.fromkeys(CATEGORIES)
     for cat, (field, dv) in terms:
-        parts[cat] = parts[cat] + field
-        delta = delta + field
-        div = div + dv
-    return delta, div, parts
+        parts[cat] = field if parts[cat] is None else parts[cat] + field
+        delta += field
+        div += dv
+    zero = np.zeros_like(delta)
+    return delta, div, {cat: zero if p is None else p for cat, p in parts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +502,19 @@ class StepState:
         blk = BLOCKS[kind]
         if self.completed == 0:
             return getattr(self, blk.div_store)[j]
-        out = getattr(self, blk.div_delta)[j].copy()
+        return self.block_divergence(kind, j, self.completed,
+                                     getattr(self, blk.div_delta)[j].copy())
+
+    def block_divergence(self, kind, j, first, out=None):
+        """out (zeros when None) plus the divergence of the blocks first..
+        of kind at time sample j, accumulated in place (the constant offset
+        drops out): sum_i div(a_i k_i (x) k_i) ('R') or sum_i div(c_i k_i)
+        ('f')."""
+        blk = BLOCKS[kind]
         coef = getattr(self, blk.coef)[j]
-        for i in range(self.completed, len(blk.basis)):
+        if out is None:
+            out = np.zeros((3,) * (blk.rank - 1) + self.grid.shape)
+        for i in range(first, len(blk.basis)):
             k = _KVECS[i].reshape(3, 1, 1, 1)
             # div(c k) = k . grad c and div(a k (x) k) = (k . grad a) k
             div = tf.divergence(coef[i] * k, self.grid)

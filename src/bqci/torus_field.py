@@ -233,33 +233,6 @@ def divergence(T, grid, xi=None):
         + K[2] * Th[..., 2, :, :, :]))
 
 
-def mean_t3(f):
-    """Mean over the torus (last three axes)."""
-    return np.mean(f, axis=(-3, -2, -1))
-
-
-def dealias(f, grid):
-    """2/3-rule truncation: zero modes with |m| > N/3 on any axis."""
-    fh = fft3(f)
-    kx, ky, kz = grid.wavenumbers()
-    mask = (
-        (np.abs(kx) <= grid.nx / 3.0)
-        & (np.abs(ky) <= grid.ny / 3.0)
-        & (np.abs(kz) <= grid.nz / 3.0)
-    )
-    out = ifft3(fh * mask)
-    return out if np.iscomplexobj(f) else out.real
-
-
-def low_pass(f, grid, kcut):
-    """Sharp spectral truncation to |m| <= kcut on every axis."""
-    fh = fft3(f)
-    kx, ky, kz = grid.wavenumbers()
-    mask = (np.abs(kx) <= kcut) & (np.abs(ky) <= kcut) & (np.abs(kz) <= kcut)
-    out = ifft3(fh * mask)
-    return out if np.iscomplexobj(f) else out.real
-
-
 # ---------------------------------------------------------------------------
 # time differentiation (4th order)
 
@@ -326,8 +299,8 @@ def mollify(f, tgrid, grid, ell, ell_z, time_axis=True, band=None):
 
     Space first: one real multiplier on the rfft half spectrum, between one
     forward and one inverse real transform. It is the mollifier's transform
-    times, with band given, the sharp truncation |m| <= band on every axis
-    (low_pass after mollify, to roundoff). Then time: direct quadrature with
+    times, with band given, the sharp truncation |m| <= band on every axis.
+    Then time: direct quadrature with
     zero extension (valid for compactly supported data). Scales below 2 grid
     cells pass through with a warning. The T^3 mean at each time is
     preserved (unit-mass kernels)."""

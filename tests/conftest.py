@@ -8,6 +8,23 @@ from bqci import torus_field as tf
 KAPPA = 0.25
 
 
+def mini_start():
+    """The start state of mini_stepped, begin_step done."""
+    grid = tf.Grid3(24, 24, 24)
+    tgrid = tf.TimeGrid(0.75, 4.25, 9)
+    e_vals = it.energy_profile(tgrid.times(), (0.75, 4.25), (0.75, 4.25),
+                               10 * KAPPA)
+    state = it.initial_state(grid, tgrid, mu=2, kappa=KAPPA, e_vals=e_vals,
+                             M=0.05, lam=4)
+    it.begin_step(state, 0.9, 0.9)
+    return state
+
+
+def mini_step(state):
+    """mini_stepped's six substeps on a start state; the step report."""
+    return it.run_step(state, lams=[16] * 6, ells=[0.9] * 6, ellzs=[0.9] * 6)
+
+
 @pytest.fixture(scope="session")
 def mini_stepped():
     """One full six-substep update on a small grid.
@@ -17,16 +34,8 @@ def mini_stepped():
     engine inputs clean and the equation residual at the discretization
     floor.  Shared session-wide because the run takes tens of seconds.
     """
-    grid = tf.Grid3(24, 24, 24)
-    tgrid = tf.TimeGrid(0.75, 4.25, 9)
-    e_vals = it.energy_profile(tgrid.times(), (0.75, 4.25), (0.75, 4.25),
-                               10 * KAPPA)
-    state = it.initial_state(grid, tgrid, mu=2, kappa=KAPPA, e_vals=e_vals,
-                             M=0.05, lam=4)
-    it.begin_step(state, 0.9, 0.9)
-    report = it.run_step(state, lams=[16] * 6, ells=[0.9] * 6,
-                         ellzs=[0.9] * 6)
-    return state, report
+    state = mini_start()
+    return state, mini_step(state)
 
 
 @pytest.fixture

@@ -1,0 +1,152 @@
+"""Definitions only the tests use: slow, direct forms of what the package
+computes in bulk (per-cell wave amplitudes, single-cell partition weights,
+active-cell lists), the block reconstructions, the Gram determinant of the
+stress basis, and spectral truncations that build band-limited test data."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from bqci import partition as pt
+from bqci import torus_field as tf
+from bqci.algebra import K
+from bqci.perturbation import WaveEngine
+
+
+# -- algebra ------------------------------------------------------------------
+
+def reconstruct_sym(gamma):
+    """Sum gamma_i k_i (x) k_i, pointwise over trailing axes."""
+    gamma = np.asarray(gamma)
+    out = np.zeros((3, 3) + gamma.shape[1:], dtype=gamma.dtype)
+    for i, k in enumerate(K):
+        kk = np.outer(k, k).astype(gamma.dtype)
+        out += kk.reshape((3, 3) + (1,) * (gamma.ndim - 1)) * gamma[i]
+    return out
+
+
+def reconstruct_vec(b):
+    b = np.asarray(b)
+    out = np.zeros((3,) + b.shape[1:], dtype=b.dtype)
+    for i in range(3):
+        k = np.array(K[i], dtype=b.dtype)
+        out += k.reshape((3,) + (1,) * (b.ndim - 1)) * b[i]
+    return out
+
+
+def gram_determinant():
+    """Determinant of the 6x6 Gram matrix of the k_i (x) k_i (exact integer)."""
+    mats = [np.outer(k, k) for k in K]
+    G = np.array([[int(np.sum(a * b)) for b in mats] for a in mats], dtype=object)
+    # integer Bareiss elimination
+    n = 6
+    M = [[int(G[i][j]) for j in range(n)] for i in range(n)]
+    prev = 1
+    for i in range(n - 1):
+        if M[i][i] == 0:
+            for r in range(i + 1, n):
+                if M[r][i] != 0:
+                    M[i], M[r] = M[r], M[i]
+                    prev = -prev
+                    break
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                M[r][c] = (M[r][c] * M[i][i] - M[r][i] * M[i][c]) // prev
+        prev = M[i][i]
+    return M[n - 1][n - 1]
+
+
+# -- torus fields -------------------------------------------------------------
+
+def mean_t3(f):
+    """Mean over the torus (last three axes)."""
+    return np.mean(f, axis=(-3, -2, -1))
+
+
+def dealias(f, grid):
+    """2/3-rule truncation: zero modes with |m| > N/3 on any axis."""
+    fh = tf.fft3(f)
+    kx, ky, kz = grid.wavenumbers()
+    mask = (
+        (np.abs(kx) <= grid.nx / 3.0)
+        & (np.abs(ky) <= grid.ny / 3.0)
+        & (np.abs(kz) <= grid.nz / 3.0)
+    )
+    out = tf.ifft3(fh * mask)
+    return out if np.iscomplexobj(f) else out.real
+
+
+def low_pass(f, grid, kcut):
+    """Sharp spectral truncation to |m| <= kcut on every axis."""
+    fh = tf.fft3(f)
+    kx, ky, kz = grid.wavenumbers()
+    mask = (np.abs(kx) <= kcut) & (np.abs(ky) <= kcut) & (np.abs(kz) <= kcut)
+    out = tf.ifft3(fh * mask)
+    return out if np.iscomplexobj(f) else out.real
+
+
+# -- partition ----------------------------------------------------------------
+
+def alpha(pou, l, p):
+    """Weight of lattice cell l (integer 3-vector) at points p (3, ...)."""
+    corners, alphas = pou.corner_alphas(p)
+    l = np.asarray(l, dtype=np.int64).reshape((3,) + (1,) * (np.ndim(p) - 1))
+    hit = np.all(corners == l, axis=1)
+    return np.sum(np.where(hit, alphas, 0.0), axis=0)
+
+
+def active_cells(p, pou=None):
+    """Sorted list of lattice cells with nonzero weight over the points p."""
+    if pou is None:
+        pou = pt.PartitionOfUnity()
+    corners, alphas = pou.corner_alphas(np.asarray(p, dtype=np.float64))
+    live = np.moveaxis(corners, 1, -1)[alphas > 0.0]
+    return sorted(set(map(tuple, live.tolist())))
+
+
+# -- per-cell reference amplitudes (the oracle the engine is tested against) --
+
+def _cross_with(gS, avec):
+    """(grad S) x a for a = (s, t, 1); gS has component axis 0."""
+    s, t = avec[0], avec[1]
+    gx, gy, gz = gS[0], gS[1], gS[2]
+    return np.stack([gy - t * gz, s * gz - gx, t * gx - s * gy])
+
+
+@dataclass
+class AmplitudeSet:
+    engine: WaveEngine
+
+    @property
+    def n(self):
+        return self.engine.n
+
+    def b(self, l, j):
+        """Amplitude b_nl on the grid at time sample j (direct formula)."""
+        e = self.engine
+        rad = np.maximum(e.e_vals[j] - e.a_n[j], 0.0)
+        return np.sqrt(rad / 2.0) * alpha(e.pou, l, e.mu * e.v_ell[j])
+
+    def beta(self, l, j):
+        e = self.engine
+        if e.c_n is None or e.n > 3:
+            return np.zeros(e.grid.shape)
+        rad = np.maximum(e.e_vals[j] - e.a_n[j], 0.0)
+        safe = np.sqrt(2.0 * np.maximum(rad, 1e-300))
+        return np.where(rad > 0, -e.c_n[j] / safe, 0.0) * alpha(e.pou, l, e.mu * e.v_ell[j])
+
+    def g(self, l, j, sign=+1):
+        """Wave coefficient g_{+-nl} (3, grid), complex."""
+        e = self.engine
+        b = self.b(l, j).astype(complex)
+        gb = tf.gradient(b, e.grid)
+        fac = 1.0 / (sign * 1j * e.lam * 2 ** pt.parity_index(l))
+        return b[None] * e.k.reshape(3, 1, 1, 1) + fac * _cross_with(gb, e.avec)
+
+    def h(self, l, j, sign=+1):
+        e = self.engine
+        beta = self.beta(l, j).astype(complex)
+        gb = tf.gradient(beta, e.grid)
+        kp = e.frame.k_perp_arr()
+        fac = 1.0 / (sign * 1j * e.lam * 2 ** pt.parity_index(l) * e.khsq)
+        return beta + fac * sum(kp[d] * gb[d] for d in range(3))

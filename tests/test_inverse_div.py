@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bqci import algebra
 from bqci import inverse_div as idv
 from bqci import torus_field as tf
+from oracles import dealias
 
 # integer shifts from the resolved band (where a mode of the amplitude lands
 # on the zero mode) to far beyond the grid
@@ -19,7 +20,7 @@ def grid():
 
 def random_mean_zero_vector(grid, rng):
     v = rng.standard_normal((3,) + grid.shape)
-    v = tf.dealias(v, grid)
+    v = dealias(v, grid)
     return v - np.mean(v, axis=(-3, -2, -1), keepdims=True)
 
 
@@ -44,7 +45,7 @@ def test_R_drops_mean(grid):
 
 def test_G_contract(grid):
     rng = np.random.default_rng(2)
-    f = tf.dealias(rng.standard_normal(grid.shape), grid)
+    f = dealias(rng.standard_normal(grid.shape), grid)
     g = idv.G_op(f, grid)
     d = tf.divergence(g, grid)
     assert np.max(np.abs(d - (f - np.mean(f)))) < 1e-8 * np.max(np.abs(f))
@@ -84,7 +85,7 @@ def test_shifted_R_contract(grid, xi):
 @given(xi=shifts)
 def test_shifted_G_contract(grid, xi):
     rng = np.random.default_rng(4)
-    f = tf.dealias(rng.standard_normal(grid.shape), grid).astype(complex)
+    f = dealias(rng.standard_normal(grid.shape), grid).astype(complex)
     g = idv.G_op(f, grid, xi=xi)
     d = tf.divergence(g, grid, xi=xi)
     assert np.max(np.abs(d - (f - dropped_mode(f, grid, xi)))) < 1e-8 * np.max(np.abs(f))
@@ -198,23 +199,25 @@ def polarized_mode_hat(Ah, k, K, rank, npts):
 
 
 def check_mode_hat(n, q, shape, seed):
-    """div_mode_hat against polarized_mode_hat on a band-limited complex
-    amplitude of the mode q k_h-perp of frame n; returns the shift entry."""
+    """div_mode_hat (rank 1) and mode_stress of it (rank 2) against
+    polarized_mode_hat on a band-limited complex amplitude of the mode
+    q k_h-perp of frame n; returns the shift entry."""
     grid = tf.Grid3(*shape)
     frame = algebra.wave_frame(n)
     k = frame.k_arr()
     entry = idv.shift_entry(grid, q * frame.k_perp_arr())
     K = entry.K
     rng = np.random.default_rng(seed)
-    A = tf.dealias(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)
+    A = dealias(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)
     Ah = tf.fft3(A)
     # the mode factor (k . K)/|K|^2 is -(k . K) inv, to one rounding
     factor = reference_mode_factor(k, K)
     kK = k[0] * K[0] + k[1] * K[1] + k[2] * K[2]
     assert np.max(np.abs(-(kK * entry.inv) - factor)) <= 2.3e-16 * np.max(np.abs(factor))
-    for rank in (1, 2):
+    # rank 2 is the stress mode, g (x) k + k (x) g - (k . g) I of the rank-1 g
+    g = idv.div_mode_hat(Ah, k, entry)
+    for rank, fast in ((1, g), (2, idv.mode_stress(g, k))):
         slow = polarized_mode_hat(Ah, k, K, rank, grid.npts)
-        fast = idv.div_mode_hat(Ah, k, entry, rank)
         assert fast.shape == slow.shape
         assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
     return entry

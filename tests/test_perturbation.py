@@ -4,6 +4,7 @@ import pytest
 from bqci import partition as pt
 from bqci import perturbation as pb
 from bqci import torus_field as tf
+from oracles import AmplitudeSet, active_cells
 from test_partition import offset_order_corner_alphas
 
 KAPPA = 0.1
@@ -30,7 +31,7 @@ def per_cell_sum(eng, j, term, cells=None):
     X, Y, Z = eng.grid.meshes()
     t = eng.tgrid.times()[j]
     if cells is None:
-        cells = pt.active_cells(eng.mu * eng.v_ell[j], eng.pou)
+        cells = active_cells(eng.mu * eng.v_ell[j], eng.pou)
     out = 0.0
     for l in cells:
         c = pt.parity_index(l)
@@ -43,7 +44,7 @@ def per_cell_sum(eng, j, term, cells=None):
 
 def cell_amplitude(eng, kind):
     """The per-cell wave coefficient of kind: g_{nl} or h_{nl}, (l, j) -> field."""
-    amps = pb.AmplitudeSet(eng)
+    amps = AmplitudeSet(eng)
     return {"w": amps.g, "chi": amps.h}[kind]
 
 
@@ -136,7 +137,7 @@ def check_transport_matches_oracle(kind):
     S = tf.time_derivative_support(tgrid.nt)
     cells = set()
     for m in range(5):
-        cells.update(pt.active_cells(eng.mu * eng.v_ell[int(S[j, m])], eng.pou))
+        cells.update(active_cells(eng.mu * eng.v_ell[int(S[j, m])], eng.pou))
 
     def term(l, xi):
         dtg = sum(W[j, m] * amp(l, int(S[j, m]), +1) for m in range(5))
@@ -164,7 +165,7 @@ def test_amplitude_value_at_lattice_point():
     eng = pb.WaveEngine(1, 8, 2, grid, tgrid, np.zeros(shape), np.zeros(shape),
                         np.full(tgrid.nt, 10 * KAPPA), np.zeros((tgrid.nt, 3) + grid.shape),
                         KAPPA)
-    amps = pb.AmplitudeSet(eng)
+    amps = AmplitudeSet(eng)
     b = amps.b((0, 0, 0), 4)
     assert np.allclose(b, np.sqrt(5 * KAPPA), atol=1e-12)
 
@@ -172,7 +173,7 @@ def test_amplitude_value_at_lattice_point():
 def test_no_temperature_wave_for_late_substeps():
     eng = make_engine(n=5, lam=32, mu=2)
     assert np.allclose(sum(eng.wave_parts(3, "chi")), 0.0)
-    assert np.allclose(pb.AmplitudeSet(eng).beta((0, 0, 0), 3), 0.0)
+    assert np.allclose(AmplitudeSet(eng).beta((0, 0, 0), 3), 0.0)
 
 
 def test_zero_amplitudes_give_zero_waves():

@@ -8,6 +8,8 @@ from bqci import partition as pt
 from bqci import perturbation as pb
 from bqci import stress_update as su
 from bqci import torus_field as tf
+from conftest import mini_start, mini_step
+from oracles import AmplitudeSet, active_cells, dealias
 from test_inverse_div import reference_g_hat, reference_r_hat
 
 KAPPA = 0.1
@@ -213,7 +215,7 @@ def test_inverse_div_symbol_exactness_resolved_mode():
     grid = tf.Grid3(24, 24, 24)
     rng = np.random.default_rng(3)
     xi = np.array([0, 3, 0])
-    amp = tf.dealias(rng.standard_normal((3,) + grid.shape), grid).astype(complex)
+    amp = dealias(rng.standard_normal((3,) + grid.shape), grid).astype(complex)
     entry = idv.shift_entry(grid, xi)
     ah = tf.fft3(amp)
     Rh6, mean = idv.r_hat(ah, entry), entry.dropped_mean(ah)
@@ -237,7 +239,7 @@ def test_gradient_inverse_laplacian_exactness_resolved_mode():
     grid = tf.Grid3(24, 24, 24)
     rng = np.random.default_rng(4)
     xi = np.array([2, -2, 0])
-    amp = tf.dealias(rng.standard_normal(grid.shape), grid).astype(complex)
+    amp = dealias(rng.standard_normal(grid.shape), grid).astype(complex)
     entry = idv.shift_entry(grid, xi)
     ah = tf.fft3(amp)
     Gh3, mean = idv.g_hat(ah, entry), entry.dropped_mean(ah)
@@ -251,11 +253,11 @@ def test_gradient_inverse_laplacian_exactness_resolved_mode():
 
 def brute_wave(eng, j, weight=None):
     """Per-cell wave sum; weight(l) scales each cell (for momentum sums)."""
-    amps = pb.AmplitudeSet(eng)
+    amps = AmplitudeSet(eng)
     X, Y, Z = eng.grid.meshes()
     t = eng.tgrid.times()[j]
     out = np.zeros((3,) + eng.grid.shape)
-    for l in pt.active_cells(eng.mu * eng.v_ell[j], eng.pou):
+    for l in active_cells(eng.mu * eng.v_ell[j], eng.pou):
         g = amps.g(l, j, +1)
         c = pt.parity_index(l)
         xi = eng.lam * (2 ** int(c)) * eng.carrier
@@ -586,3 +588,187 @@ def test_substep_stores_gain_the_materialized_chi_wave(monkeypatch):
         grad_corr_sup = max(grad_corr_sup, tf.sup_norm(gc))
     assert corr_sup == report["chi_corr_sup"]
     assert grad_corr_sup > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the stress oscillation from the rank-1 mode symbol, the per-engine amplitude
+# symbols and the shared shift entries, against the paths they replaced
+# (copied here as reference_*)
+
+def reference_div_mode_hat(Ah, k, entry, rank):
+    """R(div(A k (x) k e^{i xi.x})) (rank 2, packed) or G(div(A k e^{i xi.x}))
+    (rank 1) as the spectrum of the slow amplitude: the real symbol with
+    both ranks."""
+    K = entry.K
+    kK = k[0] * K[0] + k[1] * K[1] + k[2] * K[2]
+    cA = (kK * entry.inv) * Ah
+    if rank == 1:
+        return np.stack([-K[a] * cA for a in range(3)])
+    out = np.empty((6,) + cA.shape, dtype=complex)
+    for i, (a, b) in enumerate(tf.PACK):
+        sym = K[a] * k[b] + K[b] * k[a]
+        np.multiply(kK - sym if a == b else -sym, cA, out=out[i])
+    return out
+
+
+def reference_oscillation(self, j, kind):
+    """SubstepAssembler._oscillation with the rank-2 stress symbol: six
+    spectral components per 'w' mode, shifted, added and transformed."""
+    modes = self.oscillation_modes(j, kind)
+    if modes is None:
+        return None
+    ncomp, rank, block = {"w": (6, 2, "a_n"), "chi": (3, 1, "c_n")}[kind]
+    k = self.e.k
+    field = self.e.assemble(map(tf.fft3, modes.values()), modes.keys(), (ncomp,),
+                            lambda Ah, entry: reference_div_mode_hat(Ah, k, entry, rank))
+    w_o = self.e.wave_parts(j, "w")[0]
+    go = self.e.wave_gradient_parts(j, "w")[0]
+    div_wo = go[0, 0] + go[1, 1] + go[2, 2]
+    x_o = self.e.wave_parts(j, kind)[0]
+    gx_o = self.e.wave_gradient_parts(j, kind)[0]
+    grad_block = tf.gradient(getattr(self.e, block)[j], self.grid)
+    div = (np.einsum("b...,b...->...", w_o, gx_o) + x_o * div_wo
+           + self.e.polarize(np.einsum("b...,b...->...", k, grad_block), kind))
+    return field, div
+
+
+def reference_amp_hat(self, Sh, cls, kind, main=True):
+    """WaveEngine._amp_hat rebuilding the symbol on every call."""
+    pol = self._pol[kind]
+    sym = self._corr_sym[kind] * (1.0 / self._per_class(self.class_q, cls, 4 + pol.ndim))
+    if main:
+        sym = sym + pol.reshape(pol.shape + (1, 1, 1))
+    return Sh.reshape(Sh.shape[:1] + (1,) * pol.ndim + Sh.shape[1:]) * sym
+
+
+def reference_transport_hat(self, j, kind):
+    """WaveEngine.transport_hat as the amplitude symbol of d_t plus the slow
+    divergence of the polarized momentum stack."""
+    def div_hat(Mh):
+        kx, ky, kz = self._kv
+        return 1j * (kx * Mh[:, 0] + ky * Mh[:, 1] + kz * Mh[:, 2])
+    return self._kind_memo(j, kind, "transport", lambda: (
+        self._amp_hat(self.base_hat(j, self.KEYS[kind].dt), self.classes(j), kind)
+        + div_hat(self.momentum_hat(j, kind))))
+
+
+def reference_total(terms):
+    """stress_update._total building a new array per term."""
+    terms = [(cat, term) for cat, term in terms if term is not None]
+    zero = np.zeros_like(terms[0][1][0])
+    parts = dict.fromkeys(su.CATEGORIES, zero)
+    delta, div = zero, np.zeros_like(terms[0][1][1])
+    for cat, (field, dv) in terms:
+        parts[cat] = parts[cat] + field
+        delta = delta + field
+        div = div + dv
+    return delta, div, parts
+
+
+def reference_shift_entry(grid, xi=None):
+    """inverse_div.shift_entry built afresh on every call (writable)."""
+    xi = (0, 0, 0) if xi is None else tuple(int(x) for x in xi)
+    K = tf.shifted_k(grid, xi)
+    hits = [np.flatnonzero(Kd.ravel() == 0) for Kd in K]
+    zero = tuple(int(h[0]) for h in hits) if all(h.size for h in hits) else None
+    k2 = K[0] * K[0] + K[1] * K[1] + K[2] * K[2]
+    if zero is not None:
+        k2[zero] = np.inf
+    return idv.ShiftEntry(xi, K, -1.0 / k2, zero)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stress_oscillation_matches_the_rank2_symbol(n):
+    # every block frame; frames 1/3, 2/5 and 4/6 share k_h-perp, one of each
+    # pair with k_z = 1, which the diagonal term -(k . g) I reads
+    eng = make_engine(n=n, temp=n <= 3)
+    asm = make_assembler(eng)
+    for j in (0, 4, 8):
+        fast, slow = asm.r_div_M(j), reference_oscillation(asm, j, "w")
+        assert np.max(np.abs(fast[0] - slow[0])) <= 1e-13 * np.max(np.abs(slow[0]))
+        assert np.array_equal(fast[1], slow[1])
+        if n <= 3:
+            fast, slow = asm.g_div_K(j), reference_oscillation(asm, j, "chi")
+            assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
+
+
+def test_amplitude_symbol_table_is_the_per_call_symbol():
+    eng = make_engine()
+    rng = np.random.default_rng(5)
+    for cls in (np.arange(8), np.array([1, 4, 6]), np.array([3])):
+        Sh = tf.fft3(rng.standard_normal((len(cls),) + eng.grid.shape)
+                     + 1j * rng.standard_normal((len(cls),) + eng.grid.shape))
+        for kind in ("w", "chi"):
+            for main in (True, False):
+                assert np.array_equal(eng._amp_hat(Sh, cls, kind, main),
+                                      reference_amp_hat(eng, Sh, cls, kind, main))
+    # one symbol per (kind, main, class), built once and reused
+    assert len(eng._amp_syms) == 2 * 2 * 8
+    sym = eng._amp_sym("w", True, 4)
+    eng._amp_hat(Sh[:1], np.array([4]), "w")
+    assert eng._amp_sym("w", True, 4) is sym
+
+
+def test_transport_symbol_matches_the_momentum_divergence():
+    eng = make_engine()
+    for j in (0, 3, 8):
+        for kind in ("w", "chi"):
+            fast = eng.transport_hat(j, kind)
+            eng._amp_j = None  # drop the slice memo, so the reference rebuilds
+            slow = reference_transport_hat(eng, j, kind)
+            assert fast.shape == slow.shape
+            assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
+
+
+def test_shift_entries_are_shared_read_only_and_bounded():
+    grid = tf.Grid3(16, 12, 10)
+    entry = idv.shift_entry(grid, (8, -8, 0))
+    fresh = reference_shift_entry(grid, (8, -8, 0))
+    assert entry.xi == fresh.xi and entry.zero == fresh.zero
+    for a, b in zip((*entry.K, entry.inv), (*fresh.K, fresh.inv)):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    # keyed by grid and shift: arrays, tuples and None hit one entry
+    assert idv.shift_entry(grid, np.array([8, -8, 0])) is entry
+    assert idv.shift_entry(grid) is idv.shift_entry(grid, (0, 0, 0))
+    assert idv.shift_entry(tf.Grid3(16, 12, 12), (8, -8, 0)) is not entry
+    for q in range(200):
+        idv.shift_entry(grid, (q, 0, 0))
+    info = idv._entry.cache_info()
+    assert info.maxsize <= 64 and info.currsize <= info.maxsize
+
+
+def _stores_and_values(state, report):
+    stores = {name: v for name, v in vars(state).items() if isinstance(v, np.ndarray)}
+    values = {}
+
+    def walk(path, x):
+        if isinstance(x, dict):
+            for key, val in x.items():
+                walk(f"{path}.{key}", val)
+        elif isinstance(x, list):
+            for i, val in enumerate(x):
+                walk(f"{path}[{i}]", val)
+        elif isinstance(x, (int, float)) and "wall_time" not in path:
+            values[path] = x
+    walk("", report)
+    return stores, values
+
+
+def test_desk_step_matches_the_reference_paths(mini_stepped, monkeypatch):
+    fast = _stores_and_values(*mini_stepped)
+    monkeypatch.setattr(su.SubstepAssembler, "_oscillation", reference_oscillation)
+    monkeypatch.setattr(pb.WaveEngine, "_amp_hat", reference_amp_hat)
+    monkeypatch.setattr(pb.WaveEngine, "transport_hat", reference_transport_hat)
+    monkeypatch.setattr(su, "_total", reference_total)
+    monkeypatch.setattr(idv, "shift_entry", reference_shift_entry)
+    state = mini_start()
+    slow = _stores_and_values(state, mini_step(state))
+    for got, want in zip(fast, slow):
+        assert got.keys() == want.keys()
+        for name, val in want.items():
+            scale = np.max(np.abs(val)) if np.size(val) else 0.0
+            diff = np.max(np.abs(got[name] - val)) if np.size(val) else 0.0
+            assert diff <= 1e-13 * scale, (name, diff, scale)
