@@ -2,11 +2,9 @@
 
 shift_entry tabulates what every symbol below reads for one integer shift
 xi: the shifted wavenumbers K = m + xi, -1/|K|^2 (0 at K = 0) and the grid
-index of K = 0. An entry depends only on the grid and xi, so the last 64 are
-cached (read-only) and shared by every engine that carries the same shift.
-r_hat / g_hat are the symbols, acting on the spectrum of the slow amplitude
-of a(x) e^{i xi.x}; the wave engine applies them class by class.
-div_mode_hat is G composed with the divergence on one oscillation mode
+index of K = 0. r_hat / g_hat are the symbols, acting on the spectrum of the
+slow amplitude of a(x) e^{i xi.x}; the wave engine applies them class by
+class. div_mode_hat is G composed with the divergence on one oscillation mode
 A k e^{i xi.x}, a real symbol on the scalar spectrum of A; with k . xi = 0
 the stress mode follows from it pointwise, R(div(A k (x) k e^{i xi.x})) =
 g (x) k + k (x) g - (k . g) I for g = G(div(A k e^{i xi.x})) (mode_stress).
@@ -17,7 +15,6 @@ a(x) e^{i lam k.x} (through the shifted symbol path) their output decays like
 1/lam, which decay_probe measures.
 """
 
-import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -30,7 +27,7 @@ class ShiftEntry(namedtuple("ShiftEntry", "xi K inv zero")):
     """The symbol data of one integer shift xi (a tuple): K, the shifted
     wavenumbers as 1-D broadcasts (tf.shifted_k); inv = -1/|K|^2 on the
     grid, 0 at K = 0; zero, the grid index of K = 0 (None when it is not a
-    grid frequency). The arrays are read-only: entries are shared."""
+    grid frequency)."""
 
     def dropped_mean(self, fh):
         """The T^3 mean of the amplitude's K = 0 mode, the coefficient the
@@ -41,14 +38,8 @@ class ShiftEntry(namedtuple("ShiftEntry", "xi K inv zero")):
 
 
 def shift_entry(grid, xi=None):
-    """ShiftEntry of the integer shift xi (None: no shift). An entry depends
-    only on the grid and xi, so the last 64 are kept (_entry) and shared by
-    every caller, hence their read-only arrays."""
-    return _entry((0, 0, 0) if xi is None else tuple(int(x) for x in xi), grid)
-
-
-@functools.lru_cache(maxsize=64)
-def _entry(xi, grid):
+    """ShiftEntry of the integer shift xi (None: no shift)."""
+    xi = (0, 0, 0) if xi is None else tuple(int(x) for x in xi)
     K = tf.shifted_k(grid, xi)
     # K_d = 0 at one index per axis at most, so K = 0 at one point at most
     hits = [np.flatnonzero(Kd.ravel() == 0) for Kd in K]
@@ -56,10 +47,7 @@ def _entry(xi, grid):
     k2 = K[0] * K[0] + K[1] * K[1] + K[2] * K[2]
     if zero is not None:
         k2[zero] = np.inf  # so that -1/|K|^2 is 0 there
-    inv = -1.0 / k2
-    for a in (*K, inv):
-        a.flags.writeable = False
-    return ShiftEntry(xi, K, inv, zero)
+    return ShiftEntry(xi, K, -1.0 / k2, zero)
 
 
 def r_hat(vh, entry):

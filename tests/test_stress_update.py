@@ -125,23 +125,26 @@ def class_qs(eng, js):
 
 
 def test_oscillation_matches_the_per_mode_antidivergence():
-    eng = make_engine()
-    asm = make_assembler(eng)
-    qs = set()
-    for j in (0, 4, 8):
-        for kind in ("w", "chi"):
-            slow = per_mode_oscillation(asm, j, kind)
-            fast = asm._oscillation(j, kind)[0]
-            assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
-            qs |= set(asm.oscillation_modes(j, kind))
-    # one table entry per shift, shared by both kinds: the modes and the
-    # classes of the materialized waves, each the 1-D wavenumber broadcasts
-    # and one real grid array
-    assert set(eng._shifts) == qs | class_qs(eng, (0, 4, 8))
-    for q, entry in eng._shifts.items():
-        assert entry.xi == tuple(int(x) for x in q * eng.carrier)
-        assert [x.size for x in entry.K] == list(eng.grid.shape)
-        assert entry.inv.shape == eng.grid.shape and entry.inv.dtype == np.float64
+    # every block frame: frames 1/3, 2/5 and 4/6 share k_h-perp, one of each
+    # pair with k_z = 1, which the diagonal term -(k . g) I of mode_stress reads
+    for n in range(1, 7):
+        eng = make_engine(n=n, temp=n <= 3)
+        asm = make_assembler(eng)
+        qs = set()
+        for j in (0, 4, 8):
+            for kind in eng.kinds:
+                slow = per_mode_oscillation(asm, j, kind)
+                fast = asm._oscillation(j, kind)[0]
+                assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
+                qs |= set(asm.oscillation_modes(j, kind))
+        # one table entry per shift, shared by both kinds: the modes and the
+        # classes of the materialized waves, each the 1-D wavenumber
+        # broadcasts and one real grid array
+        assert set(eng._shifts) == qs | class_qs(eng, (0, 4, 8))
+        for q, entry in eng._shifts.items():
+            assert entry.xi == tuple(int(x) for x in q * eng.carrier)
+            assert [x.size for x in entry.K] == list(eng.grid.shape)
+            assert entry.inv.shape == eng.grid.shape and entry.inv.dtype == np.float64
 
 
 def per_class_modes(asm, j, kind, hats, field):
@@ -591,45 +594,19 @@ def test_substep_stores_gain_the_materialized_chi_wave(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the stress oscillation from the rank-1 mode symbol, the per-engine amplitude
-# symbols and the shared shift entries, against the paths they replaced
-# (copied here as reference_*)
+# the stress oscillation from the rank-1 mode symbol and the per-engine
+# amplitude symbols, against the paths they replaced (copied here as
+# reference_*)
 
-def reference_div_mode_hat(Ah, k, entry, rank):
-    """R(div(A k (x) k e^{i xi.x})) (rank 2, packed) or G(div(A k e^{i xi.x}))
-    (rank 1) as the spectrum of the slow amplitude: the real symbol with
-    both ranks."""
-    K = entry.K
-    kK = k[0] * K[0] + k[1] * K[1] + k[2] * K[2]
-    cA = (kK * entry.inv) * Ah
-    if rank == 1:
-        return np.stack([-K[a] * cA for a in range(3)])
-    out = np.empty((6,) + cA.shape, dtype=complex)
-    for i, (a, b) in enumerate(tf.PACK):
-        sym = K[a] * k[b] + K[b] * k[a]
-        np.multiply(kK - sym if a == b else -sym, cA, out=out[i])
-    return out
+FAST_OSCILLATION = su.SubstepAssembler._oscillation
 
 
 def reference_oscillation(self, j, kind):
-    """SubstepAssembler._oscillation with the rank-2 stress symbol: six
-    spectral components per 'w' mode, shifted, added and transformed."""
-    modes = self.oscillation_modes(j, kind)
-    if modes is None:
-        return None
-    ncomp, rank, block = {"w": (6, 2, "a_n"), "chi": (3, 1, "c_n")}[kind]
-    k = self.e.k
-    field = self.e.assemble(map(tf.fft3, modes.values()), modes.keys(), (ncomp,),
-                            lambda Ah, entry: reference_div_mode_hat(Ah, k, entry, rank))
-    w_o = self.e.wave_parts(j, "w")[0]
-    go = self.e.wave_gradient_parts(j, "w")[0]
-    div_wo = go[0, 0] + go[1, 1] + go[2, 2]
-    x_o = self.e.wave_parts(j, kind)[0]
-    gx_o = self.e.wave_gradient_parts(j, kind)[0]
-    grad_block = tf.gradient(getattr(self.e, block)[j], self.grid)
-    div = (np.einsum("b...,b...->...", w_o, gx_o) + x_o * div_wo
-           + self.e.polarize(np.einsum("b...,b...->...", k, grad_block), kind))
-    return field, div
+    """SubstepAssembler._oscillation with its field summed per mode as
+    before the real mode symbol (per_mode_oscillation); the divergence is
+    the unchanged pointwise one."""
+    out = FAST_OSCILLATION(self, j, kind)
+    return None if out is None else (per_mode_oscillation(self, j, kind), out[1])
 
 
 def reference_amp_hat(self, Sh, cls, kind, main=True):
@@ -665,33 +642,6 @@ def reference_total(terms):
     return delta, div, parts
 
 
-def reference_shift_entry(grid, xi=None):
-    """inverse_div.shift_entry built afresh on every call (writable)."""
-    xi = (0, 0, 0) if xi is None else tuple(int(x) for x in xi)
-    K = tf.shifted_k(grid, xi)
-    hits = [np.flatnonzero(Kd.ravel() == 0) for Kd in K]
-    zero = tuple(int(h[0]) for h in hits) if all(h.size for h in hits) else None
-    k2 = K[0] * K[0] + K[1] * K[1] + K[2] * K[2]
-    if zero is not None:
-        k2[zero] = np.inf
-    return idv.ShiftEntry(xi, K, -1.0 / k2, zero)
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_stress_oscillation_matches_the_rank2_symbol(n):
-    # every block frame; frames 1/3, 2/5 and 4/6 share k_h-perp, one of each
-    # pair with k_z = 1, which the diagonal term -(k . g) I reads
-    eng = make_engine(n=n, temp=n <= 3)
-    asm = make_assembler(eng)
-    for j in (0, 4, 8):
-        fast, slow = asm.r_div_M(j), reference_oscillation(asm, j, "w")
-        assert np.max(np.abs(fast[0] - slow[0])) <= 1e-13 * np.max(np.abs(slow[0]))
-        assert np.array_equal(fast[1], slow[1])
-        if n <= 3:
-            fast, slow = asm.g_div_K(j), reference_oscillation(asm, j, "chi")
-            assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
-
-
 def test_amplitude_symbol_table_is_the_per_call_symbol():
     eng = make_engine()
     rng = np.random.default_rng(5)
@@ -720,26 +670,6 @@ def test_transport_symbol_matches_the_momentum_divergence():
             assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
 
 
-def test_shift_entries_are_shared_read_only_and_bounded():
-    grid = tf.Grid3(16, 12, 10)
-    entry = idv.shift_entry(grid, (8, -8, 0))
-    fresh = reference_shift_entry(grid, (8, -8, 0))
-    assert entry.xi == fresh.xi and entry.zero == fresh.zero
-    for a, b in zip((*entry.K, entry.inv), (*fresh.K, fresh.inv)):
-        assert np.array_equal(a, b) and a.dtype == b.dtype
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[(0,) * a.ndim] = 1.0
-    # keyed by grid and shift: arrays, tuples and None hit one entry
-    assert idv.shift_entry(grid, np.array([8, -8, 0])) is entry
-    assert idv.shift_entry(grid) is idv.shift_entry(grid, (0, 0, 0))
-    assert idv.shift_entry(tf.Grid3(16, 12, 12), (8, -8, 0)) is not entry
-    for q in range(200):
-        idv.shift_entry(grid, (q, 0, 0))
-    info = idv._entry.cache_info()
-    assert info.maxsize <= 64 and info.currsize <= info.maxsize
-
-
 def _stores_and_values(state, report):
     stores = {name: v for name, v in vars(state).items() if isinstance(v, np.ndarray)}
     values = {}
@@ -763,7 +693,6 @@ def test_desk_step_matches_the_reference_paths(mini_stepped, monkeypatch):
     monkeypatch.setattr(pb.WaveEngine, "_amp_hat", reference_amp_hat)
     monkeypatch.setattr(pb.WaveEngine, "transport_hat", reference_transport_hat)
     monkeypatch.setattr(su, "_total", reference_total)
-    monkeypatch.setattr(idv, "shift_entry", reference_shift_entry)
     state = mini_start()
     slow = _stores_and_values(state, mini_step(state))
     for got, want in zip(fast, slow):
