@@ -11,7 +11,6 @@ report), 2 configuration or format error.
 """
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -36,8 +35,8 @@ DEFAULTS = {
     # grid and time sampling
     "nx": "48", "ny": "48", "nz": "48",
     "nt": "33", "t0": "0.75", "t1": "4.25",
-    # budgets and schedule (kappa_n = schedule_a ** (-schedule_b ** n))
-    "kappa": "0.25", "kappa_bar": "", "schedule_a": "4", "schedule_b": "1.5",
+    # budgets and schedule (outer: kappa_n = kappa ** (schedule_b ** n))
+    "kappa": "0.25", "kappa_bar": "", "schedule_b": "1.5",
     "steps": "2",
     # desk-mode construction parameters
     "mu": "4", "lam_init": "8", "M": "0.05",
@@ -53,10 +52,9 @@ DEFAULTS = {
     # scaling study
     "quantity": "all",
     "sweep": "",
-    # i/o and execution
+    # i/o
     "out": ".",
     "snapshots": "0",
-    "threads": "0",                 # FFT workers; 0: scipy's default
 }
 
 _SCALING_QUANTITIES = ("lambda", "mu", "mollification", "all")
@@ -120,8 +118,7 @@ def _get_float(cfg, key):
 
 
 def _get_above(cfg, key, floor):
-    """A finite number above floor (kappa, kappa_bar > 0; schedule_a,
-    schedule_b > 1)."""
+    """A finite number above floor (kappa, kappa_bar > 0; schedule_b > 1)."""
     val = _get_float(cfg, key)
     if not val > floor:
         raise ConfigError(f"{key} = {val:g} must be > {floor:g}")
@@ -188,8 +185,9 @@ def _kappa_bar(cfg, kappa):
 def _desk_state(cfg):
     grid, tgrid = _grids(cfg)
     if not np.any(it.time_cutoff(tgrid.times())):
-        raise ConfigError(f"t0, t1, nt = {tgrid.t0}, {tgrid.t1}, {tgrid.nt}: the "
-                          "time cutoff (support (1, 4)) is zero at every sample")
+        z0, z1 = it.TIME_CUTOFF[0], it.TIME_CUTOFF[-1]
+        raise ConfigError(f"t0, t1, nt = {tgrid.t0}, {tgrid.t1}, {tgrid.nt}: the time "
+                          f"cutoff (support ({z0:g}, {z1:g})) is zero at every sample")
     kappa = _get_above(cfg, "kappa", 0)
     level = (_get_float(cfg, "energy_level") if cfg["energy_level"].strip()
              else 10 * kappa)
@@ -203,16 +201,6 @@ def _outdir(cfg):
     out = cfg["out"] or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _fft_workers(cfg):
-    """Context that runs the transforms on `threads` workers."""
-    n = _get_int(cfg, "threads")
-    cpus = os.cpu_count() or 1
-    if not 0 <= n <= cpus:
-        raise ConfigError(f"threads = {n} is outside 0..{cpus} "
-                          "(0 keeps scipy's default)")
-    return tf.sfft.set_workers(n) if n else contextlib.nullcontext()
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +277,14 @@ def cmd_outer(cfg):
     if steps < 1:
         raise ConfigError(f"steps = {steps} must be >= 1")
     lams, ells, ellzs = _ladders(cfg)
-    # kappa_n = schedule_a ** (-schedule_b ** n) starts at 1 / schedule_a
-    # and shrinks only for schedule_a, schedule_b > 1
-    schedule_a = _get_above(cfg, "schedule_a", 1)
+    # kappa_n = kappa ** (schedule_b ** n) shrinks only for kappa < 1 and
+    # schedule_b > 1
+    kappa = _get_above(cfg, "kappa", 0)
+    if not kappa < 1:
+        raise ConfigError(f"kappa = {kappa:g} must be < 1 for outer "
+                          "(the budgets kappa^(schedule_b^n) must shrink)")
     schedule_b = _get_above(cfg, "schedule_b", 1)
     tolerance = _get_float(cfg, "residual_tolerance")
-    cfg = dict(cfg)
-    cfg["kappa"] = repr(1.0 / schedule_a)
     state = _desk_state(cfg)
     out = _outdir(cfg)
     _, report = it.run_outer(state, lams, ells, ellzs, steps,
@@ -414,8 +403,7 @@ def main(argv=None):
     start = time.time()
     try:
         cfg = load_config(args.config, args.set)
-        with _fft_workers(cfg):
-            code = args.func(cfg)
+        code = args.func(cfg)
     except (ConfigError, it.ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

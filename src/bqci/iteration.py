@@ -22,7 +22,6 @@ import time
 import numpy as np
 
 from . import diagnostics as dg
-from . import partition as pt
 from . import torus_field as tf
 from .stress_update import BLOCKS, StepState, run_substep
 
@@ -96,16 +95,22 @@ def energy_profile(times, support, plateau, level):
     return level * left * right
 
 
-def time_cutoff(times, support=(1.0, 4.0), core=(2.0, 3.0)):
-    """Smooth bump in time: 1 on [core], 0 outside (support)."""
-    return energy_profile(times, support, core, 1.0)
+# the starting tuple's time cutoff: 0 before t[0], rising to 1 at t[1], 1
+# until t[2], falling to 0 at t[3]
+TIME_CUTOFF = (1.0, 2.0, 3.0, 4.0)
 
 
-def time_cutoff_derivative(times, support=(1.0, 4.0), core=(2.0, 3.0)):
+def time_cutoff(times):
+    """Smooth bump in time: 1 on the core [t[1], t[2]] of TIME_CUTOFF, 0
+    outside its support (t[0], t[3])."""
+    z0, p0, p1, z1 = TIME_CUTOFF
+    return energy_profile(times, (z0, z1), (p0, p1), 1.0)
+
+
+def time_cutoff_derivative(times):
     """Closed-form d/dt of time_cutoff (the comparison point for the
     stencil-based derivative used in the discrete tuple)."""
-    z0, z1 = support
-    p0, p1 = core
+    z0, p0, p1, z1 = TIME_CUTOFF
     t = np.asarray(times, dtype=np.float64)
     ul = (t - z0) / (p0 - z0)
     ur = (z1 - t) / (z1 - p1)
@@ -180,7 +185,7 @@ def _predicates(mu, lams, ells, ellzs, kappa, Lam, Lam_bar, eps):
     return v
 
 
-def choose_params(L_v, kappa, kappa_bar, Lam, Lam_bar, D_v, eps=0.05, n_max=6):
+def choose_params(L_v, kappa, kappa_bar, Lam, Lam_bar, D_v, eps=0.05):
     """Closed-formula parameters from the budget constants.
 
     kappa: current stress budget, kappa_bar: target budget for the next step
@@ -188,6 +193,7 @@ def choose_params(L_v, kappa, kappa_bar, Lam, Lam_bar, D_v, eps=0.05, n_max=6):
     measured frequency scales of the carried tuple; L_v and D_v are the
     scheme's bookkeeping constants.  Frequencies are rounded up to integer
     multiples of mu, then the admissibility predicates are re-checked.
+    Each ladder holds six values, one per substep.
     """
     if kappa_bar > kappa ** 1.5:
         raise ContractError(
@@ -198,7 +204,7 @@ def choose_params(L_v, kappa, kappa_bar, Lam, Lam_bar, D_v, eps=0.05, n_max=6):
     ellzs = [kappa_bar / (L_v * Lam_bar)]
     lam1 = D_v * (sk * mu * Lam ** (1.0 + eps) + mu ** 2 * Lam_bar ** 2) / kappa_bar
     lams = [mu * math.ceil(lam1 / mu)]
-    for n in range(2, n_max + 1):
+    for n in range(2, 7):
         ells.append(kappa_bar / (L_v * kappa * lams[-1]))
         ellzs.append(kappa_bar / (L_v * sk * (sk * mu) ** (n - 1) * Lam_bar))
         lam = D_v * (kappa * mu * lams[-1] ** (1.0 + eps)
@@ -261,10 +267,10 @@ def initial_data(grid, tgrid, M=0.05, lam=8, analytic=False):
             "chi": chi, "chi_prime": chi_p}
 
 
-def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, pou=None,
-                  coarse=True, analytic=False):
+def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, analytic=False):
     """StepState for the first outer step, with every derivative store built
-    from the explicit starting tuple."""
+    from the explicit starting tuple; the stride-2 companions dt_*_coarse
+    when the time grid halves onto a 4th-order stencil (None otherwise)."""
     data = initial_data(grid, tgrid, M=M, lam=lam, analytic=analytic)
     nt = tgrid.nt
     v, theta, p = data["v"], data["theta"], data["p"]
@@ -282,13 +288,12 @@ def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, pou=None,
     dt_v = tf.time_derivative(v, tgrid)
     dt_theta = tf.time_derivative(theta, tgrid)
     dt_v_coarse = dt_theta_coarse = None
-    if coarse and (nt - 1) % 2 == 0 and (nt - 1) // 2 + 1 >= 5:
+    if (nt - 1) % 2 == 0 and (nt - 1) // 2 + 1 >= 5:
         ctg = tf.TimeGrid(tgrid.t0, tgrid.t1, (nt - 1) // 2 + 1)
         dt_v_coarse = tf.time_derivative(v[::2], ctg)
         dt_theta_coarse = tf.time_derivative(theta[::2], ctg)
     return StepState(
         grid, tgrid, mu, kappa, e_vals,
-        pou if pou is not None else pt.PartitionOfUnity(),
         v=v, theta=theta, p=p, grad_v=grad_v, grad_theta=grad_theta,
         dt_v=dt_v, dt_theta=dt_theta, dzz_v=dzz_v, dzz_theta=dzz_theta,
         R0=data["R0"], f0=data["f0"], div_R0_store=div_R0, div_f0_store=div_f0,
@@ -300,25 +305,22 @@ def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, pou=None,
 # ---------------------------------------------------------------------------
 # step driver
 
-def begin_step(state, ell1, ell1z, band=None):
+def begin_step(state, ell1, ell1z):
     """Decompose the carried stress / flux into block coefficients and
     mollify them once at the step's base scales.  Returns the block report.
 
     Like the per-substep engine inputs, the mollified coefficients are
-    truncated to the resolved band in the mollifier's pass: the carried
-    stress contains folded carrier images that the mollifier damps but
-    cannot remove.  A failed state (run_substep) is refused."""
+    truncated to the resolved band (StepState.mollify): the carried stress
+    contains folded carrier images that the mollifier damps but cannot
+    remove.  A failed state (run_substep) is refused."""
     if state.failed:
         raise ValueError(f"begin_step on a failed state ({state.failed})")
     if state.completed:
         raise ValueError("begin_step on a state with completed substeps")
-    if band is None:
-        band = min(state.grid.shape) // 4
     report = {"violations": []}
     for blk in BLOCKS.values():
         raw = blk.decompose(np.moveaxis(getattr(state, blk.store), 1, 0))
-        coef = tf.mollify(np.moveaxis(raw, 0, 1), state.tgrid, state.grid,
-                          ell1, ell1z, band=band)
+        coef = state.mollify(np.moveaxis(raw, 0, 1), ell1, ell1z)
         setattr(state, blk.coef, coef)
         sup, bound = tf.sup_norm(coef), blk.bound * state.kappa
         report.update({f"{blk.coef}_sup": sup, f"{blk.coef}_bound": bound})

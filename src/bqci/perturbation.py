@@ -77,7 +77,7 @@ class WaveEngine:
             "chi": WaveKeys("beta", "V", "V1", "OV", "Tc")}
 
     def __init__(self, n, lam, mu, grid, tgrid, a_n, c_n, e_vals, v_ell, kappa,
-                 pou=None, companion=False):
+                 companion=False):
         if not (isinstance(lam, (int, np.integer)) and lam > 0):
             raise ParameterError(f"lam = {lam!r} must be a positive integer")
         if not (isinstance(mu, (int, np.integer)) and mu > 0 and lam % mu == 0):
@@ -93,7 +93,7 @@ class WaveEngine:
         self.e_vals = np.asarray(e_vals, dtype=np.float64)
         self.v_ell = np.asarray(v_ell)
         self.kappa = float(kappa)
-        self.pou = pou if pou is not None else pt.PartitionOfUnity()
+        self.pou = pt.PartitionOfUnity()
         self.k = self.frame.k_arr()
         self.avec = np.array(self.frame.avec)
         self.carrier = self.frame.k_perp_arr()
@@ -299,7 +299,8 @@ class WaveEngine:
     # with one inverse transform per component (assemble_hat).
 
     def _memo(self, j, key, builder):
-        """Per-slice cache of the heavy class-amplitude stacks.
+        """Per-slice cache of the heavy class-amplitude stacks (and of the
+        SubstepAssembler's fields, under "asm" keys).
 
         Several stress terms need the same stack at the same sample; slices
         are visited sequentially, so only the current slice is retained
@@ -380,6 +381,22 @@ class WaveEngine:
             return np.stack([self._amp_hat(S1h[:, d], cls, kind) for d in range(3)],
                             axis=1)
         return self._kind_memo(j, kind, "momentum", build)
+
+    def packed_momentum_hat(self, j):
+        """Spectra of the packed Q + Q^T of the velocity wave, Q[a, b] =
+        sum_l w_a l_b / mu: sym_a W1_b + sym_b W1_a per class, sym its
+        amplitude symbol (_amp_sym) and W1 the momentum-weighted base
+        spectra; (na, 6) + grid. These are the products, in the order, of
+        packing momentum_hat(j, "w"), without its (na, 3, 3) stack."""
+        W1h = self.base_hat(j, self.KEYS["w"].momentum)
+        cls = self.classes(j)
+        out = np.empty((len(cls), 6) + self.grid.shape, dtype=complex)
+        for row, c in enumerate(cls):
+            sym = self._amp_sym("w", True, c)
+            for p, (a, b) in enumerate(tf.PACK):
+                np.multiply(W1h[row, b], sym[a], out=out[row, p])
+                out[row, p] += W1h[row, a] * sym[b]
+        return out
 
     def transport_hat(self, j, kind):
         """Spectrum of the amplitude of d_t + sum_l (l/mu).grad of the wave

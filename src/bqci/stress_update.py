@@ -35,7 +35,6 @@ import numpy as np
 from . import algebra
 from . import torus_field as tf
 from .inverse_div import div_mode_hat, g_hat, mode_stress, r_hat
-from .partition import PartitionOfUnity
 from .perturbation import WaveEngine
 
 __all__ = ["BLOCKS", "StepState", "SubstepAssembler", "run_substep"]
@@ -68,18 +67,8 @@ class SubstepAssembler:
         self.grad_theta_prev = grad_theta_prev
         self.theta_ell = theta_ell
         self.start = start
-        self._j = None
-        self._memo = {}
 
-    # -- per-slice memo -------------------------------------------------------
-
-    def _m(self, j, name, fn):
-        if self._j != j:
-            self._j = j
-            self._memo = {}
-        if name not in self._memo:
-            self._memo[name] = fn()
-        return self._memo[name]
+    # -- per-slice fields (the engine's per-slice memo, under "asm" keys) -----
 
     def field(self, j, op, kind):
         """Materialized engine field op ('transport', 'dt' or 'dzz', the
@@ -89,15 +78,15 @@ class SubstepAssembler:
         def build():
             hats = getattr(self.e, op + "_hat")(j, kind)
             return None if hats is None else self.e.assemble_hat(hats, self.e.classes(j))
-        return self._m(j, (op, kind), build)
+        return self.e._memo(j, ("asm", op, kind), build)
 
     def _div_v_ell(self, j):
-        return self._m(j, "div_v_ell",
-                       lambda: tf.divergence(self.e.v_ell[j], self.grid))
+        return self.e._memo(j, ("asm", "div_v_ell"),
+                            lambda: tf.divergence(self.e.v_ell[j], self.grid))
 
     def _grad_theta_ell(self, j):
-        return self._m(j, "grad_theta_ell",
-                       lambda: tf.gradient(self.theta_ell[j], self.grid))
+        return self.e._memo(j, ("asm", "grad_theta_ell"),
+                            lambda: tf.gradient(self.theta_ell[j], self.grid))
 
     # -- oscillation mode expansion -------------------------------------------
 
@@ -237,12 +226,7 @@ class SubstepAssembler:
         w (x) v + v (x) w - sym(sum_l w_l (x) l/mu)."""
         w = sum(self.e.wave_parts(j, "w"))
         v = self.v_prev[j]
-        # Q[a, b] = sum_l w_a l_b / mu; only the packed Q + Q^T enters, so
-        # the six packed spectra are summed before materializing
-        mh = self.e.momentum_hat(j, "w")  # (class, d, comp, grid)
-        qq = self.e.assemble_hat(
-            np.stack([mh[:, b, a] + mh[:, a, b] for a, b in tf.PACK], axis=1),
-            self.e.classes(j))
+        qq = self.e.assemble_hat(self.e.packed_momentum_hat(j), self.e.classes(j))
         T = w[:, None] * v[None, :] + v[:, None] * w[None, :]
         grad_w = sum(self.e.wave_gradient_parts(j, "w"))
         vdw = np.einsum("b...,ba...->a...", v, grad_w)
@@ -453,7 +437,6 @@ class StepState:
     mu: int
     kappa: float
     e_vals: np.ndarray
-    pou: PartitionOfUnity
     v: np.ndarray
     theta: np.ndarray
     p: np.ndarray
@@ -480,6 +463,16 @@ class StepState:
         self.div_R_store = np.zeros((nt, 3) + shape)
         self.div_f_store = np.zeros((nt,) + shape)
         self.completed, self.failed, self.reports = 0, None, []
+
+    def mollify(self, f, ell, ell_z):
+        """tf.mollify of a time series f at (ell, ell_z), truncated to the
+        resolved band |m| <= min(grid.shape) // 4 on every axis in the
+        mollifier's pass.  Sampling folds the carried wave carriers onto
+        in-band grid frequencies; the mollifier damps but cannot remove
+        those images, and any remnant makes the cell-amplitude fields
+        under-resolved, which shows up directly in the equation residual."""
+        return tf.mollify(f, self.tgrid, self.grid, ell, ell_z,
+                          band=min(self.grid.shape) // 4)
 
     # -- current stress / flux at one time sample ---------------------------
 
@@ -515,10 +508,13 @@ class StepState:
         if out is None:
             out = np.zeros((3,) * (blk.rank - 1) + self.grid.shape)
         for i in range(first, len(blk.basis)):
-            k = _KVECS[i].reshape(3, 1, 1, 1)
-            # div(c k) = k . grad c and div(a k (x) k) = (k . grad a) k
-            div = tf.divergence(coef[i] * k, self.grid)
-            out += div * k if blk.rank == 2 else div
+            kv = _KVECS[i]
+            # div(c k) = k . grad c and div(a k (x) k) = (k . grad a) k: one
+            # transform of c and the symbol i k . m, summed over k's nonzero
+            # entries in the order (and so to the bits) of tf.divergence(c k)
+            div = tf._apply_symbol(coef[i], self.grid, None, lambda K, ch: 1j * sum(
+                kv[d] * K[d] * ch for d in range(3) if kv[d]))
+            out += div * kv.reshape(3, 1, 1, 1) if blk.rank == 2 else div
         return out
 
 
@@ -531,19 +527,14 @@ _STORES = {"w": ("v", "grad_v", "dzz_v", "dt_v", "dt_v_coarse"),
            "chi": ("theta", "grad_theta", "dzz_theta", "dt_theta", "dt_theta_coarse")}
 
 
-def run_substep(state, n, lam, ell, ell_z, band=None):
+def run_substep(state, n, lam, ell, ell_z):
     """Execute cancellation substep n on the step state in place.
 
-    Mollifies the carried fields at (ell, ell_z), builds the wave engine on
-    block n, accumulates delta R / delta f with their divergence stores, and
-    adds the wave to the velocity (and temperature, substeps 1-3) together
-    with all derivative stores.  Returns the substep report.
-
-    The mollifier's pass truncates the engine inputs to |m| <= band on every
-    axis (default: smallest grid extent over four).  Sampling folds the
-    carried wave carriers onto in-band grid frequencies; the mollifier damps
-    but cannot remove those images, and any remnant makes the cell-amplitude
-    fields under-resolved, which shows up directly in the equation residual.
+    Mollifies the carried fields at (ell, ell_z) (StepState.mollify), builds
+    the wave engine on block n, accumulates delta R / delta f with their
+    divergence stores, and adds the wave to the velocity (and temperature,
+    substeps 1-3) together with all derivative stores.  Returns the substep
+    report.
 
     A slice whose delta R / delta f (or their divergence) or wave increment
     is not finite raises ValueError naming the substep, the slice and its
@@ -556,16 +547,13 @@ def run_substep(state, n, lam, ell, ell_z, band=None):
         raise ValueError(f"substep {n} out of order (completed = {state.completed})")
     t_start = time.perf_counter()
     grid, tgrid = state.grid, state.tgrid
-    if band is None:
-        band = min(grid.shape) // 4
-    v_ell = tf.mollify(state.v, tgrid, grid, ell, ell_z, band=band)
-    theta_ell = tf.mollify(state.theta, tgrid, grid, ell, ell_z, band=band)
+    v_ell = state.mollify(state.v, ell, ell_z)
+    theta_ell = state.mollify(state.theta, ell, ell_z)
     engine = WaveEngine(
         n, lam, state.mu, grid, tgrid,
         state.a[:, n - 1],
         state.c[:, n - 1] if n <= 3 else None,
-        state.e_vals, v_ell, state.kappa, pou=state.pou,
-        companion=state.dt_v_coarse is not None,
+        state.e_vals, v_ell, state.kappa, companion=state.dt_v_coarse is not None,
     )
     asm = SubstepAssembler(engine, state.v, state.grad_v, state.theta, state.grad_theta,
                            theta_ell, start=state if n == 1 else None)

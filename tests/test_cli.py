@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -115,12 +113,12 @@ def test_step_rejects_wrong_ladder_length(tmp_path):
     assert not out.exists()
 
 
-def test_threads_beyond_cpu_count_is_config_error(tmp_path, capsys):
-    # rejected before any transform runs, so no worker thread is started
-    n = (os.cpu_count() or 1) + 1
-    assert cli.main(["validate-initial", "--set", f"threads={n}"]
-                    + SMALL + _out(tmp_path)) == 2
-    assert f"threads = {n}" in capsys.readouterr().err
+@pytest.mark.parametrize("key", ["threads", "schedule_a"])
+def test_removed_keys_are_unknown(tmp_path, capsys, key):
+    # outer takes its first budget from kappa; transforms run on one worker
+    assert cli.main(["outer", "--set", f"{key}=2"] + SMALL + _out(tmp_path)) == 2
+    assert f"config error: --set: unknown key {key!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_outer_rejects_zero_steps(tmp_path):
@@ -149,6 +147,20 @@ def test_outer_one_step_passes(tmp_path):
     text = (tmp_path / "outer.txt").read_text()
     assert "passed=True" in text
     assert "steps[0].v_increment_sup=" in text
+
+
+def test_outer_starts_from_kappa(tmp_path):
+    # kappa was overwritten by 1 / schedule_a = 0.25
+    lams = ",".join(str(8 * 2 ** n) for n in range(6))
+    code = cli.main(["outer", "--set", "kappa=0.1", "--set", "steps=1",
+                     "--set", f"lams={lams}",
+                     "--set", "ells=" + ",".join(["0.6"] * 6),
+                     "--set", "ellzs=" + ",".join(["0.6"] * 6)]
+                    + SMALL + _out(tmp_path))
+    assert code == 0
+    text = (tmp_path / "outer.txt").read_text().splitlines()
+    assert "kappas=0.1" in text
+    assert "steps[0].kappa=0.1" in text
 
 
 def test_step_non_finite_update_is_runtime_error(tmp_path, monkeypatch, capsys):
@@ -246,11 +258,11 @@ def test_scaling_sweep_is_checked_before_any_probe(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("command, key, value, message", [
-    # 1 / schedule_a is the first budget: a ZeroDivisionError traceback
-    ("outer", "schedule_a", "0", "schedule_a = 0 must be > 1"),
-    # a negative budget reached the wave engine's radicand check
-    ("outer", "schedule_a", "-4", "schedule_a = -4 must be > 1"),
-    ("outer", "schedule_a", "1", "schedule_a = 1 must be > 1"),
+    # kappa is the first budget; a negative one reached the wave engine's
+    # radicand check, and budgets from kappa >= 1 do not shrink
+    ("outer", "kappa", "0", "kappa = 0 must be > 0"),
+    ("outer", "kappa", "-4", "kappa = -4 must be > 0"),
+    ("outer", "kappa", "1", "kappa = 1 must be < 1 for outer"),
     ("outer", "schedule_b", "1", "schedule_b = 1 must be > 1"),
     ("outer", "schedule_b", "0.5", "schedule_b = 0.5 must be > 1"),
     # kappa^(3/2) of a negative kappa is complex

@@ -10,13 +10,13 @@ from oracles import low_pass, reconstruct_sym
 KAPPA = 0.25
 
 
-def make_state(n=16, nt=9, lam=4, mu=2, coarse=True, analytic=False):
+def make_state(n=16, nt=9, lam=4, mu=2, analytic=False):
     grid = tf.Grid3(n, n, n)
     tgrid = tf.TimeGrid(0.75, 4.25, nt)
     e_vals = it.energy_profile(tgrid.times(), (0.75, 4.25), (0.75, 4.25),
                                10 * KAPPA)
     return it.initial_state(grid, tgrid, mu=mu, kappa=KAPPA, e_vals=e_vals,
-                            M=0.05, lam=lam, coarse=coarse, analytic=analytic)
+                            M=0.05, lam=lam, analytic=analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def test_initial_state_stores_equal_per_slice_operators():
 
 
 def test_initial_state_without_coarse_companion():
-    st = make_state(coarse=False)
+    st = make_state(nt=8)  # nt - 1 odd: the time grid does not halve
     assert st.dt_v_coarse is None and st.dt_theta_coarse is None
 
 

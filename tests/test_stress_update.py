@@ -354,7 +354,7 @@ def make_state(N=16, nt=9, mu=2):
     zeros3 = np.zeros((nt, 3) + grid.shape)
     nt_c = (nt - 1) // 2 + 1
     state = su.StepState(
-        grid, tgrid, mu, KAPPA, e_vals, pt.PartitionOfUnity(),
+        grid, tgrid, mu, KAPPA, e_vals,
         v=np.zeros((nt, 3) + grid.shape),
         theta=np.zeros((nt,) + grid.shape),
         p=np.zeros((nt,) + grid.shape),
@@ -629,6 +629,13 @@ def reference_transport_hat(self, j, kind):
         + div_hat(self.momentum_hat(j, kind))))
 
 
+def reference_packed_momentum(self, j):
+    """WaveEngine.packed_momentum_hat as N_field summed it, from the
+    (class, 3, 3) stack momentum_hat(j, "w")."""
+    mh = self.momentum_hat(j, "w")  # (class, d, comp, grid)
+    return np.stack([mh[:, b, a] + mh[:, a, b] for a, b in tf.PACK], axis=1)
+
+
 def reference_total(terms):
     """stress_update._total building a new array per term."""
     terms = [(cat, term) for cat, term in terms if term is not None]
@@ -670,6 +677,23 @@ def test_transport_symbol_matches_the_momentum_divergence():
             assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
 
 
+def test_packed_momentum_is_the_packed_momentum_stack():
+    eng = make_engine()
+    for j in (0, 3, 8):
+        assert np.array_equal(eng.packed_momentum_hat(j),
+                              reference_packed_momentum(eng, j))
+
+
+def test_assembler_fields_share_the_engine_slice_memo():
+    eng = make_engine()
+    asm = make_assembler(eng)
+    field = asm.field(3, "transport", "w")
+    # the engine's spectra under the same (op, kind) stay spectra
+    assert eng.transport_hat(3, "w").shape == (len(eng.classes(3)), 3) + eng.grid.shape
+    assert asm.field(3, "transport", "w") is field
+    assert asm.field(4, "transport", "w") is not field
+
+
 def _stores_and_values(state, report):
     stores = {name: v for name, v in vars(state).items() if isinstance(v, np.ndarray)}
     values = {}
@@ -692,6 +716,7 @@ def test_desk_step_matches_the_reference_paths(mini_stepped, monkeypatch):
     monkeypatch.setattr(su.SubstepAssembler, "_oscillation", reference_oscillation)
     monkeypatch.setattr(pb.WaveEngine, "_amp_hat", reference_amp_hat)
     monkeypatch.setattr(pb.WaveEngine, "transport_hat", reference_transport_hat)
+    monkeypatch.setattr(pb.WaveEngine, "packed_momentum_hat", reference_packed_momentum)
     monkeypatch.setattr(su, "_total", reference_total)
     state = mini_start()
     slow = _stores_and_values(state, mini_step(state))
