@@ -192,9 +192,19 @@ def _desk_state(cfg):
     level = (_get_float(cfg, "energy_level") if cfg["energy_level"].strip()
              else 10 * kappa)
     e_vals = np.full(tgrid.nt, level)
+    lam, nyquist = _get_int(cfg, "lam_init"), min(grid.ny, grid.nz) // 2
+    if not 0 < lam < nyquist:  # the starting tuple holds cos(lam y), sin(lam z)
+        raise ConfigError(f"lam_init = {lam} must be a positive integer below "
+                          f"min(ny, nz)/2 = {nyquist}")
     return it.initial_state(grid, tgrid, mu=_get_int(cfg, "mu"), kappa=kappa,
-                            e_vals=e_vals, M=_get_float(cfg, "M"),
-                            lam=_get_int(cfg, "lam_init"))
+                            e_vals=e_vals, M=_get_float(cfg, "M"), lam=lam)
+
+
+def _check_halves(cfg):
+    """step and outer end on the Richardson check (TimeGrid.halved)."""
+    if _grids(cfg)[1].halved() is None:
+        raise ConfigError(f"nt = {_get_int(cfg, 'nt')} has no stride-2 time grid "
+                          "for the Richardson check (nt must be odd and >= 9)")
 
 
 def _outdir(cfg):
@@ -249,6 +259,7 @@ def cmd_step(cfg):
         return 0
     if cfg["mode"] != "desk":
         raise ConfigError(f"unknown mode {cfg['mode']!r} (desk | asymptotic)")
+    _check_halves(cfg)
     lams, ells, ellzs = _ladders(cfg)
     _kappa_bar(cfg, _get_above(cfg, "kappa", 0))
     state = _desk_state(cfg)
@@ -276,6 +287,7 @@ def cmd_outer(cfg):
     steps = _get_int(cfg, "steps")
     if steps < 1:
         raise ConfigError(f"steps = {steps} must be >= 1")
+    _check_halves(cfg)
     lams, ells, ellzs = _ladders(cfg)
     # kappa_n = kappa ** (schedule_b ** n) shrinks only for kappa < 1 and
     # schedule_b > 1

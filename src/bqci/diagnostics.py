@@ -39,66 +39,49 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # residuals
 
-def _momentum_slice(state, j, dt_v_j):
-    v = state.v[j]
-    adv = np.einsum("b...,ba...->a...", v, state.grad_v[j])
-    grad_p = tf.gradient(state.p[j], state.grid)
-    mom = dt_v_j + adv + grad_p - state.dzz_v[j]
-    mom[2] -= state.theta[j]
-    mom -= state.carried_divergence("R", j)
-    return mom
-
-
-def _flux_slice(state, j, dt_theta_j):
-    v = state.v[j]
-    adv = np.einsum("b...,b...->...", v, state.grad_theta[j])
-    return dt_theta_j + adv - state.dzz_theta[j] - state.carried_divergence("f", j)
-
-
-def system_residual(state, stencil="fine"):
-    """Sup norms of the momentum / flux equation residuals.
-
-    stencil="coarse" evaluates at every second time sample with the
-    half-resolution time-derivative stores (the Richardson companion)."""
-    if stencil == "fine":
-        js = range(state.tgrid.nt)
-        dt_v = state.dt_v
-        dt_theta = state.dt_theta
-        pick = lambda j: j
-    elif stencil == "coarse":
-        if state.dt_v_coarse is None:
-            raise ValueError("state carries no coarse time-derivative stores")
-        js = range(0, state.tgrid.nt, 2)
-        dt_v = state.dt_v_coarse
-        dt_theta = state.dt_theta_coarse
-        pick = lambda j: j // 2
-    else:
-        raise ValueError(f"unknown stencil {stencil!r}")
-    mom_slices, flux_slices = [], []
-    for j in js:
-        mom_slices.append(tf.sup_norm(_momentum_slice(state, j, dt_v[pick(j)])))
-        flux_slices.append(tf.sup_norm(_flux_slice(state, j, dt_theta[pick(j)])))
-    return {
-        "stencil": stencil,
-        "momentum_sup": max(mom_slices),
-        "flux_sup": max(flux_slices),
-        "momentum_slices": mom_slices,
-        "flux_slices": flux_slices,
-    }
+def system_residual(state):
+    """Sup norms of the momentum / flux equation residuals, overall and per
+    time sample: "fine" with the time-derivative stores dt_* at every
+    sample, "coarse" (the Richardson companion) with the half-resolution
+    stores dt_*_coarse at every second sample, None on a state without
+    them.  Each slice's advection, pressure gradient and carried
+    divergences are computed once and serve both stencils."""
+    stencils = {"fine": (1, state.dt_v, state.dt_theta)}
+    if state.dt_v_coarse is not None:
+        stencils["coarse"] = (2, state.dt_v_coarse, state.dt_theta_coarse)
+    slices = {name: ([], []) for name in stencils}
+    for j in range(state.tgrid.nt):
+        v = state.v[j]
+        adv_v = np.einsum("b...,ba...->a...", v, state.grad_v[j])
+        grad_p = tf.gradient(state.p[j], state.grid)
+        adv_theta = np.einsum("b...,b...->...", v, state.grad_theta[j])
+        div_R = state.carried_divergence("R", j)
+        div_f = state.carried_divergence("f", j)
+        for name, (stride, dt_v, dt_theta) in stencils.items():
+            if j % stride == 0:
+                mom = dt_v[j // stride] + adv_v + grad_p - state.dzz_v[j]
+                mom[2] -= state.theta[j]
+                mom -= div_R
+                flux = dt_theta[j // stride] + adv_theta - state.dzz_theta[j] - div_f
+                slices[name][0].append(tf.sup_norm(mom))
+                slices[name][1].append(tf.sup_norm(flux))
+    out = {"coarse": None}
+    for name, (mom_slices, flux_slices) in slices.items():
+        out[name] = {"momentum_sup": max(mom_slices), "flux_sup": max(flux_slices),
+                     "momentum_slices": mom_slices, "flux_slices": flux_slices}
+    return out
 
 
 def normalized_residuals(state):
     """Momentum / flux residuals scaled by their largest constituent term,
     plus the incompressibility defect relative to the velocity gradient."""
-    res = system_residual(state, "fine")
+    res = system_residual(state)["fine"]
     scale_m = max(tf.sup_norm(state.dt_v), tf.sup_norm(state.dzz_v),
                   tf.sup_norm(state.div_R0_store), 1e-30)
     scale_f = max(tf.sup_norm(state.dt_theta), tf.sup_norm(state.dzz_theta),
                   tf.sup_norm(state.div_f0_store), 1e-30)
-    div_sup = 0.0
-    for j in range(state.tgrid.nt):
-        div = sum(state.grad_v[j, b, b] for b in range(3))
-        div_sup = max(div_sup, tf.sup_norm(div))
+    div_sup = max(tf.sup_norm(sum(state.grad_v[j, b, b] for b in range(3)))
+                  for j in range(state.tgrid.nt))
     grad_sup = tf.sup_norm(state.grad_v)
     return {
         "momentum": res["momentum_sup"] / scale_m,
@@ -117,8 +100,11 @@ def richardson_floor(state, tolerance=5.0):
     passes when the fine residual is within `tolerance` times the floor.
     A failed check also names its witness: the equation with the larger
     ratio and the time sample of its worst fine-stencil residual."""
-    fine = system_residual(state, "fine")
-    coarse = system_residual(state, "coarse")
+    if state.dt_v_coarse is None:
+        raise ValueError("state carries no coarse time-derivative stores "
+                         "(dt_v_coarse, dt_theta_coarse)")
+    res = system_residual(state)
+    fine, coarse = res["fine"], res["coarse"]
     out = {}
     for eq, dt in (("momentum", state.dt_v), ("flux", state.dt_theta)):
         floor = max(coarse[f"{eq}_sup"] / 16.0, 1e-13 * max(tf.sup_norm(dt), 1.0))
@@ -155,8 +141,13 @@ def block_projection(state, j=None):
 # ---------------------------------------------------------------------------
 # scaling probes
 
-def _probe_assembler(lam, mu, N=32, nt=9, kappa=0.1, pair_velocity=False):
+# the probes' time samples (each probes the middle slice) and stress budget
+_PROBE_NT, _PROBE_KAPPA = 9, 0.1
+
+
+def _probe_assembler(lam, mu, N=32, pair_velocity=False):
     """Engine + assembler on a smooth synthetic block (one slice is probed)."""
+    nt, kappa = _PROBE_NT, _PROBE_KAPPA
     grid = tf.Grid3(N, N, N)
     tgrid = tf.TimeGrid(0.0, 1.0, nt)
     X, Y, Z = grid.meshes()
@@ -190,14 +181,14 @@ def _slope(xs, ys):
 LAMBDA_STUDY_MU, MU_STUDY_LAM = 2, 128
 
 
-def lambda_scaling(lams=(16, 32, 64, 128), mu=LAMBDA_STUDY_MU, N=32, nt=9):
+def lambda_scaling(lams=(16, 32, 64, 128), N=32):
     """Sup norms of the inverse-divergence update terms over a frequency
-    ladder; each should decay like 1/lambda."""
+    ladder at mu = LAMBDA_STUDY_MU; each should decay like 1/lambda."""
     terms = {"oscillation": [], "transport": [], "flux_oscillation": [],
              "corrections_product": [], "buoyancy": []}
-    j = nt // 2
+    j = _PROBE_NT // 2
     for lam in lams:
-        asm = _probe_assembler(lam, mu, N=N, nt=nt)
+        asm = _probe_assembler(lam, LAMBDA_STUDY_MU, N=N)
         terms["oscillation"].append(tf.sup_norm(asm.r_div_M(j)[0]))
         terms["transport"].append(tf.sup_norm(asm.transport_R(j)[0]))
         terms["flux_oscillation"].append(tf.sup_norm(asm.g_div_K(j)[0]))
@@ -210,29 +201,30 @@ def lambda_scaling(lams=(16, 32, 64, 128), mu=LAMBDA_STUDY_MU, N=32, nt=9):
     }
 
 
-def mu_scaling(mus=(2, 4, 8, 16), lam=MU_STUDY_LAM, N=32, nt=9):
-    """Sup norm of the slow interaction term over a cell-scale ladder; with
-    the carrier velocity paired to the wave it decays like 1/mu.  The
-    frequency is kept well above the ladder so the correction wave's
-    1/lambda tail stays below the cell-scale decay being measured."""
+def mu_scaling(mus=(2, 4, 8, 16), N=32):
+    """Sup norm of the slow interaction term over a cell-scale ladder at
+    lam = MU_STUDY_LAM; with the carrier velocity paired to the wave it
+    decays like 1/mu.  The frequency is kept well above the ladder so the
+    correction wave's 1/lambda tail stays below the cell-scale decay being
+    measured."""
     norms = []
-    j = nt // 2
+    j = _PROBE_NT // 2
     for mu in mus:
-        asm = _probe_assembler(lam, mu, N=N, nt=nt, pair_velocity=True)
+        asm = _probe_assembler(MU_STUDY_LAM, mu, N=N, pair_velocity=True)
         norms.append(tf.sup_norm(asm.N_field(j)[0]))
     return {"mus": list(mus), "norms": norms, "slope": _slope(mus, norms)}
 
 
-def mollification_scaling(ells=(0.15, 0.3, 0.6), N=96, levels=5):
+def mollification_scaling(ells=(0.15, 0.3, 0.6)):
     """Mollification-difference growth on a lacunary probe.
 
-    A dyadic sum of shears (uniformly C^1 but no better) makes the
-    difference scale linearly in the mollification width; smooth probes
-    would show the kernel's quadratic order instead."""
-    grid = tf.Grid3(N, N, 8)
+    A dyadic sum of shears (levels 0..5 on a 96 x 96 x 8 grid; uniformly C^1
+    but no better) makes the difference scale linearly in the mollification
+    width; smooth probes would show the kernel's quadratic order instead."""
+    grid = tf.Grid3(96, 96, 8)
     tgrid = tf.TimeGrid(0.0, 1.0, 5)
     _, Y, _ = grid.meshes()
-    f = sum(2.0 ** (-j) * np.cos(2 ** j * Y) for j in range(levels + 1))
+    f = sum(2.0 ** (-j) * np.cos(2 ** j * Y) for j in range(6))
     norms = []
     for ell in ells:
         f_ell = tf.mollify(f[None], tgrid, grid, ell, ell, time_axis=False)[0]
@@ -240,12 +232,12 @@ def mollification_scaling(ells=(0.15, 0.3, 0.6), N=96, levels=5):
     return {"ells": list(ells), "norms": norms, "slope": _slope(ells, norms)}
 
 
-def scaling_study(lams=(16, 32, 64, 128), mus=(2, 4, 8, 16),
-                  ells=(0.15, 0.3, 0.6), N=32, nt=9):
+def scaling_study(N=32):
+    """The three probes on their default ladders, the engine ones on N^3."""
     return {
-        "lambda": lambda_scaling(lams=lams, N=N, nt=nt),
-        "mu": mu_scaling(mus=mus, N=N, nt=nt),
-        "mollification": mollification_scaling(ells=ells),
+        "lambda": lambda_scaling(N=N),
+        "mu": mu_scaling(N=N),
+        "mollification": mollification_scaling(),
     }
 
 

@@ -270,7 +270,7 @@ def initial_data(grid, tgrid, M=0.05, lam=8, analytic=False):
 def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, analytic=False):
     """StepState for the first outer step, with every derivative store built
     from the explicit starting tuple; the stride-2 companions dt_*_coarse
-    when the time grid halves onto a 4th-order stencil (None otherwise)."""
+    on tgrid.halved() (None when the time grid does not halve)."""
     data = initial_data(grid, tgrid, M=M, lam=lam, analytic=analytic)
     nt = tgrid.nt
     v, theta, p = data["v"], data["theta"], data["p"]
@@ -288,8 +288,8 @@ def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, analytic=False)
     dt_v = tf.time_derivative(v, tgrid)
     dt_theta = tf.time_derivative(theta, tgrid)
     dt_v_coarse = dt_theta_coarse = None
-    if (nt - 1) % 2 == 0 and (nt - 1) // 2 + 1 >= 5:
-        ctg = tf.TimeGrid(tgrid.t0, tgrid.t1, (nt - 1) // 2 + 1)
+    ctg = tgrid.halved()
+    if ctg is not None:
         dt_v_coarse = tf.time_derivative(v[::2], ctg)
         dt_theta_coarse = tf.time_derivative(theta[::2], ctg)
     return StepState(

@@ -65,10 +65,6 @@ class WaveEngine:
     e_vals: (nt,) energy profile samples. v_ell: (nt, 3, nx, ny, nz)
     mollified carrier velocity. kappa: stress budget (for preconditions).
 
-    companion: even slices also carry the classes of the stride-2 time
-    stencil, which the Richardson companion (stride=2 time derivatives)
-    reads; ignored when the stride-2 grid has no 4th-order stencil.
-
     The kind methods return None (spectra) or zeros (materialized fields)
     for a kind not in kinds.
     """
@@ -76,8 +72,7 @@ class WaveEngine:
     KEYS = {"w": WaveKeys("b", "U", "W1", "OU", "Tb"),
             "chi": WaveKeys("beta", "V", "V1", "OV", "Tc")}
 
-    def __init__(self, n, lam, mu, grid, tgrid, a_n, c_n, e_vals, v_ell, kappa,
-                 companion=False):
+    def __init__(self, n, lam, mu, grid, tgrid, a_n, c_n, e_vals, v_ell, kappa):
         if not (isinstance(lam, (int, np.integer)) and lam > 0):
             raise ParameterError(f"lam = {lam!r} must be a positive integer")
         if not (isinstance(mu, (int, np.integer)) and mu > 0 and lam % mu == 0):
@@ -113,9 +108,6 @@ class WaveEngine:
             "w": np.stack(np.broadcast_arrays(ky - t * kz, s * kz - kx, t * kx - s * ky)),
             "chi": (kp[0] * kx + kp[1] * ky + kp[2] * kz) / self.khsq,
         }
-        # the companion needs a 4th-order stencil (5 samples) at stride 2
-        self.companion = (bool(companion) and (tgrid.nt - 1) % 2 == 0
-                          and (tgrid.nt - 1) // 2 + 1 >= 5)
         self._bin_cache = {}
         self._bmax = {}
         self._amp_cache = {}
@@ -206,33 +198,26 @@ class WaveEngine:
             out[row] = np.exp(-1j * t_phase * omega)[bn["kdot"][row] - lo]
         return out
 
-    def classes(self, j):
+    def classes(self, j, stride=1):
         """Parity classes (sorted int array) with amplitude anywhere in the
-        samples read at slice j: its time stencil and, on even samples of a
-        companion engine, the stride-2 stencil. Every other class amplitude
-        at slice j vanishes identically, so the per-slice stacks hold these
-        rows only."""
+        samples the stride-1 time stencil reads at slice j; stride 2 adds
+        those of the stride-2 stencil, the rows of dt_hat(j, kind, 2).
+        Every other class amplitude at slice j vanishes identically, so the
+        per-slice stacks hold these rows only."""
         def build():
-            samples = set(self._time_stencil(j, 1)[0].tolist())
-            if j % 2 == 0 and self.companion:
-                samples |= set(self._time_stencil(j, 2)[0].tolist())
+            samples = {int(m) for s in {1, stride} for m in self._time_stencil(j, s)[0]}
             return np.array(sorted(set().union(
                 *(self._binned(m)["classes"].tolist() for m in samples))),
                 dtype=np.int64)
-        return self._memo(j, "classes", build)
+        return self._memo(j, ("classes", stride), build)
 
-    def _class_sums(self, j_amp, j, full):
-        """Class sums on the rows of classes(j) with amplitudes from sample
-        j_amp and the e^{-i omega t} factor evaluated at t_j (the split is
-        what makes the amplitude-only time derivative a plain stencil over
-        j_amp): each kind's base sum and, if full, its momentum-weighted
-        sums and phase term."""
+    def _class_sums(self, j_amp, j, cls, full):
+        """Class sums on the rows cls (which hold every class of sample
+        j_amp) with amplitudes from sample j_amp and the e^{-i omega t}
+        factor evaluated at t_j (the split is what makes the amplitude-only
+        time derivative a plain stencil over j_amp): each kind's base sum
+        and, if full, its momentum-weighted sums and phase term."""
         bn = self._binned(j_amp)
-        cls = self.classes(j)
-        if not np.isin(bn["classes"], cls).all():
-            raise ValueError(f"sample {j_amp} carries classes outside the "
-                             f"rows of slice {j}; stride-2 time derivatives "
-                             f"need an engine built with companion=True")
         rows = np.searchsorted(cls, bn["classes"])
         ph = self._phase_factor(j_amp, self.tgrid.times()[j])
 
@@ -256,25 +241,24 @@ class WaveEngine:
         return out
 
     def _time_stencil(self, j, stride):
-        """(sample indices, weights) of the amplitude time derivative at j on
-        the stride-subsampled grid (stride > 1 is the Richardson companion;
-        j must sit on the subsampled grid)."""
-        if j % stride:
-            raise ValueError("sample not on the subsampled time grid")
-        nt_c = (self.tgrid.nt - 1) // stride + 1
-        W = tf.time_derivative_weights(nt_c, self.tgrid.dt * stride)
-        S = tf.time_derivative_support(nt_c)
+        """(sample indices, weights) of the amplitude time derivative at j:
+        the 4th-order stencil of the time grid (stride 1) or of its halved
+        grid (stride 2, the Richardson companion; j must be even)."""
+        tg = {1: self.tgrid, 2: self.tgrid.halved()}[stride]
+        if tg is None or j % stride:
+            raise ValueError(f"sample {j} is not on a stride-{stride} time grid")
         jj = j // stride
-        return stride * S[jj], W[jj]
+        return (stride * tf.time_derivative_support(tg.nt)[jj],
+                tf.time_derivative_weights(tg.nt, tg.dt)[jj])
 
     def amplitude_time_derivative(self, j, stride=1):
         """Class sums of the amplitude-only d_t of each kind's base scalar at
-        sample j (phase frozen at t_j), on the rows of classes(j), keyed
-        KEYS[kind].dt (Tb, Tc); stride 2 needs an even j."""
+        sample j (phase frozen at t_j), on the rows of classes(j, stride),
+        keyed KEYS[kind].dt (Tb, Tc); stride 2 needs an even j."""
         S, W = self._time_stencil(j, stride)
         out = {}
         for m in range(5):
-            sums = self._class_sums(int(S[m]), j, False)
+            sums = self._class_sums(int(S[m]), j, self.classes(j, stride), False)
             for kind in self.kinds:
                 keys = self.KEYS[kind]
                 term = W[m] * sums[keys.base]
@@ -289,7 +273,8 @@ class WaveEngine:
         time derivatives (4th-order stencil at frozen phase). Only the
         kinds in kinds have entries."""
         return self._memo(j, "base", lambda: {
-            **self._class_sums(j, j, True), **self.amplitude_time_derivative(j)})
+            **self._class_sums(j, j, self.classes(j), True),
+            **self.amplitude_time_derivative(j)})
 
     # -- class amplitudes -----------------------------------------------------
     #
@@ -435,15 +420,20 @@ class WaveEngine:
         constant on each cell, so the phase part passes through the
         correction operator).
 
-        stride > 1 evaluates the stencil on the stride-subsampled time grid,
-        which is the companion evaluation for discretization-floor estimates.
-        """
+        stride 2 evaluates the stencil on the halved time grid (the
+        Richardson companion of the discretization-floor estimate), on the
+        rows of classes(j, 2): the phase term's rows are placed into them
+        (the transform works row by row)."""
         keys = self.KEYS[kind]
 
         def build():
-            Th = (self.base_hat(j, keys.dt) if stride == 1
-                  else tf.fft3(self.amplitude_time_derivative(j, stride)[keys.dt]))
-            return self._amp_hat(Th + self.base_hat(j, keys.phase), self.classes(j), kind)
+            cls = self.classes(j, stride)
+            if stride == 1:
+                Th = self.base_hat(j, keys.dt) + self.base_hat(j, keys.phase)
+            else:
+                Th = tf.fft3(self.amplitude_time_derivative(j, stride)[keys.dt])
+                Th[np.searchsorted(cls, self.classes(j))] += self.base_hat(j, keys.phase)
+            return self._amp_hat(Th, cls, kind)
         return self._kind_memo(j, kind, ("dt", stride), build)
 
     # -- materialization ------------------------------------------------------

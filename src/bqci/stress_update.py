@@ -553,7 +553,7 @@ def run_substep(state, n, lam, ell, ell_z):
         n, lam, state.mu, grid, tgrid,
         state.a[:, n - 1],
         state.c[:, n - 1] if n <= 3 else None,
-        state.e_vals, v_ell, state.kappa, companion=state.dt_v_coarse is not None,
+        state.e_vals, v_ell, state.kappa,
     )
     asm = SubstepAssembler(engine, state.v, state.grad_v, state.theta, state.grad_theta,
                            theta_ell, start=state if n == 1 else None)
@@ -566,7 +566,6 @@ def run_substep(state, n, lam, ell, ell_z):
     probe_js = sorted({nt // 4, nt // 2, (3 * nt) // 4})
     wave_mean_max = 0.0
     wave_div_rel = 0.0
-    coarse = engine.companion
 
     def require_finite(j, name, *fields):
         if not all(np.isfinite(f).all() for f in fields):
@@ -600,8 +599,7 @@ def run_substep(state, n, lam, ell, ell_z):
                     wave_div_rel, tf.sup_norm(engine.wave_divergence(j)) / gw)
 
         # wave accumulation (after all reads of the pre-substep fields at j);
-        # the stride-2 companion at even samples, while the samples it reads
-        # are still binned (classes(j) already covers its stencil)
+        # the stride-2 companion at even samples of a state with coarse stores
         for kind in engine.kinds:
             main, corr = engine.wave_parts(j, kind)
             inc = main + corr
@@ -615,9 +613,9 @@ def run_substep(state, n, lam, ell, ell_z):
             grad[j] += sum(engine.wave_gradient_parts(j, kind))
             dzz[j] += asm.field(j, "dzz", kind)
             dt[j] += asm.field(j, "dt", kind)
-            if coarse and j % 2 == 0 and dt_coarse is not None:
+            if j % 2 == 0 and dt_coarse is not None:
                 dt_coarse[j // 2] += engine.assemble_hat(
-                    engine.dt_hat(j, kind, stride=2), engine.classes(j))
+                    engine.dt_hat(j, kind, stride=2), engine.classes(j, 2))
 
     state.completed = n
     report = {

@@ -80,6 +80,13 @@ class TimeGrid:
     def times(self):
         return np.linspace(self.t0, self.t1, self.nt)
 
+    def halved(self):
+        """The stride-2 grid of the Richardson companion: every second
+        sample, or None when nt - 1 is odd or that leaves fewer than 5."""
+        if (self.nt - 1) % 2 or (self.nt - 1) // 2 + 1 < 5:
+            return None
+        return TimeGrid(self.t0, self.t1, (self.nt - 1) // 2 + 1)
+
 
 _AXES = (-3, -2, -1)
 

@@ -296,3 +296,38 @@ def test_asymptotic_step_refuses_non_positive_kappa_bar(tmp_path, capsys, value)
     assert cli.main(["step"] + args + _out(tmp_path)) == 2
     assert f"config error: kappa_bar = {float(value):g} must be > 0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def _no_state(*args, **kwargs):
+    raise AssertionError("a state was built from a refused config")
+
+
+@pytest.mark.parametrize("command", ["step", "outer"])
+def test_time_grid_without_richardson_companion_is_refused(tmp_path, capsys,
+                                                           monkeypatch, command):
+    # nt = 8 has no halved grid: the step ran in full, then failed with a
+    # runtime error on the missing coarse stores and left `out` behind
+    monkeypatch.setattr(cli.it, "initial_state", _no_state)
+    out = tmp_path / "out"
+    args = SMALL + ["--set", "nt=8", "--set", "lams=" + ",".join(["16"] * 6)]
+    assert cli.main([command] + args + ["--set", f"out={out}"]) == 2
+    assert "config error: nt = 8 has no stride-2 time grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_initial_accepts_time_grid_without_companion(tmp_path):
+    assert cli.main(["validate-initial"] + SMALL + ["--set", "nt=8"] + _out(tmp_path)) == 0
+
+
+@pytest.mark.parametrize("command", ["validate-initial", "step", "outer"])
+@pytest.mark.parametrize("value", ["8", "0"])
+def test_lam_init_the_grid_cannot_carry_is_refused(tmp_path, capsys, monkeypatch,
+                                                   command, value):
+    # on 16^3, lam_init = 8 read momentum=1, passed=False (exit 1) and
+    # lam_init = 0 wrote momentum=nan into the report
+    monkeypatch.setattr(cli.it, "initial_state", _no_state)
+    args = SMALL + ["--set", f"lam_init={value}", "--set", "lams=" + ",".join(["16"] * 6)]
+    assert cli.main([command] + args + _out(tmp_path)) == 2
+    assert (f"config error: lam_init = {value} must be a positive integer below "
+            "min(ny, nz)/2 = 8") in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

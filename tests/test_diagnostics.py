@@ -21,7 +21,7 @@ def _small_state(nt=9):
 
 def test_initial_state_residual_at_roundoff():
     state = _small_state()
-    res = dg.system_residual(state, "fine")
+    res = dg.system_residual(state)["fine"]
     assert res["momentum_sup"] < 1e-12
     assert res["flux_sup"] < 1e-12
     assert len(res["momentum_slices"]) == state.tgrid.nt
@@ -29,14 +29,9 @@ def test_initial_state_residual_at_roundoff():
 
 def test_coarse_residual_needs_stores():
     state = _small_state(nt=8)  # nt - 1 odd: no stride-2 companion
-    with pytest.raises(ValueError):
-        dg.system_residual(state, "coarse")
-
-
-def test_unknown_stencil_rejected():
-    state = _small_state()
-    with pytest.raises(ValueError):
-        dg.system_residual(state, "banana")
+    assert dg.system_residual(state)["coarse"] is None
+    with pytest.raises(ValueError, match="dt_v_coarse, dt_theta_coarse"):
+        dg.richardson_floor(state)
 
 
 def test_full_step_keeps_residual_at_floor(mini_stepped):
@@ -76,13 +71,13 @@ def test_corrupted_transport_breaks_closure(corrupt_transport):
     clean = _small_state()
     it.begin_step(clean, 0.9, 0.9)
     su.run_substep(clean, 1, 4, 0.9, 0.9)
-    base = dg.system_residual(clean, "fine")["momentum_sup"]
+    base = dg.system_residual(clean)["fine"]["momentum_sup"]
 
     broken = _small_state()
     it.begin_step(broken, 0.9, 0.9)
     corrupt_transport(1.1)
     su.run_substep(broken, 1, 4, 0.9, 0.9)
-    bad = dg.system_residual(broken, "fine")["momentum_sup"]
+    bad = dg.system_residual(broken)["fine"]["momentum_sup"]
 
     assert base < 1e-12
     assert bad > 1e6 * max(base, 1e-14)
@@ -106,7 +101,7 @@ def test_mu_scaling_slope():
 
 @pytest.mark.parametrize("pair_velocity", [False, True])
 def test_probe_gradient_stores_are_the_per_slice_gradients(pair_velocity):
-    asm = dg._probe_assembler(16, 2, N=16, nt=9, pair_velocity=pair_velocity)
+    asm = dg._probe_assembler(16, 2, N=16, pair_velocity=pair_velocity)
     for field, grad in ((asm.v_prev, asm.grad_v_prev),
                         (asm.theta_prev, asm.grad_theta_prev)):
         assert grad.shape == (9, 3) + field.shape[1:]

@@ -261,3 +261,41 @@ def test_binned_rows_match_sorted_gather(lam, mu):
             assert np.max(np.abs(bn[key] - ref[key])) <= 4e-16 * scale
         for t in eng.tgrid.times()[[0, j, -1]]:
             assert np.array_equal(eng._phase_factor(j, t), ref["phase"](t))
+
+
+def drifting_engines():
+    """(fine, halved): an engine on 17 samples whose carrier drifts through
+    the lattice, and one on tgrid.halved() with every input sampled [::2].
+    mu v_x is near 0 (even cells only) at samples 6..10 and 1 (odd cells
+    only) at samples 4 and 12, so at j = 8 the stride-2 stencil reaches
+    classes outside classes(j)."""
+    grid = tf.Grid3(16, 16, 16)
+    tgrid = tf.TimeGrid(0.0, 1.0, 17)
+    X, Y, Z = grid.meshes()
+    t = tgrid.times().reshape(-1, 1, 1, 1)
+    drift = ((np.arange(17) - 8) / 4.0) ** 4 / 2
+    v_ell = np.stack(np.broadcast_arrays(
+        drift.reshape(-1, 1, 1, 1) + 0.01 * np.sin(Y),
+        0.15 + 0.01 * np.cos(Z), 0.15 + 0.01 * np.sin(X)), axis=1)
+    a_n = KAPPA * 0.3 * np.sin(X) * np.cos(Y) * (1.0 + 0.3 * t)
+    c_n = KAPPA * 0.2 * np.cos(Y) * (1.0 + 0.3 * t)
+    e_vals = np.full(17, 10 * KAPPA)
+    fine = pb.WaveEngine(1, 8, 2, grid, tgrid, a_n, c_n, e_vals, v_ell, KAPPA)
+    half = pb.WaveEngine(1, 8, 2, grid, tgrid.halved(), a_n[::2], c_n[::2],
+                         e_vals[::2], v_ell[::2], KAPPA)
+    return fine, half
+
+
+def test_stride2_dt_is_the_halved_grid_dt():
+    # the Richardson companion is the stride-1 d_t of the halved problem,
+    # also where its stencil reaches classes the slice's own rows lack
+    fine, half = drifting_engines()
+    widened = [j for j in range(0, 17, 2)
+               if not np.isin(fine.classes(j, 2), fine.classes(j)).all()]
+    assert 8 in widened
+    for j in range(0, 17, 2):
+        for kind in ("w", "chi"):
+            got = fine.assemble_hat(fine.dt_hat(j, kind, stride=2), fine.classes(j, 2))
+            want = half.assemble_hat(half.dt_hat(j // 2, kind), half.classes(j // 2))
+            assert np.any(want)
+            assert np.array_equal(got, want), (j, kind)

@@ -87,6 +87,29 @@ def test_time_derivative_convergence_rate():
     assert 3.5 < rate < 4.8
 
 
+@pytest.mark.parametrize("nt", [5, 6, 7, 8, 9, 10, 17, 33])
+def test_halved_grid_is_every_second_sample(nt):
+    tg = tf.TimeGrid(0.75, 4.25, nt)
+    half = tg.halved()
+    if nt % 2 == 0 or nt < 9:  # nt - 1 odd, or fewer than 5 halved samples
+        assert half is None
+    else:
+        assert np.array_equal(half.times(), tg.times()[::2])
+
+
+@pytest.mark.parametrize("nt", [9, 13, 17, 33, 41, 65])
+@pytest.mark.parametrize("t0, t1", [(0.75, 4.25), (0.0, 1.0), (0.0, 5.0)])
+def test_halved_grid_matches_doubled_step_bitwise(nt, t0, t1):
+    # the Richardson companion's stencil used tgrid.dt * 2 and the
+    # samples times()[::2]; the halved grid gives the same bits
+    tg = tf.TimeGrid(t0, t1, nt)
+    half = tg.halved()
+    assert half.dt == tg.dt * 2
+    assert np.array_equal(half.times(), tg.times()[::2])
+    assert np.array_equal(tf.time_derivative_weights(half.nt, half.dt),
+                          tf.time_derivative_weights(half.nt, tg.dt * 2))
+
+
 def test_mollifier_transform_normalization():
     assert abs(tf.mollifier_transform(0.0) - 1.0) < 1e-12
     # decays and stays below 1
