@@ -44,11 +44,16 @@ def system_residual(state):
     time sample: "fine" with the time-derivative stores dt_* at every
     sample, "coarse" (the Richardson companion) with the half-resolution
     stores dt_*_coarse at every second sample, None on a state without
-    them.  Each slice's advection, pressure gradient and carried
-    divergences are computed once and serve both stencils."""
+    them."""
     stencils = {"fine": (1, state.dt_v, state.dt_theta)}
     if state.dt_v_coarse is not None:
         stencils["coarse"] = (2, state.dt_v_coarse, state.dt_theta_coarse)
+    return {"coarse": None, **_residuals(state, stencils)}
+
+
+def _residuals(state, stencils):
+    """system_residual's entries for stencils {name: (stride, dt_v, dt_theta)};
+    each slice's advection, pressure gradient and divergences serve all."""
     slices = {name: ([], []) for name in stencils}
     for j in range(state.tgrid.nt):
         v = state.v[j]
@@ -65,17 +70,15 @@ def system_residual(state):
                 flux = dt_theta[j // stride] + adv_theta - state.dzz_theta[j] - div_f
                 slices[name][0].append(tf.sup_norm(mom))
                 slices[name][1].append(tf.sup_norm(flux))
-    out = {"coarse": None}
-    for name, (mom_slices, flux_slices) in slices.items():
-        out[name] = {"momentum_sup": max(mom_slices), "flux_sup": max(flux_slices),
-                     "momentum_slices": mom_slices, "flux_slices": flux_slices}
-    return out
+    return {name: {"momentum_sup": max(moms), "flux_sup": max(fluxes),
+                   "momentum_slices": moms, "flux_slices": fluxes}
+            for name, (moms, fluxes) in slices.items()}
 
 
 def normalized_residuals(state):
     """Momentum / flux residuals scaled by their largest constituent term,
     plus the incompressibility defect relative to the velocity gradient."""
-    res = system_residual(state)["fine"]
+    res = _residuals(state, {"fine": (1, state.dt_v, state.dt_theta)})["fine"]
     scale_m = max(tf.sup_norm(state.dt_v), tf.sup_norm(state.dzz_v),
                   tf.sup_norm(state.div_R0_store), 1e-30)
     scale_f = max(tf.sup_norm(state.dt_theta), tf.sup_norm(state.dzz_theta),

@@ -274,12 +274,9 @@ def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, analytic=False)
     data = initial_data(grid, tgrid, M=M, lam=lam, analytic=analytic)
     nt = tgrid.nt
     v, theta, p = data["v"], data["theta"], data["p"]
-    grad_v = np.zeros((nt, 3, 3) + grid.shape)
-    dzz_v = np.zeros((nt, 3) + grid.shape)
-    grad_theta = np.zeros((nt, 3) + grid.shape)
-    dzz_theta = np.zeros((nt,) + grid.shape)
-    div_R0 = np.zeros((nt, 3) + grid.shape)
-    div_f0 = np.zeros((nt,) + grid.shape)
+    # every sample of each store is written below
+    grad_v, dzz_v, grad_theta, dzz_theta, div_R0, div_f0 = (
+        np.empty((nt,) + lead + grid.shape) for lead in ((3, 3), (3,), (3,), (), (3,), ()))
     for j in range(nt):
         grad_v[j], dzz_v[j] = tf.gradient_and_dzz(v[j], grid)
         grad_theta[j], dzz_theta[j] = tf.gradient_and_dzz(theta[j], grid)

@@ -52,6 +52,14 @@ class AmplitudeError(ValueError):
 WaveKeys = namedtuple("WaveKeys", "slot base momentum phase dt")
 
 
+def _gradient_hat(h, entry):
+    """i K_d h stacked over d, K the shift entry's wavenumbers."""
+    out = np.empty((3,) + h.shape, dtype=complex)
+    for d in range(3):
+        np.multiply(1j * entry.K[d], h, out=out[d])
+    return out
+
+
 class WaveEngine:
     """All per-substep wave machinery: slot gather, parity-class sums,
     class amplitudes and exact materialization.
@@ -476,7 +484,7 @@ class WaveEngine:
         (3 deriv) + polarization + grid each. The symbol of d_d on class c
         is i K_d, stacked over d."""
         return self._memo(j, ("grad", kind), lambda: self._materialize(
-            j, kind, (3,), lambda h, e: tf._gradient_symbol(e.K, h)))
+            j, kind, (3,), _gradient_hat))
 
     def _materialize(self, j, kind, lead, op=None):
         """assemble with op (output lead + the spectrum's shape) of the main

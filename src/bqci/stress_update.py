@@ -509,11 +509,11 @@ class StepState:
             out = np.zeros((3,) * (blk.rank - 1) + self.grid.shape)
         for i in range(first, len(blk.basis)):
             kv = _KVECS[i]
-            # div(c k) = k . grad c and div(a k (x) k) = (k . grad a) k: one
-            # transform of c and the symbol i k . m, summed over k's nonzero
-            # entries in the order (and so to the bits) of tf.divergence(c k)
-            div = tf._apply_symbol(coef[i], self.grid, None, lambda K, ch: 1j * sum(
-                kv[d] * K[d] * ch for d in range(3) if kv[d]))
+            # div(c k) = k . grad c and div(a k (x) k) = (k . grad a) k: the
+            # derivatives of c along k's nonzero (unit) entries, summed in
+            # the order (and so to the bits) of tf.divergence(c k)
+            div = sum(tf.derivative(coef[i], "xyz"[d], self.grid)
+                      for d in range(3) if kv[d])
             out += div * kv.reshape(3, 1, 1, 1) if blk.rank == 2 else div
         return out
 

@@ -2,11 +2,12 @@
 
 Fields are plain numpy arrays whose last three axes are (x, y, z); a time
 series carries time as the leading axis. Spatial derivatives are spectral,
-time derivatives are 4th-order finite differences on the shared uniform time
-grid. A "shifted" variant of every spectral operator acts on the slow
-amplitude a of a modulated term a(x) e^{i xi . x} by replacing the symbol
-i m with i (m + xi); this is how fast phases stay symbolic while the
-operators remain exact.
+each by 1-D transforms along the one axis it acts on; time derivatives are
+4th-order finite differences on the shared uniform time grid. A "shifted"
+variant of every spectral operator acts on the slow amplitude a of a
+modulated term a(x) e^{i xi . x} by replacing the symbol i m with
+i (m + xi); this is how fast phases stay symbolic while the operators
+remain exact.
 """
 
 import struct
@@ -150,75 +151,60 @@ def shifted_k(grid, xi=None):
     return kx + xi[0], ky + xi[1], kz + xi[2]
 
 
-def _rfft_symbol(grid, a):
-    """Wavenumbers of axis a on the rfft half-spectrum, with the Nyquist
-    planes zeroed: for real input the full-transform derivative followed by
-    taking the real part annihilates all Nyquist-plane content, and the
-    half-spectrum path must reproduce that exactly."""
-    n = grid.shape
-    ks = grid.wavenumbers()[a].copy()
-    if n[a] % 2 == 0:
-        ks[np.abs(ks) == n[a] // 2] = 0.0
-    if a == 2:
-        ks = ks[..., : n[2] // 2 + 1]
-    return ks
+def _axis_derivatives(f, a, grid, xi=None, orders=(1,)):
+    """Derivatives of f along grid axis a, one per order (symbol i m_a for 1,
+    -m_a^2 for 2), all from one 1-D transform of f along that axis alone.
 
-
-def _apply_symbol(f, grid, xi, *symbols):
-    """symbol(K, fh) applied to the spectrum fh of f, K the wavenumbers; one
-    result per symbol, all from one forward transform of f.
-
-    Real unshifted input goes through the half spectrum (K from
-    _rfft_symbol) and comes back real; complex or shifted input goes
-    through the full spectrum with K = shifted_k(grid, xi) and comes back
-    complex (the amplitude of a modulated field)."""
+    Real unshifted input goes through the half spectrum and comes back real,
+    with m_a's Nyquist entry zeroed: for real input the full-spectrum
+    derivative followed by taking the real part annihilates all Nyquist
+    content, and the half-spectrum path must reproduce that exactly. Complex
+    or shifted input goes through the full spectrum with m_a + xi_a for m_a
+    and comes back complex (the amplitude of a modulated field)."""
+    n, axes = grid.shape[a], (a - 3,)
     if xi is None and not np.iscomplexobj(f):
-        K = tuple(_rfft_symbol(grid, a) for a in range(3))
-        fh = sfft.rfftn(f, axes=_AXES)
-        out = [sfft.irfftn(sym(K, fh), s=grid.shape, axes=_AXES) for sym in symbols]
+        m = np.append(np.arange(n // 2), 0.0)  # the Nyquist entry zeroed
+        fh = sfft.rfftn(f, axes=axes)
+        inverse = lambda h: sfft.irfftn(h, s=(n,), axes=axes, overwrite_x=True)
     else:
-        K, fh = shifted_k(grid, xi), fft3(f)
-        out = [ifft3(sym(K, fh)) for sym in symbols]
-    return out[0] if len(out) == 1 else tuple(out)
-
-
-def _second_symbol(a):
-    return lambda K, fh: -(K[a] * K[a]) * fh
-
-
-def _gradient_symbol(K, fh):
-    """i K_a fh stacked over a, written in place."""
-    out = np.empty((3,) + fh.shape, dtype=complex)
-    for a in range(3):
-        np.multiply(1j * K[a], fh, out=out[a])
-    return out
+        m = shifted_k(grid, xi)[a].ravel()
+        fh = sfft.fftn(f, axes=axes)
+        inverse = lambda h: sfft.ifftn(h, axes=axes, overwrite_x=True)
+    m = m.reshape((-1,) + (1,) * (2 - a))
+    return [inverse((1j * m if o == 1 else -(m * m)) * fh) for o in orders]
 
 
 def derivative(f, axis, grid, xi=None):
-    """Spectral spatial derivative along 'x' | 'y' | 'z'.
-
-    With xi (integer 3-vector) given, interprets f as the slow amplitude of
-    f(x) e^{i xi . x} and returns the amplitude of the derivative, i.e. the
-    symbol is i (m + xi)_axis.
-    """
-    a = _AXIS_INDEX[axis]
-    return _apply_symbol(f, grid, xi, lambda K, fh: 1j * K[a] * fh)
+    """Spectral spatial derivative along 'x' | 'y' | 'z'. With xi (integer
+    3-vector) given, f is the slow amplitude of f(x) e^{i xi . x} and the
+    result the amplitude of the derivative: the symbol is i (m + xi)_axis."""
+    return _axis_derivatives(f, _AXIS_INDEX[axis], grid, xi)[0]
 
 
 def second_derivative(f, axis, grid, xi=None):
     """Spectral second derivative along one axis: symbol -(m + xi)_axis^2."""
-    return _apply_symbol(f, grid, xi, _second_symbol(_AXIS_INDEX[axis]))
+    return _axis_derivatives(f, _AXIS_INDEX[axis], grid, xi, (2,))[0]
+
+
+def _gradient(f, grid, xi, z_orders):
+    """(gradient, then the derivatives of z_orders[1:] along z from the same
+    z transform)."""
+    real = xi is None and not np.iscomplexobj(f)
+    g = np.empty((3,) + f.shape, dtype=float if real else complex)
+    for a in range(3):
+        g[a], *rest = _axis_derivatives(f, a, grid, xi, z_orders if a == 2 else (1,))
+    return (g, *rest)
 
 
 def gradient(f, grid, xi=None):
     """All three spatial derivatives, stacked on a new leading axis."""
-    return _apply_symbol(f, grid, xi, _gradient_symbol)
+    return _gradient(f, grid, xi, (1,))[0]
 
 
 def gradient_and_dzz(f, grid):
-    """(gradient(f, grid), second_derivative(f, "z", grid)) of a real field
-    from one forward transform, equal to the two calls bit for bit."""
-    return _apply_symbol(f, grid, None, _gradient_symbol, _second_symbol(2))
+    """(gradient(f, grid), second_derivative(f, "z", grid)) of a real field,
+    sharing the z transform, equal to the two calls bit for bit."""
+    return _gradient(f, grid, None, (1, 2))
 
 
 # rows of a packed symmetric tensor (sym_pack order): row i holds T_i0..T_i2
@@ -228,16 +214,19 @@ _PACKED_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 def divergence(T, grid, xi=None):
     """Divergence of a vector (3, ...) -> scalar, of a tensor (3, 3, ...) ->
     vector, contracting the second index, or of a packed symmetric tensor
-    (6, ...) -> vector, from its six spectra."""
+    (6, ...) -> vector; the components d/dx_b acts on share one transform
+    along axis b."""
     T = np.asarray(T)
     if T.shape == (6,) + grid.shape:
-        return _apply_symbol(T, grid, xi, lambda K, Th: 1j * np.stack([
-            K[0] * Th[r[0]] + K[1] * Th[r[1]] + K[2] * Th[r[2]] for r in _PACKED_ROWS]))
-    if T.shape not in ((3,) + grid.shape, (3, 3) + grid.shape):
+        column = lambda b: T[[row[b] for row in _PACKED_ROWS]]
+    elif T.shape in ((3,) + grid.shape, (3, 3) + grid.shape):
+        column = lambda b: T[..., b, :, :, :]
+    else:
         raise ValueError(f"unsupported shape {T.shape}")
-    return _apply_symbol(T, grid, xi, lambda K, Th: 1j * (
-        K[0] * Th[..., 0, :, :, :] + K[1] * Th[..., 1, :, :, :]
-        + K[2] * Th[..., 2, :, :, :]))
+    out = _axis_derivatives(column(0), 0, grid, xi)[0]
+    for b in (1, 2):
+        out += _axis_derivatives(column(b), b, grid, xi)[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +343,9 @@ def mollify(f, tgrid, grid, ell, ell_z, time_axis=True, band=None):
 # norms
 
 def sup_norm(f):
-    return float(np.max(np.abs(f))) if np.asarray(f).size else 0.0
+    """max |f| (0 when empty); real input takes no |f| temporary."""
+    f = np.abs(f) if np.iscomplexobj(f) else np.asarray(f)
+    return float(np.maximum(f.max(), -f.min())) if f.size else 0.0
 
 
 def holder_seminorm(f, alpha, grid, tgrid=None, axes="xyz", radius=4):

@@ -1,11 +1,13 @@
 """Definitions only the tests use: slow, direct forms of what the package
 computes in bulk (per-cell wave amplitudes, single-cell partition weights,
 active-cell lists), the block reconstructions, the Gram determinant of the
-stress basis, and spectral truncations that build band-limited test data."""
+stress basis, spectral truncations that build band-limited test data, and
+the spectral derivatives by whole 3-D transforms."""
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 
 from bqci import partition as pt
 from bqci import torus_field as tf
@@ -83,6 +85,58 @@ def low_pass(f, grid, kcut):
     mask = (np.abs(kx) <= kcut) & (np.abs(ky) <= kcut) & (np.abs(kz) <= kcut)
     out = tf.ifft3(fh * mask)
     return out if np.iscomplexobj(f) else out.real
+
+
+# -- spectral derivatives by whole 3-D transforms ------------------------------
+#
+# The package differentiates by 1-D transforms along the axis a derivative
+# acts on; these take one 3-D transform of the field, apply the symbol on the
+# whole spectrum and transform back.
+
+def _rfft_symbol(grid, a):
+    """Wavenumbers of axis a on the rfft half-spectrum, with the Nyquist
+    planes zeroed (real input: the full-transform derivative followed by
+    taking the real part annihilates all Nyquist-plane content)."""
+    n = grid.shape
+    ks = grid.wavenumbers()[a].copy()
+    ks[np.abs(ks) == n[a] // 2] = 0.0
+    if a == 2:
+        ks = ks[..., : n[2] // 2 + 1]
+    return ks
+
+
+def apply_symbol(f, grid, xi, symbol):
+    """symbol(K, fh) applied to the spectrum fh of f, K the wavenumbers:
+    real unshifted input through the 3-D half spectrum (comes back real),
+    complex or shifted input through the full spectrum with K = m + xi."""
+    if xi is None and not np.iscomplexobj(f):
+        K = tuple(_rfft_symbol(grid, a) for a in range(3))
+        return sfft.irfftn(symbol(K, sfft.rfftn(f, axes=(-3, -2, -1))), s=grid.shape,
+                           axes=(-3, -2, -1))
+    return tf.ifft3(symbol(tf.shifted_k(grid, xi), tf.fft3(f)))
+
+
+def derivative_3d(f, axis, grid, xi=None):
+    a = "xyz".index(axis)
+    return apply_symbol(f, grid, xi, lambda K, fh: 1j * K[a] * fh)
+
+
+def second_derivative_3d(f, axis, grid, xi=None):
+    a = "xyz".index(axis)
+    return apply_symbol(f, grid, xi, lambda K, fh: -(K[a] * K[a]) * fh)
+
+
+def gradient_3d(f, grid, xi=None):
+    return apply_symbol(f, grid, xi, lambda K, fh: 1j * np.stack([k * fh for k in K]))
+
+
+def divergence_3d(T, grid, xi=None):
+    """Vector, 3x3 tensor (second index contracted) or packed symmetric
+    tensor (6, ...)."""
+    if T.shape[0] == 6:
+        T = tf.sym_unpack(T)
+    return apply_symbol(T, grid, xi, lambda K, Th: 1j * sum(
+        K[b] * Th[..., b, :, :, :] for b in range(3)))
 
 
 # -- partition ----------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from bqci import iteration as it
 from bqci import torus_field as tf
-from oracles import low_pass, reconstruct_sym
+from oracles import (divergence_3d, gradient_3d, low_pass, reconstruct_sym,
+                     second_derivative_3d)
 
 KAPPA = 0.25
 
@@ -160,6 +161,21 @@ def test_initial_state_stores_equal_per_slice_operators():
         assert np.array_equal(st.div_R0_store[j],
                               tf.divergence(tf.sym_unpack(st.R0[j]), st.grid))
         assert np.array_equal(st.div_f0_store[j], tf.divergence(st.f0[j], st.grid))
+
+
+def test_initial_state_stores_match_3d_transforms():
+    # the per-axis transform path against whole 3-D transforms, store by store
+    st = make_state(n=12)
+    refs = {"grad_v": lambda j: gradient_3d(st.v[j], st.grid),
+            "dzz_v": lambda j: second_derivative_3d(st.v[j], "z", st.grid),
+            "grad_theta": lambda j: gradient_3d(st.theta[j], st.grid),
+            "dzz_theta": lambda j: second_derivative_3d(st.theta[j], "z", st.grid),
+            "div_R0_store": lambda j: divergence_3d(st.R0[j], st.grid),
+            "div_f0_store": lambda j: divergence_3d(st.f0[j], st.grid)}
+    for name, ref in refs.items():
+        want = np.stack([ref(j) for j in range(st.tgrid.nt)])
+        got = getattr(st, name)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 def test_initial_state_without_coarse_companion():

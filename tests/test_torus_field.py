@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bqci import torus_field as tf
-from oracles import dealias, low_pass
+from oracles import (dealias, derivative_3d, divergence_3d, gradient_3d, low_pass,
+                     second_derivative_3d)
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +278,71 @@ def test_add_shifted_is_the_carrier_multiply(shape, ncomp, xi, band, seed):
     carrier = e[0][:, None, None] * e[1][None, :, None] * e[2][None, None, :]
     ref = f * carrier
     assert np.max(np.abs(tf.ifft3(acc) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _nyquist_loaded(f, grid, rng):
+    """f plus, per axis a, a random field on the plane m_a = n_a / 2 alone:
+    one constant along a, times (-1)^j_a."""
+    for a, n in enumerate(grid.shape):
+        ax = f.ndim - 3 + a
+        plane = rng.standard_normal(f.shape[:ax] + (1,) + f.shape[ax + 1:])
+        if np.iscomplexobj(f):
+            plane = plane + 1j * rng.standard_normal(plane.shape)
+        f = f + plane * (-1.0) ** np.arange(n).reshape((-1,) + (1,) * (2 - a))
+    return f
+
+
+# the per-axis 1-D transform path against the whole 3-D transforms, on real
+# input (half spectrum, Nyquist zeroed), complex input and shifted amplitudes
+@settings(max_examples=30, deadline=None)
+@example(shape=(8, 10, 12), kind="real", seed=0)
+@example(shape=(16, 8, 10), kind="shifted", seed=1)
+@given(shape=st.tuples(sizes, sizes, sizes),
+       kind=st.sampled_from(["real", "complex", "shifted"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_derivatives_match_3d_transforms(shape, kind, seed):
+    grid = tf.Grid3(*shape)
+    rng = np.random.default_rng(seed)
+    xi = tuple(int(x) for x in rng.integers(-3000, 3001, 3)) if kind == "shifted" else None
+
+    def field(*lead):
+        f = rng.standard_normal(lead + grid.shape)
+        if kind != "real":
+            f = f + 1j * rng.standard_normal(f.shape)
+        return _nyquist_loaded(f, grid, rng)
+
+    f, v, T = field(), field(3), field(3, 3)
+    pairs = []
+    for ax in "xyz":
+        pairs.append((tf.derivative(f, ax, grid, xi), derivative_3d(f, ax, grid, xi)))
+        pairs.append((tf.second_derivative(v, ax, grid, xi),
+                      second_derivative_3d(v, ax, grid, xi)))
+    for g in (f, v):
+        pairs.append((tf.gradient(g, grid, xi), gradient_3d(g, grid, xi)))
+        if kind == "real":
+            got_g, got_zz = tf.gradient_and_dzz(g, grid)
+            pairs += [(got_g, gradient_3d(g, grid)),
+                      (got_zz, second_derivative_3d(g, "z", grid))]
+    S = tf.sym_pack(T + np.swapaxes(T, 0, 1))
+    for D in (v, T, S):
+        pairs.append((tf.divergence(D, grid, xi), divergence_3d(D, grid, xi)))
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        assert np.iscomplexobj(got) == (kind != "real")
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, complex])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+def test_sup_norm_propagates_nan_and_inf(dtype, bad):
+    rng = np.random.default_rng(8)
+    f = rng.standard_normal((2, 3, 8, 8, 8)).astype(dtype)
+    if dtype is complex:
+        f += 1j * rng.standard_normal(f.shape)
+    assert tf.sup_norm(f) == float(np.max(np.abs(f)))
+    assert tf.sup_norm(f[:0]) == 0.0
+    for idx in ((0, 0, 0, 0, 0), (1, 2, 7, 7, 7), (1, 0, 3, 5, 2)):
+        g = f.copy()
+        g[idx] = bad
+        got = tf.sup_norm(g)
+        assert np.isnan(got) if np.isnan(bad) else got == np.inf
