@@ -57,15 +57,25 @@ def decompose_sym(R):
     return np.stack([g1, g2, g3, g4, g5, g6])
 
 
-def decompose_vec(f):
-    """Coefficients b_1..b_3 with b_1 k_1 + b_2 k_2 + b_3 k_3 = f (pointwise)."""
+def decompose_packed(P, out=None):
+    """decompose_sym of a packed field P (6, ...) in sym_pack order, bit for
+    bit, without unpacking or a symmetry check; into out (6, ...) if given."""
+    xx, xy, xz, yy, yz, zz = P
+    out = np.empty_like(P) if out is None else out
+    out[0], out[1], out[2] = xx - xy - zz + yz, yy - zz - xy + xz, zz - yz
+    out[3], out[4], out[5] = xy - xz + zz - yz, zz - xz, xz - zz + yz
+    return out
+
+
+def decompose_vec(f, out=None):
+    """Coefficients b_1..b_3 with b_1 k_1 + b_2 k_2 + b_3 k_3 = f pointwise (into out if given)."""
     f = np.asarray(f)
     if f.shape[0] != 3:
         raise ValueError("expected leading axis of length 3")
-    fk1 = f[0]
-    fk2 = f[1]
-    fk3 = f[0] + f[2]
-    return np.stack([2 * fk1 - fk3, fk2, fk3 - fk1])
+    fk1, fk2, fk3 = f[0], f[1], f[0] + f[2]
+    out = np.empty_like(f) if out is None else out
+    out[0], out[1], out[2] = 2 * fk1 - fk3, fk2, fk3 - fk1
+    return out
 
 
 @dataclass(frozen=True)

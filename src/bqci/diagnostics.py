@@ -70,7 +70,7 @@ def _residuals(state, stencils):
                 flux = dt_theta[j // stride] + adv_theta - state.dzz_theta[j] - div_f
                 slices[name][0].append(tf.sup_norm(mom))
                 slices[name][1].append(tf.sup_norm(flux))
-    return {name: {"momentum_sup": max(moms), "flux_sup": max(fluxes),
+    return {name: {"momentum_sup": tf.max_or_nan(*moms), "flux_sup": tf.max_or_nan(*fluxes),
                    "momentum_slices": moms, "flux_slices": fluxes}
             for name, (moms, fluxes) in slices.items()}
 
@@ -83,8 +83,8 @@ def normalized_residuals(state):
                   tf.sup_norm(state.div_R0_store), 1e-30)
     scale_f = max(tf.sup_norm(state.dt_theta), tf.sup_norm(state.dzz_theta),
                   tf.sup_norm(state.div_f0_store), 1e-30)
-    div_sup = max(tf.sup_norm(sum(state.grad_v[j, b, b] for b in range(3)))
-                  for j in range(state.tgrid.nt))
+    div_sup = tf.max_or_nan(*(tf.sup_norm(sum(state.grad_v[j, b, b] for b in range(3)))
+                              for j in range(state.tgrid.nt)))
     grad_sup = tf.sup_norm(state.grad_v)
     return {
         "momentum": res["momentum_sup"] / scale_m,
@@ -129,7 +129,7 @@ def block_projection(state, j=None):
     blocks (should vanish after each substep)."""
     if j is None:
         j = state.tgrid.nt // 2
-    gam = algebra.decompose_sym(tf.sym_unpack(state.carried("R", j) - state.delta_R[j]))
+    gam = algebra.decompose_packed(state.carried("R", j) - state.delta_R[j])
     bvec = algebra.decompose_vec(state.carried("f", j) - state.delta_f[j])
     n = state.completed
     out = {

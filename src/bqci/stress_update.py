@@ -396,20 +396,20 @@ _DYADS6 = np.stack([
 # per block kind: the carried store and its divergence, the coefficients,
 # their basis (packed k_i (x) k_i of rank 2, or k_i) and offset (stress block
 # i is (a_i - e) k_i (x) k_i, flux block i is c_i k_i), the accumulated update
-# and its divergence, the assembler's slice method, the decomposition of a
-# packed field into coefficients (looked up at call time, so a wrapped algebra
-# function runs), and the coefficient bound in units of kappa
+# and its divergence, the assembler's slice method, the decomposition of one
+# carried sample into coefficients in out (looked up at call time, so a wrapped
+# algebra function runs), and the coefficient bound in units of kappa
 _Block = namedtuple("Block", "store div_store coef basis rank offset delta div_delta "
                              "slice decompose bound noun")
 BLOCKS = {
     "R": _Block(store="R0", div_store="div_R0_store", coef="a", basis=_DYADS6, rank=2,
                 offset="e_vals", delta="delta_R", div_delta="div_R_store",
                 slice="delta_R_slice", bound=5.0, noun="block",
-                decompose=lambda T: algebra.decompose_sym(tf.sym_unpack(T))),
+                decompose=lambda T, out: algebra.decompose_packed(T, out)),
     "f": _Block(store="f0", div_store="div_f0_store", coef="c", basis=_KVECS[:3], rank=1,
                 offset=None, delta="delta_f", div_delta="div_f_store",
                 slice="delta_f_slice", bound=2.0, noun="flux",
-                decompose=lambda F: algebra.decompose_vec(F)),
+                decompose=lambda F, out: algebra.decompose_vec(F, out)),
 }
 
 
@@ -576,8 +576,8 @@ def run_substep(state, n, lam, ell, ell_z):
 
     for j in range(nt):
         r1, r2 = engine.cancellation_residual(j)
-        sup["cancel_r1"] = max(sup["cancel_r1"], r1)
-        sup["cancel_r2"] = max(sup["cancel_r2"], r2)
+        sup["cancel_r1"] = tf.max_or_nan(sup["cancel_r1"], r1)
+        sup["cancel_r2"] = tf.max_or_nan(sup["cancel_r2"], r2)
 
         for kind, blk in BLOCKS.items():
             delta, div, slice_parts = getattr(asm, blk.slice)(j)
@@ -590,12 +590,12 @@ def run_substep(state, n, lam, ell, ell_z):
 
         if j in probe_js:
             for kind in engine.kinds:
-                wave_mean_max = max(wave_mean_max,
-                                    float(np.max(np.abs(engine.wave_mean(j, kind)))))
+                wave_mean_max = tf.max_or_nan(
+                    wave_mean_max, float(np.max(np.abs(engine.wave_mean(j, kind)))))
             go, gc = engine.wave_gradient_parts(j, "w")
             gw = tf.sup_norm(go + gc)
             if gw > 0:
-                wave_div_rel = max(
+                wave_div_rel = tf.max_or_nan(
                     wave_div_rel, tf.sup_norm(engine.wave_divergence(j)) / gw)
 
         # wave accumulation (after all reads of the pre-substep fields at j);

@@ -316,8 +316,9 @@ def mollify(f, tgrid, grid, ell, ell_z, time_axis=True, band=None):
         warnings.warn(f"mollify: ell_z = {ell_z:.3g} below 2 grid cells; vertical pass-through")
     if band is not None:
         fac = fac * ((np.abs(kx) <= band) & (np.abs(ky) <= band) & (kz <= band))
-    out = sfft.irfftn(sfft.rfftn(f, axes=_AXES) * fac, s=grid.shape, axes=_AXES,
-                      overwrite_x=True)
+    fh = sfft.rfftn(f, axes=_AXES)
+    fh *= fac
+    out = sfft.irfftn(fh, s=grid.shape, axes=_AXES, overwrite_x=True)
 
     if time_axis:
         dt = tgrid.dt
@@ -346,6 +347,11 @@ def sup_norm(f):
     """max |f| (0 when empty); real input takes no |f| temporary."""
     f = np.abs(f) if np.iscomplexobj(f) else np.asarray(f)
     return float(np.maximum(f.max(), -f.min())) if f.size else 0.0
+
+
+def max_or_nan(*values):
+    """The builtin max of the values, but NaN if any is (max drops NaN)."""
+    return float("nan") if np.isnan(values).any() else max(values)
 
 
 def holder_seminorm(f, alpha, grid, tgrid=None, axes="xyz", radius=4):

@@ -1,8 +1,9 @@
 """Definitions only the tests use: slow, direct forms of what the package
 computes in bulk (per-cell wave amplitudes, single-cell partition weights,
 active-cell lists), the block reconstructions, the Gram determinant of the
-stress basis, spectral truncations that build band-limited test data, and
-the spectral derivatives by whole 3-D transforms."""
+stress basis, spectral truncations that build band-limited test data, the
+spectral derivatives by whole 3-D transforms, and the start state's
+derivative stores sample by sample."""
 
 from dataclasses import dataclass
 
@@ -137,6 +138,32 @@ def divergence_3d(T, grid, xi=None):
         T = tf.sym_unpack(T)
     return apply_symbol(T, grid, xi, lambda K, Th: 1j * sum(
         K[b] * Th[..., b, :, :, :] for b in range(3)))
+
+
+# -- the start state's derivative stores, sample by sample ----------------------
+
+def initial_stores_per_sample(data, grid, tgrid):
+    """The derivative stores of iteration.initial_state, built from the fields
+    of the starting tuple `data` (iteration.initial_data): every spatial
+    operator on every time sample, and d_t by the stencil on the whole
+    fields, the coarse ones on tgrid.halved() (absent when it is None)."""
+    v, theta = data["v"], data["theta"]
+    nt = tgrid.nt
+    out = {name: np.empty((nt,) + lead + grid.shape) for name, lead in (
+        ("grad_v", (3, 3)), ("dzz_v", (3,)), ("grad_theta", (3,)), ("dzz_theta", ()),
+        ("div_R0_store", (3,)), ("div_f0_store", ()))}
+    for j in range(nt):
+        out["grad_v"][j], out["dzz_v"][j] = tf.gradient_and_dzz(v[j], grid)
+        out["grad_theta"][j], out["dzz_theta"][j] = tf.gradient_and_dzz(theta[j], grid)
+        out["div_R0_store"][j] = tf.divergence(data["R0"][j], grid)
+        out["div_f0_store"][j] = tf.divergence(data["f0"][j], grid)
+    out["dt_v"] = tf.time_derivative(v, tgrid)
+    out["dt_theta"] = tf.time_derivative(theta, tgrid)
+    ctg = tgrid.halved()
+    if ctg is not None:
+        out["dt_v_coarse"] = tf.time_derivative(v[::2], ctg)
+        out["dt_theta_coarse"] = tf.time_derivative(theta[::2], ctg)
+    return out
 
 
 # -- partition ----------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bqci import algebra
+from bqci import torus_field as tf
 from oracles import gram_determinant, reconstruct_sym, reconstruct_vec
 
 
@@ -59,6 +60,18 @@ def test_decompose_sym_rejects_asymmetric():
     A[0, 1] = 1e-6
     with pytest.raises(algebra.SymmetryError):
         algebra.decompose_sym(A)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (4, 3, 2), (2, 8, 8, 8)])
+def test_decompose_packed_equals_decompose_sym(shape):
+    # the packed path reads the upper triangle: bit for bit the full-matrix one
+    rng = np.random.default_rng(10)
+    P = rng.standard_normal((6,) + shape) * 10.0 ** rng.uniform(-3, 3, (6,) + shape)
+    want = algebra.decompose_sym(tf.sym_unpack(P))
+    assert np.array_equal(algebra.decompose_packed(P), want)
+    out = np.full_like(P, np.nan)
+    assert algebra.decompose_packed(P, out) is out
+    assert np.array_equal(out, want)
 
 
 def test_gram_determinant_nonzero():

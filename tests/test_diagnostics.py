@@ -34,6 +34,25 @@ def test_coarse_residual_needs_stores():
         dg.richardson_floor(state)
 
 
+def test_nan_in_a_middle_slice_reaches_the_normalized_residuals():
+    # the builtin max over slices keeps a NaN only when it sits in slice 0
+    state = _small_state()
+    state.dzz_v[2, 0, 1, 1, 1] = np.nan
+    res = dg.normalized_residuals(state)
+    assert np.isnan(res["momentum_raw"]) and np.isnan(res["momentum"])
+    assert np.isfinite(res["flux_raw"])
+
+
+def test_nan_in_a_middle_slice_fails_the_richardson_check():
+    state = _small_state()
+    assert dg.richardson_floor(state)["passed"]
+    state.dzz_v[2, 0, 1, 1, 1] = np.nan
+    check = dg.richardson_floor(state)
+    assert not check["passed"]
+    assert np.isnan(check["momentum_fine"]) and np.isnan(check["momentum_coarse"])
+    assert (check["witness_eq"], check["witness_slice"]) == ("momentum", 2)
+
+
 def test_full_step_keeps_residual_at_floor(mini_stepped):
     state, _ = mini_stepped
     check = dg.richardson_floor(state)

@@ -5,8 +5,8 @@ import pytest
 
 from bqci import iteration as it
 from bqci import torus_field as tf
-from oracles import (divergence_3d, gradient_3d, low_pass, reconstruct_sym,
-                     second_derivative_3d)
+from oracles import (divergence_3d, gradient_3d, initial_stores_per_sample, low_pass,
+                     reconstruct_sym, second_derivative_3d)
 
 KAPPA = 0.25
 
@@ -149,18 +149,20 @@ def test_initial_state_stores_are_consistent():
 
 
 def test_initial_state_stores_equal_per_slice_operators():
-    # one forward transform per field and the packed divergence reproduce
-    # the per-slice operators bit for bit
-    st = make_state(n=24)
-    for j in range(st.tgrid.nt):
-        assert np.array_equal(st.grad_v[j], tf.gradient(st.v[j], st.grid))
-        assert np.array_equal(st.dzz_v[j], tf.second_derivative(st.v[j], "z", st.grid))
-        assert np.array_equal(st.grad_theta[j], tf.gradient(st.theta[j], st.grid))
-        assert np.array_equal(st.dzz_theta[j],
-                              tf.second_derivative(st.theta[j], "z", st.grid))
-        assert np.array_equal(st.div_R0_store[j],
-                              tf.divergence(tf.sym_unpack(st.R0[j]), st.grid))
-        assert np.array_equal(st.div_f0_store[j], tf.divergence(st.f0[j], st.grid))
+    # the separable build (each operator once per profile, d_t on the time
+    # factors) against the per-sample operators on the tuple's fields: the
+    # tuple itself bit for bit, every derivative store to roundoff
+    for analytic in (False, True):
+        st = make_state(n=24, analytic=analytic)
+        data = it.initial_data(st.grid, st.tgrid, M=0.05, lam=4, analytic=analytic)
+        for name in ("v", "theta", "p", "R0", "f0"):
+            assert np.array_equal(getattr(st, name), data[name]), name
+        want = initial_stores_per_sample(data, st.grid, st.tgrid)
+        assert len(want) == 10
+        for name, ref in want.items():
+            got = getattr(st, name)
+            assert got.shape == ref.shape, name
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
 
 
 def test_initial_state_stores_match_3d_transforms():
@@ -221,6 +223,16 @@ def test_begin_step_refuses_failed_state():
     st.failed = "substep 1: delta_R is not finite at slice 3 (t = 2.0625)"
     with pytest.raises(ValueError, match=r"begin_step on a failed state \(substep 1"):
         it.begin_step(st, 0.9, 0.9)
+
+
+def test_begin_step_names_non_finite_coefficients():
+    # sup > bound is False for NaN: the check must not let it through
+    st = make_state()
+    st.R0[3, 1, 2, 5, 7] = np.nan
+    rep = it.begin_step(st, 0.9, 0.9)
+    assert np.isnan(rep["a_sup"]) and np.isfinite(rep["c_sup"])
+    assert len(rep["violations"]) == 1
+    assert rep["violations"][0].startswith("block coefficients nan exceed 5 kappa")
 
 
 def test_run_step_requires_six_substep_plans():

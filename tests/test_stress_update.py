@@ -541,6 +541,18 @@ def test_non_finite_wave_is_refused(monkeypatch):
         su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
 
 
+def test_nan_cancellation_residual_reaches_the_report(monkeypatch):
+    # a NaN at a middle slice survives the running maximum
+    clean = pb.WaveEngine.cancellation_residual
+
+    def poisoned(self, j):
+        r1, r2 = clean(self, j)
+        return (np.nan, r2) if j == 4 else (r1, r2)
+    monkeypatch.setattr(pb.WaveEngine, "cancellation_residual", poisoned)
+    report = su.run_substep(make_state(), 1, lam=8, ell=1.0, ell_z=1.0)
+    assert np.isnan(report["cancel_r1"]) and np.isfinite(report["cancel_r2"])
+
+
 def test_refused_slice_marks_state_failed(monkeypatch):
     clean = su.SubstepAssembler.N_field
 

@@ -346,3 +346,13 @@ def test_sup_norm_propagates_nan_and_inf(dtype, bad):
         g[idx] = bad
         got = tf.sup_norm(g)
         assert np.isnan(got) if np.isnan(bad) else got == np.inf
+
+
+def test_max_or_nan_keeps_a_nan_anywhere():
+    nan = float("nan")
+    assert max(1.0, nan, 2.0) == 2.0  # what the builtin does
+    for values in ((nan, 1.0, 2.0), (1.0, nan, 2.0), (1.0, 2.0, nan)):
+        assert np.isnan(tf.max_or_nan(*values))
+    assert tf.max_or_nan(1.0, 3.0, 2.0) == 3.0
+    # otherwise the builtin max, signed zeros included
+    assert str(tf.max_or_nan(-0.0, 0.0)) == "-0.0"
