@@ -466,8 +466,8 @@ class StepState:
 
     def mollify(self, f, ell, ell_z):
         """tf.mollify of a time series f at (ell, ell_z), truncated to the
-        resolved band |m| <= min(grid.shape) // 4 on every axis in the
-        mollifier's pass.  Sampling folds the carried wave carriers onto
+        resolved band |m| <= min(grid.shape) // 4 on every axis by the
+        mollifier's own per-axis matrices.  Sampling folds the carried wave carriers onto
         in-band grid frequencies; the mollifier damps but cannot remove
         those images, and any remnant makes the cell-amplitude fields
         under-resolved, which shows up directly in the equation residual."""

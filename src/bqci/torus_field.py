@@ -290,63 +290,73 @@ def mollifier_transform(u):
     return out if out.size > 1 else float(out[0])
 
 
+def _circulant(n, ell, band):
+    """The real n x n circulant of phi-hat(|m| ell) [|m| <= band] on one axis
+    (ell None: no mollifier), or None where that is the identity; its first
+    column is the inverse transform of the multiplier."""
+    if ell is None and (band is None or band >= n // 2):
+        return None
+    m, d = np.arange(n // 2 + 1), np.arange(n)
+    fac = (1.0 if ell is None else mollifier_transform(m * ell)) * (band is None or m <= band)
+    return sfft.irfftn(fac, s=(n,), axes=(0,))[np.subtract.outer(d, d) % n]
+
+
 def mollify(f, tgrid, grid, ell, ell_z, time_axis=True, band=None):
     """Anisotropic mollification: scale ell in t, x, y; ell_z in z.
 
-    Space first: one real multiplier on the rfft half spectrum, between one
-    forward and one inverse real transform. It is the mollifier's transform
-    times, with band given, the sharp truncation |m| <= band on every axis.
-    Then time: direct quadrature with
-    zero extension (valid for compactly supported data). Scales below 2 grid
-    cells pass through with a warning. The T^3 mean at each time is
-    preserved (unit-mass kernels)."""
-    f = np.asarray(f, dtype=np.float64)
-    hx, hy, hz = grid.spacing()
-    kx, ky, kz = grid.wavenumbers()
-    kz = np.abs(kz[..., : grid.nz // 2 + 1])
-    fac = np.ones(grid.shape[:2] + kz.shape[2:])
-    if ell >= 2 * hx:
-        fac = fac * mollifier_transform(np.abs(kx * ell)).reshape(kx.shape)
-        fac = fac * mollifier_transform(np.abs(ky * ell)).reshape(ky.shape)
-    else:
+    One small real matrix per axis, applied as a batch of matrix products of
+    at most N^3 multiply-adds each (OpenBLAS runs those on one thread for
+    N <= 64; one large product per axis would start its workers).  In z, y
+    and x it is the N x N circulant of the mollifier's transform times, with
+    band given, the sharp truncation |m| <= band; in time the banded nt x nt
+    matrix of the kernel weights with zero extension (valid for compactly
+    supported data): taps beyond the series are dropped, not renormalised.
+    Scales below 2 grid cells pass through with a warning; a pass whose
+    multiplier is 1 is skipped.  The T^3 mean at each time is preserved."""
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    if f.shape[-3:] != grid.shape:
+        raise ValueError(f"mollify: field shape {f.shape} does not end in grid shape {grid.shape}")
+    if time_axis and (f.ndim < 4 or f.shape[0] != tgrid.nt):
+        raise ValueError(f"mollify: field shape {f.shape} does not lead with {tgrid.nt} time samples")
+    (nx, ny, nz), (hx, hy, hz) = grid.shape, grid.spacing()
+    if ell < 2 * hx:
         warnings.warn(f"mollify: ell = {ell:.3g} below 2 grid cells; horizontal pass-through")
-    if ell_z >= 2 * hz:
-        fac = fac * mollifier_transform(kz * ell_z).reshape(kz.shape)
-    else:
+    if ell_z < 2 * hz:
         warnings.warn(f"mollify: ell_z = {ell_z:.3g} below 2 grid cells; vertical pass-through")
-    if band is not None:
-        fac = fac * ((np.abs(kx) <= band) & (np.abs(ky) <= band) & (kz <= band))
-    fh = sfft.rfftn(f, axes=_AXES)
-    fh *= fac
-    out = sfft.irfftn(fh, s=grid.shape, axes=_AXES, overwrite_x=True)
-
-    if time_axis:
-        dt = tgrid.dt
-        if ell >= 2 * dt:
-            half = int(np.floor(ell / dt))
-            offs = np.arange(-half, half + 1)
-            w = np.exp(-1.0 / np.maximum(1.0 - (offs * dt / ell) ** 2, 1e-300))
-            w[np.abs(offs * dt) >= ell] = 0.0
-            w = w / np.sum(w)
-            nt = out.shape[0]
-            conv = np.zeros_like(out)
-            for o, wo in zip(offs, w):
-                lo, hi = max(0, -o), min(nt, nt - o)
-                if lo < hi:  # offsets beyond the series see only zeros
-                    conv[lo:hi] += wo * out[lo + o : hi + o]
-            out = conv
-        else:
-            warnings.warn(f"mollify: ell = {ell:.3g} below 2 time cells; time pass-through")
-    return out
+    lxy, lz = (ell if ell >= 2 * hx else None), (ell_z if ell_z >= 2 * hz else None)
+    rows = lambda a: a.reshape(-1, ny, nz)
+    cols = lambda a: a.reshape(-1, nx, ny, nz).swapaxes(1, 2)
+    passes = [  # z takes C^T contiguous: numpy multiplies by a transposed view slowly
+        (_circulant(nz, lz, band), lambda C, a, b: np.matmul(rows(a), C.T.copy(), out=rows(b))),
+        (_circulant(ny, lxy, band), lambda C, a, b: np.matmul(C, rows(a), out=rows(b))),
+        (_circulant(nx, lxy, band), lambda C, a, b: np.matmul(C, cols(a), out=cols(b)))]
+    if time_axis and ell >= 2 * tgrid.dt:
+        dt, nt, half = tgrid.dt, tgrid.nt, int(np.floor(ell / tgrid.dt))
+        offs = np.arange(-half, half + 1)
+        w = np.exp(-1.0 / np.maximum(1.0 - (offs * dt / ell) ** 2, 1e-300))
+        w[np.abs(offs * dt) >= ell] = 0.0
+        o = np.arange(nt) - np.arange(nt)[:, None]  # T[j, k]: weight at offset k - j
+        T = np.where(np.abs(o) <= half, (w / np.sum(w))[np.clip(o + half, 0, 2 * half)], 0.0)
+        samples = lambda a: a.reshape(nt, -1, nz).swapaxes(0, 1)
+        passes.append((T, lambda C, a, b: np.matmul(C, samples(a), out=samples(b))))
+    elif time_axis:
+        warnings.warn(f"mollify: ell = {ell:.3g} below 2 time cells; time pass-through")
+    out, spare = f, None  # alternate between two buffers, never writing f
+    for C, apply in passes:
+        if C is not None:
+            dst = np.empty_like(f) if spare is None else spare
+            apply(C, out, dst)
+            out, spare = dst, (None if out is f else out)
+    return f.copy() if out is f else out
 
 
 # ---------------------------------------------------------------------------
 # norms
 
 def sup_norm(f):
-    """max |f| (0 when empty); real input takes no |f| temporary."""
+    """max |f|, NaN if any, 0 when empty, never -0.0; real input takes no |f| temporary."""
     f = np.abs(f) if np.iscomplexobj(f) else np.asarray(f)
-    return float(np.maximum(f.max(), -f.min())) if f.size else 0.0
+    return abs(float(max(f.max(), -f.min()))) if f.size else 0.0
 
 
 def max_or_nan(*values):

@@ -2,8 +2,8 @@
 computes in bulk (per-cell wave amplitudes, single-cell partition weights,
 active-cell lists), the block reconstructions, the Gram determinant of the
 stress basis, spectral truncations that build band-limited test data, the
-spectral derivatives by whole 3-D transforms, and the start state's
-derivative stores sample by sample."""
+spectral derivatives by whole 3-D transforms, mollification by 3-D
+transforms, and the start state's derivative stores sample by sample."""
 
 from dataclasses import dataclass
 
@@ -138,6 +138,46 @@ def divergence_3d(T, grid, xi=None):
         T = tf.sym_unpack(T)
     return apply_symbol(T, grid, xi, lambda K, Th: 1j * sum(
         K[b] * Th[..., b, :, :, :] for b in range(3)))
+
+
+# -- mollification by 3-D transforms -------------------------------------------
+
+def mollify_fft(f, tgrid, grid, ell, ell_z, time_axis=True, band=None):
+    """tf.mollify as one real multiplier on the 3-D rfft half spectrum (the
+    mollifier's transform times the band mask |m| <= band) between one
+    forward and one inverse transform, then the time quadrature with zero
+    extension as a loop over kernel offsets; the package applies the same
+    operators as one small matrix per axis."""
+    f = np.asarray(f, dtype=np.float64)
+    hx, hy, hz = grid.spacing()
+    kx, ky, kz = grid.wavenumbers()
+    kz = np.abs(kz[..., : grid.nz // 2 + 1])
+    fac = np.ones(grid.shape[:2] + kz.shape[2:])
+    if ell >= 2 * hx:
+        fac = fac * tf.mollifier_transform(np.abs(kx * ell)).reshape(kx.shape)
+        fac = fac * tf.mollifier_transform(np.abs(ky * ell)).reshape(ky.shape)
+    if ell_z >= 2 * hz:
+        fac = fac * tf.mollifier_transform(kz * ell_z).reshape(kz.shape)
+    if band is not None:
+        fac = fac * ((np.abs(kx) <= band) & (np.abs(ky) <= band) & (kz <= band))
+    fh = sfft.rfftn(f, axes=(-3, -2, -1))
+    fh *= fac
+    out = sfft.irfftn(fh, s=grid.shape, axes=(-3, -2, -1), overwrite_x=True)
+    dt = tgrid.dt
+    if time_axis and ell >= 2 * dt:
+        half = int(np.floor(ell / dt))
+        offs = np.arange(-half, half + 1)
+        w = np.exp(-1.0 / np.maximum(1.0 - (offs * dt / ell) ** 2, 1e-300))
+        w[np.abs(offs * dt) >= ell] = 0.0
+        w = w / np.sum(w)
+        nt = out.shape[0]
+        conv = np.zeros_like(out)
+        for o, wo in zip(offs, w):
+            lo, hi = max(0, -o), min(nt, nt - o)
+            if lo < hi:  # offsets beyond the series see only zeros
+                conv[lo:hi] += wo * out[lo + o : hi + o]
+        out = conv
+    return out
 
 
 # -- the start state's derivative stores, sample by sample ----------------------

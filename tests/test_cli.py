@@ -55,6 +55,9 @@ def test_validate_initial_passes_on_clean_data(tmp_path):
     text = (tmp_path / "validate_initial.txt").read_text()
     assert "passed=True" in text
     assert "momentum=" in text and "incompressibility=" in text
+    # the start velocity is exactly divergence-free: 0, never -0
+    assert "\ndivergence_raw=0\n" in "\n" + text
+    assert "\nincompressibility=0\n" in "\n" + text
 
 
 def test_validate_initial_rejects_short_time_grid(tmp_path):

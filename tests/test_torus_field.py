@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from bqci import torus_field as tf
 from oracles import (dealias, derivative_3d, divergence_3d, gradient_3d, low_pass,
-                     second_derivative_3d)
+                     mollify_fft, second_derivative_3d)
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +190,81 @@ def test_banded_mollify_warns_as_before(grid):
         assert len(rec) == 3
 
 
+def _check_mollify_against_fft(shape, nt, ncomp, ell, ell_z, dt, band, time_axis, seed):
+    grid = tf.Grid3(*shape)
+    tg = tf.TimeGrid(0.0, (nt - 1) * dt, nt)
+    lead = (nt, ncomp) if time_axis else (ncomp,)
+    f = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+    got = tf.mollify(f, tg, grid, ell, ell_z, time_axis=time_axis, band=band)
+    ref = mollify_fft(f, tg, grid, ell, ell_z, time_axis=time_axis, band=band)
+    assert got.dtype == np.float64 and got.shape == f.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# the per-axis matrices against the 3-D transform pair; scales are drawn in
+# cells (x, y / z / t) on both sides of the 2-cell pass-through, and the
+# non-cubic shapes pin that y passes through on hx, not hy
+@pytest.mark.filterwarnings("ignore:mollify:UserWarning")
+@settings(max_examples=40, deadline=None)
+@example(shape=(8, 12, 10), nt=5, ncomp=1, cells=(1.9, 3.0, 2.5), band=None,
+         time_axis=True, seed=0)
+@example(shape=(16, 8, 12), nt=17, ncomp=6, cells=(2.1, 1.0, 1.5), band=0,
+         time_axis=False, seed=1)
+@given(shape=st.tuples(sizes, sizes, sizes), nt=st.integers(5, 17),
+       ncomp=st.sampled_from([1, 3, 6]),
+       cells=st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0), st.floats(0.5, 4.0)),
+       band=st.none() | st.integers(0, 9), time_axis=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_mollify_matches_fft_oracle(shape, nt, ncomp, cells, band, time_axis, seed):
+    hx, _, hz = tf.Grid3(*shape).spacing()
+    ell = cells[0] * hx
+    _check_mollify_against_fft(shape, nt, ncomp, ell, cells[1] * hz, ell / cells[2],
+                               band, time_axis, seed)
+
+
+@pytest.mark.filterwarnings("ignore:mollify:UserWarning")
+@pytest.mark.parametrize("shape, nt, ncomp, ell, dt, band, time_axis", [
+    ((36, 36, 36), 17, 6, 0.3, 3.5 / 16, 9, True),     # begin_step at ref_start's size
+    ((48, 48, 48), 33, 3, 0.9, 3.5 / 32, 12, True),    # criterion 7's substeps
+    ((96, 96, 8), 5, 1, 0.15, 0.25, None, False),      # the mollification probe
+])
+def test_mollify_matches_fft_oracle_at_run_sizes(shape, nt, ncomp, ell, dt, band, time_axis):
+    _check_mollify_against_fft(shape, nt, ncomp, ell, ell, dt, band, time_axis, 2)
+
+
+def test_mollify_full_pass_through_returns_a_copy(grid):
+    tg = tf.TimeGrid(0.0, 1.0, 9)
+    f = np.random.default_rng(3).standard_normal((tg.nt, 2) + grid.shape)
+    for band in (None, 8, 20):
+        with pytest.warns(UserWarning):
+            out = tf.mollify(f, tg, grid, 1e-6, 1e-6, band=band)
+        assert out is not f and not np.shares_memory(out, f)
+        assert np.array_equal(out, f)
+
+
+def test_mollify_is_deterministic():
+    grid, tg = tf.Grid3(16, 12, 10), tf.TimeGrid(0.0, 1.0, 17)
+    f = np.random.default_rng(4).standard_normal((tg.nt, 3) + grid.shape)
+    a = tf.mollify(f, tg, grid, 1.2, 1.5, band=4)
+    assert np.array_equal(a, tf.mollify(f, tg, grid, 1.2, 1.5, band=4))
+
+
+def test_mollify_rejects_a_field_off_the_grid(grid):
+    tg = tf.TimeGrid(0.0, 1.0, 9)
+    f = np.zeros((tg.nt, 16, 16, 8))  # 16 * 8 = 8 * 16: a reshape would fit
+    shapes = re.escape("(9, 16, 16, 8)") + ".*" + re.escape("(16, 16, 16)")
+    with pytest.raises(ValueError, match=shapes):
+        tf.mollify(f, tg, grid, 1.0, 1.0)
+
+
+def test_mollify_rejects_a_series_off_the_time_grid(grid):
+    tg = tf.TimeGrid(0.0, 1.0, 9)
+    for f in (np.zeros((8,) + grid.shape), np.zeros(grid.shape)):
+        with pytest.raises(ValueError, match=re.escape(str(f.shape)) + ".*9 time samples"):
+            tf.mollify(f, tg, grid, 1.0, 1.0)
+    tf.mollify(np.zeros((8,) + grid.shape), tg, grid, 1.0, 1.0, time_axis=False)
+
+
 def test_packed_divergence_matches_unpacked(grid):
     A = np.random.default_rng(6).standard_normal((3, 3) + grid.shape)
     T = A + np.swapaxes(A, 0, 1)
@@ -346,6 +424,12 @@ def test_sup_norm_propagates_nan_and_inf(dtype, bad):
         g[idx] = bad
         got = tf.sup_norm(g)
         assert np.isnan(got) if np.isnan(bad) else got == np.inf
+
+
+@pytest.mark.parametrize("dtype", [np.float64, complex])
+def test_sup_norm_of_zeros_is_plus_zero(dtype):
+    for f in (np.zeros((3, 8), dtype=dtype), -np.zeros((3, 8), dtype=dtype)):
+        assert math.copysign(1, tf.sup_norm(f)) == 1
 
 
 def test_max_or_nan_keeps_a_nan_anywhere():
