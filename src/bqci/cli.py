@@ -200,17 +200,23 @@ def _desk_state(cfg):
                             e_vals=e_vals, M=_get_float(cfg, "M"), lam=lam)
 
 
-def _check_halves(cfg):
-    """step and outer end on the Richardson check (TimeGrid.halved)."""
-    if _grids(cfg)[1].halved() is None:
-        raise ConfigError(f"nt = {_get_int(cfg, 'nt')} has no stride-2 time grid "
-                          "for the Richardson check (nt must be odd and >= 9)")
-
-
 def _outdir(cfg):
     out = cfg["out"] or "."
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _finish(out, name, report, snapshot=None):
+    """Write `<name>.txt` (and the snapshots of a final state) to `out`, print
+    the report; exit 1 unless it passed (an asymptotic report checks none)."""
+    it.write_report(os.path.join(out, f"{name}.txt"), report)
+    if snapshot is not None:
+        tf.write_snapshot(os.path.join(out, "velocity.bci"),
+                          snapshot.v, 1, snapshot.grid, snapshot.tgrid)
+        tf.write_snapshot(os.path.join(out, "temperature.bci"),
+                          snapshot.theta[:, None], 0, snapshot.grid, snapshot.tgrid)
+    print("\n".join(it.format_report(report)))
+    return 0 if report.get("passed", True) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +225,13 @@ def _outdir(cfg):
 def cmd_validate_initial(cfg):
     """Build the starting tuple and check its normalized residuals."""
     _kappa_bar(cfg, _get_above(cfg, "kappa", 0))
+    tol = _get_above(cfg, "tolerance", 0)
     state = _desk_state(cfg)
     res = dg.normalized_residuals(state)
-    tol = _get_float(cfg, "tolerance")
-    ok = max(res["momentum"], res["flux"], res["incompressibility"]) <= tol
-    report = dict(res)
-    report.update({"tolerance": tol, "passed": ok,
-                   "grid": f"{state.grid.nx}x{state.grid.ny}x{state.grid.nz}",
-                   "nt": state.tgrid.nt})
-    it.write_report(os.path.join(_outdir(cfg), "validate_initial.txt"), report)
-    print("\n".join(it.format_report(report)))
-    return 0 if ok else 1
+    return _finish(_outdir(cfg), "validate_initial", {
+        **res, "tolerance": tol,
+        "passed": max(res["momentum"], res["flux"], res["incompressibility"]) <= tol,
+        "grid": f"{state.grid.nx}x{state.grid.ny}x{state.grid.nz}", "nt": state.tgrid.nt})
 
 
 def _asymptotic_report(cfg):
@@ -250,33 +252,30 @@ def _asymptotic_report(cfg):
     }
 
 
+def _run_keys(cfg):
+    """The keys step and outer share, read before any state is built: the
+    ladders, the tolerance of the Richardson check (which needs
+    TimeGrid.halved) and the snapshots switch."""
+    if _grids(cfg)[1].halved() is None:
+        raise ConfigError(f"nt = {_get_int(cfg, 'nt')} has no stride-2 time grid "
+                          "for the Richardson check (nt must be odd and >= 9)")
+    return (*_ladders(cfg), _get_above(cfg, "residual_tolerance", 0),
+            _get_int(cfg, "snapshots"))
+
+
 def cmd_step(cfg):
-    """Run one six-substep update (or report parameters in asymptotic mode)."""
+    """Run one outer step: six substeps, each with its closure check (or
+    report parameters in asymptotic mode)."""
     if cfg["mode"] == "asymptotic":
-        report = _asymptotic_report(cfg)
-        it.write_report(os.path.join(_outdir(cfg), "step.txt"), report)
-        print("\n".join(it.format_report(report)))
-        return 0
+        return _finish(_outdir(cfg), "step", _asymptotic_report(cfg))
     if cfg["mode"] != "desk":
         raise ConfigError(f"unknown mode {cfg['mode']!r} (desk | asymptotic)")
-    _check_halves(cfg)
-    lams, ells, ellzs = _ladders(cfg)
+    lams, ells, ellzs, tolerance, snapshots = _run_keys(cfg)
     _kappa_bar(cfg, _get_above(cfg, "kappa", 0))
     state = _desk_state(cfg)
     out = _outdir(cfg)
-    blocks = it.begin_step(state, ells[0], ellzs[0])
-    report = it.run_step(state, lams, ells, ellzs)
-    report["blocks"] = blocks
-    check = dg.richardson_floor(state, _get_float(cfg, "residual_tolerance"))
-    report["residual"] = check
-    it.write_report(os.path.join(out, "step.txt"), report)
-    if _get_int(cfg, "snapshots"):
-        tf.write_snapshot(os.path.join(out, "velocity.bci"),
-                          state.v, 1, state.grid, state.tgrid)
-        tf.write_snapshot(os.path.join(out, "temperature.bci"),
-                          state.theta[:, None], 0, state.grid, state.tgrid)
-    print("\n".join(it.format_report(report)))
-    return 0 if check["passed"] else 1
+    report = it.run_step(state, lams, ells, ellzs, tolerance)
+    return _finish(out, "step", report, state if snapshots else None)
 
 
 def cmd_outer(cfg):
@@ -287,8 +286,7 @@ def cmd_outer(cfg):
     steps = _get_int(cfg, "steps")
     if steps < 1:
         raise ConfigError(f"steps = {steps} must be >= 1")
-    _check_halves(cfg)
-    lams, ells, ellzs = _ladders(cfg)
+    lams, ells, ellzs, tolerance, snapshots = _run_keys(cfg)
     # kappa_n = kappa ** (schedule_b ** n) shrinks only for kappa < 1 and
     # schedule_b > 1
     kappa = _get_above(cfg, "kappa", 0)
@@ -296,14 +294,11 @@ def cmd_outer(cfg):
         raise ConfigError(f"kappa = {kappa:g} must be < 1 for outer "
                           "(the budgets kappa^(schedule_b^n) must shrink)")
     schedule_b = _get_above(cfg, "schedule_b", 1)
-    tolerance = _get_float(cfg, "residual_tolerance")
     state = _desk_state(cfg)
     out = _outdir(cfg)
-    _, report = it.run_outer(state, lams, ells, ellzs, steps,
-                             schedule_b=schedule_b, tolerance=tolerance)
-    it.write_report(os.path.join(out, "outer.txt"), report)
-    print("\n".join(it.format_report(report)))
-    return 0 if report["passed"] else 1
+    state, report = it.run_outer(state, lams, ells, ellzs, steps,
+                                 schedule_b=schedule_b, tolerance=tolerance)
+    return _finish(out, "outer", report, state if snapshots else None)
 
 
 def _check_sweep(quantity, sweep):
@@ -362,9 +357,7 @@ def cmd_scaling(cfg):
         report["mollification"] = {"slope": res["slope"]}
         ok &= 0.7 < res["slope"] < 1.3
     report["passed"] = bool(ok)
-    it.write_report(os.path.join(out, "scaling.txt"), report)
-    print("\n".join(it.format_report(report)))
-    return 0 if ok else 1
+    return _finish(out, "scaling", report)
 
 
 def cmd_selftest(cfg):

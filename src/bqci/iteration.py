@@ -11,8 +11,8 @@ construction's algebra and bookkeeping at resolvable scales.
 The step driver owns the state plumbing: building the explicit starting
 tuple with all derivative stores, decomposing and mollifying the stress
 into block coefficients at the start of each step, chaining the six
-cancellation substeps, and rolling the accumulated updates into the next
-step's input.
+cancellation substeps with a closure check after each, and rolling the
+accumulated updates into the next step's input.
 """
 
 import dataclasses
@@ -331,23 +331,38 @@ def begin_step(state, ell1, ell1z):
     return report
 
 
-def run_step(state, lams, ells, ellzs):
-    """Run the six cancellation substeps on a prepared state (begin_step done).
+def run_step(state, lams, ells, ellzs, tolerance=5.0):
+    """One outer step on a state from initial_state or advance_step:
+    begin_step at (ells[0], ellzs[0]), then the six substeps, each followed
+    by the Richardson check at `tolerance`, kept as that substep report's
+    `residual`.  Wrong ladder lengths are refused first (state untouched).
 
-    Returns the step report: per-substep reports, the recorded amplitude
-    constant, and the norms of the accumulated stress / flux updates."""
+    Returns the step report: the block and substep reports, M_rec, the sup
+    norms of the stress / flux updates and of the velocity / temperature
+    increments, failed_substeps (the substeps whose check failed), passed."""
     if len(lams) != 6 or len(ells) != 6 or len(ellzs) != 6:
         raise ValueError("need six lambda / ell / ell_z values")
     t0 = time.perf_counter()
-    subs = [run_substep(state, n, lams[n - 1], ells[n - 1], ellzs[n - 1]) for n in range(1, 7)]
+    v0, th0 = state.v.copy(), state.theta.copy()
+    blocks = begin_step(state, ells[0], ellzs[0])
+    subs = []
+    for n in range(1, 7):
+        subs.append(run_substep(state, n, lams[n - 1], ells[n - 1], ellzs[n - 1]))
+        subs[-1]["residual"] = dg.richardson_floor(state, tolerance)
     report = {key: tf.max_or_nan(*(r[key] for r in subs)) for key in (
         "sup_b", "w_sup", "w_main_sup", "chi_sup", "chi_main_sup", "cancel_r1", "cancel_r2")}
     sqk = math.sqrt(state.kappa)
+    failed = [r["n"] for r in subs if not r["residual"]["passed"]]
     report.update({
         "kappa": state.kappa,
         "M_rec": 300.0 * report["sup_b"] / sqk if sqk > 0 else 0.0,
         "delta_R_sup": tf.sup_norm(state.delta_R),
         "delta_f_sup": tf.sup_norm(state.delta_f),
+        "v_increment_sup": tf.sup_norm(state.v - v0),
+        "theta_increment_sup": tf.sup_norm(state.theta - th0),
+        "blocks": blocks,
+        "failed_substeps": failed,
+        "passed": not failed,
         "wall_time": time.perf_counter() - t0,
         "substeps": subs,
     })
@@ -369,15 +384,14 @@ def advance_step(state, kappa_next, e_vals_next):
 
 
 def run_outer(state, lams, ells, ellzs, steps, schedule_b=1.5, tolerance=5.0):
-    """Chain `steps` outer steps from a prepared starting state.
+    """Chain `steps` outer steps (run_step) from a starting state.
 
     Step s runs under the budget kappa_s = a^(-b^s) with a = 1/state.kappa
     and b = schedule_b, on the frequency ladder lams doubled s times.  From
     the second step on, the energy profile must keep e - a >= kappa/2 on the
     stress support, so its level is 10 kappa_s plus a floor set by the
-    carried stress.  Every step ends with the Richardson check.  Returns the
-    final state and the report: per-step reports (with the velocity and
-    temperature increments), the kappas, and whether every check passed."""
+    carried stress.  Returns the final state and the report: per-step
+    reports, the kappas, and whether every substep's check passed."""
     if steps < 1:
         raise ValueError(f"steps = {steps} must be >= 1")
     kappas = [state.kappa ** (schedule_b ** s) for s in range(steps)]
@@ -386,16 +400,8 @@ def run_outer(state, lams, ells, ellzs, steps, schedule_b=1.5, tolerance=5.0):
         if s > 0:
             level = 10 * kappa + 8.0 * tf.sup_norm(state.delta_R)
             state = advance_step(state, kappa, np.full(state.tgrid.nt, level))
-        v0 = state.v.copy()
-        th0 = state.theta.copy()
-        blocks = begin_step(state, ells[0], ellzs[0])
-        rep = run_step(state, [lam * 2 ** s for lam in lams], ells, ellzs)
-        rep["blocks"] = blocks
-        rep["v_increment_sup"] = tf.sup_norm(state.v - v0)
-        rep["theta_increment_sup"] = tf.sup_norm(state.theta - th0)
-        rep["residual"] = dg.richardson_floor(state, tolerance)
-        reports.append(rep)
-    passed = all(rep["residual"]["passed"] for rep in reports)
+        reports.append(run_step(state, [lam * 2 ** s for lam in lams], ells, ellzs, tolerance))
+    passed = all(rep["passed"] for rep in reports)
     return state, {"steps": reports, "kappas": kappas, "passed": passed}
 
 

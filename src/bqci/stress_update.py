@@ -426,9 +426,9 @@ class StepState:
 
     __post_init__ sets what a step accumulates, so dataclasses.replace starts
     a fresh step: the updates delta_R / delta_f with their exact divergences
-    div_R_store / div_f_store (zeros), completed, failed (None or the message
-    of a refused slice that left the stores partly updated, run_substep) and
-    the substep reports.  eq=False: a generated __eq__ would compare arrays
+    div_R_store / div_f_store (zeros), completed and failed (None or the
+    message of a refused slice that left the stores partly updated,
+    run_substep).  eq=False: a generated __eq__ would compare arrays
     and make the state unhashable.
     """
 
@@ -462,7 +462,7 @@ class StepState:
         self.delta_f = np.zeros((nt, 3) + shape)
         self.div_R_store = np.zeros((nt, 3) + shape)
         self.div_f_store = np.zeros((nt,) + shape)
-        self.completed, self.failed, self.reports = 0, None, []
+        self.completed, self.failed = 0, None
 
     def mollify(self, f, ell, ell_z):
         """tf.mollify of a time series f at (ell, ell_z), truncated to the
@@ -618,7 +618,7 @@ def run_substep(state, n, lam, ell, ell_z):
                     engine.dt_hat(j, kind, stride=2), engine.classes(j, 2))
 
     state.completed = n
-    report = {
+    return {
         "n": n,
         "lam": lam,
         "ell": ell,
@@ -632,5 +632,3 @@ def run_substep(state, n, lam, ell, ell_z):
         "cancel_r2": sup.pop("cancel_r2"),
         **{f"{k}_sup": val for k, val in sup.items()},
     }
-    state.reports.append(report)
-    return report

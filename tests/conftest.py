@@ -9,19 +9,17 @@ KAPPA = 0.25
 
 
 def mini_start():
-    """The start state of mini_stepped, begin_step done."""
+    """The start state of mini_stepped."""
     grid = tf.Grid3(24, 24, 24)
     tgrid = tf.TimeGrid(0.75, 4.25, 9)
     e_vals = it.energy_profile(tgrid.times(), (0.75, 4.25), (0.75, 4.25),
                                10 * KAPPA)
-    state = it.initial_state(grid, tgrid, mu=2, kappa=KAPPA, e_vals=e_vals,
-                             M=0.05, lam=4)
-    it.begin_step(state, 0.9, 0.9)
-    return state
+    return it.initial_state(grid, tgrid, mu=2, kappa=KAPPA, e_vals=e_vals,
+                            M=0.05, lam=4)
 
 
 def mini_step(state):
-    """mini_stepped's six substeps on a start state; the step report."""
+    """mini_stepped's outer step on a start state; the step report."""
     return it.run_step(state, lams=[16] * 6, ells=[0.9] * 6, ellzs=[0.9] * 6)
 
 

@@ -78,7 +78,6 @@ def _mini_run(lam):
     e_vals = np.full(9, 10 * kappa)
     state = it.initial_state(grid, tgrid, mu=2, kappa=kappa, e_vals=e_vals,
                              M=0.05, lam=4)
-    it.begin_step(state, 0.9, 0.9)
     report = it.run_step(state, [lam] * 6, [0.9] * 6, [0.9] * 6)
     return state, report
 

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from bqci import cli
+from bqci import diagnostics as dg
+from bqci import iteration as it
 from bqci import stress_update as su
+from bqci import torus_field as tf
 
 SMALL = ["--set", "nx=16", "--set", "ny=16", "--set", "nz=16",
          "--set", "nt=9", "--set", "lam_init=4", "--set", "mu=2"]
@@ -152,18 +155,46 @@ def test_outer_one_step_passes(tmp_path):
     assert "steps[0].v_increment_sup=" in text
 
 
+# SMALL's ladder on which both outer steps close (test_second_outer_step_closes)
+CLOSING = ["--set", "lams=" + ",".join(str(8 * 2 ** n) for n in range(6)),
+           "--set", "ells=" + ",".join(["0.6"] * 6),
+           "--set", "ellzs=" + ",".join(["0.6"] * 6)]
+
+
 def test_outer_starts_from_kappa(tmp_path):
-    # kappa was overwritten by 1 / schedule_a = 0.25
-    lams = ",".join(str(8 * 2 ** n) for n in range(6))
+    # kappa was overwritten by 1 / schedule_a = 0.25; snapshots was ignored
     code = cli.main(["outer", "--set", "kappa=0.1", "--set", "steps=1",
-                     "--set", f"lams={lams}",
-                     "--set", "ells=" + ",".join(["0.6"] * 6),
-                     "--set", "ellzs=" + ",".join(["0.6"] * 6)]
-                    + SMALL + _out(tmp_path))
+                     "--set", "snapshots=1"] + CLOSING + SMALL + _out(tmp_path))
     assert code == 0
     text = (tmp_path / "outer.txt").read_text().splitlines()
     assert "kappas=0.1" in text
     assert "steps[0].kappa=0.1" in text
+    for name, rank, ncomp in (("velocity.bci", 1, 3), ("temperature.bci", 0, 1)):
+        arr, got_rank, grid, tgrid = tf.read_snapshot(tmp_path / name)
+        assert got_rank == rank and arr.shape == (9, ncomp, 16, 16, 16)
+        assert (grid.shape, tgrid.nt) == ((16, 16, 16), 9)
+        assert np.all(np.isfinite(arr)) and np.any(arr)
+
+
+def test_failed_substep_check_fails_the_step(tmp_path, monkeypatch):
+    # the driver checks closure after every substep: a failure at substep 3
+    # is named, the step goes on, and the CLI exits 1 with the report written
+    clean = dg.richardson_floor
+
+    def third_fails(state, tolerance=5.0):
+        check = clean(state, tolerance)
+        return {**check, "passed": False} if state.completed == 3 else check
+    monkeypatch.setattr(dg, "richardson_floor", third_fails)
+    grid, tgrid = tf.Grid3(16, 16, 16), tf.TimeGrid(0.75, 4.25, 9)
+    state = it.initial_state(grid, tgrid, mu=2, kappa=0.25, e_vals=np.full(9, 2.5),
+                             M=0.05, lam=4)
+    rep = it.run_step(state, [8 * 2 ** n for n in range(6)], [0.6] * 6, [0.6] * 6)
+    assert rep["failed_substeps"] == [3] and rep["passed"] is False
+    assert [r["residual"]["passed"] for r in rep["substeps"]] == [True] * 2 + [False] + [True] * 3
+    assert state.completed == 6
+    assert cli.main(["step"] + CLOSING + SMALL + _out(tmp_path)) == 1
+    text = (tmp_path / "step.txt").read_text().splitlines()
+    assert "failed_substeps=3" in text and "passed=False" in text
 
 
 def test_step_non_finite_update_is_runtime_error(tmp_path, monkeypatch, capsys):
@@ -279,6 +310,11 @@ def test_scaling_sweep_is_checked_before_any_probe(tmp_path, capsys, monkeypatch
     ("step", "mu", "3", "mu = 3 does not divide the lams value 16"),
     ("outer", "mu", "5", "mu = 5 does not divide the lams value 16"),
     ("step", "lams", "16,16,-16,16,16,16", "lams value -16 is not a positive integer"),
+    # read only after the six substeps, and snapshots after step.txt was written
+    ("step", "residual_tolerance", "abc", "residual_tolerance = 'abc' is not a number"),
+    ("outer", "residual_tolerance", "0", "residual_tolerance = 0 must be > 0"),
+    ("step", "snapshots", "x", "snapshots = 'x' is not an integer"),
+    ("validate-initial", "tolerance", "0", "tolerance = 0 must be > 0"),
 ])
 def test_bad_budget_or_cell_scale_is_refused_before_any_state(
         tmp_path, capsys, monkeypatch, command, key, value, message):

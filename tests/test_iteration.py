@@ -237,9 +237,9 @@ def test_begin_step_names_non_finite_coefficients():
 
 def test_run_step_requires_six_substep_plans():
     st = make_state()
-    it.begin_step(st, 0.9, 0.9)
     with pytest.raises(ValueError):
         it.run_step(st, lams=[8] * 5, ells=[0.9] * 5, ellzs=[0.9] * 5)
+    assert st.completed == 0 and not np.any(st.a)
 
 
 def test_advance_step_requires_completed_step():
@@ -251,14 +251,12 @@ def test_advance_step_requires_completed_step():
 def test_advance_step_rolls_updates_forward():
     st = make_state()
     st.completed = 6
-    st.reports.append({"n": 6})
     st.delta_R[:] = 1.5
     st.div_R_store[:] = 0.25
     st.delta_f[:] = -0.5
     st.div_f_store[:] = 0.125
     nxt = it.advance_step(st, 0.125, 0.5 * st.e_vals)
-    assert nxt.completed == 0 and nxt.failed is None and nxt.reports == []
-    assert st.reports == [{"n": 6}]
+    assert nxt.completed == 0 and nxt.failed is None
     assert nxt.kappa == 0.125
     assert np.array_equal(nxt.e_vals, 0.5 * st.e_vals)
     assert nxt.R0 is st.delta_R and nxt.f0 is st.delta_f
@@ -296,7 +294,7 @@ def test_second_outer_step_closes():
     _, outer = it.run_outer(st, [8 * 2 ** i for i in range(6)], [0.6] * 6,
                             [0.6] * 6, steps=2)
     for rep in outer["steps"]:
-        res = rep["residual"]
+        res = rep["substeps"][-1]["residual"]
         assert res["passed"], res
         assert max(res["momentum_ratio"], res["flux_ratio"]) < 1e-6
     assert outer["passed"]
@@ -314,6 +312,10 @@ def test_mini_step_report(mini_stepped):
     # carries a temperature wave; substeps 4-6 never do
     assert rep["substeps"][1]["chi_sup"] > 0
     assert all(r["chi_sup"] == 0 for r in rep["substeps"][3:])
+    # every substep ends with its closure check, and all six pass
+    assert all(r["residual"]["passed"] for r in rep["substeps"])
+    assert rep["failed_substeps"] == [] and rep["passed"] is True
+    assert rep["v_increment_sup"] > 0 and "a_sup" in rep["blocks"]
 
 
 # ---------------------------------------------------------------------------
