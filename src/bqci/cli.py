@@ -201,14 +201,21 @@ def _desk_state(cfg):
 
 
 def _outdir(cfg):
+    """The output directory, read before any state is built and made only
+    when there is output to write (_finish)."""
     out = cfg["out"] or "."
-    os.makedirs(out, exist_ok=True)
+    found = os.path.abspath(out)
+    while not os.path.exists(found):  # the nearest existing ancestor
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ConfigError(f"out = {out!r}: {found} is a file, not a directory")
     return out
 
 
 def _finish(out, name, report, snapshot=None):
     """Write `<name>.txt` (and the snapshots of a final state) to `out`, print
     the report; exit 1 unless it passed (an asymptotic report checks none)."""
+    os.makedirs(out, exist_ok=True)
     it.write_report(os.path.join(out, f"{name}.txt"), report)
     if snapshot is not None:
         tf.write_snapshot(os.path.join(out, "velocity.bci"),
@@ -226,9 +233,10 @@ def cmd_validate_initial(cfg):
     """Build the starting tuple and check its normalized residuals."""
     _kappa_bar(cfg, _get_above(cfg, "kappa", 0))
     tol = _get_above(cfg, "tolerance", 0)
+    out = _outdir(cfg)
     state = _desk_state(cfg)
     res = dg.normalized_residuals(state)
-    return _finish(_outdir(cfg), "validate_initial", {
+    return _finish(out, "validate_initial", {
         **res, "tolerance": tol,
         "passed": max(res["momentum"], res["flux"], res["incompressibility"]) <= tol,
         "grid": f"{state.grid.nx}x{state.grid.ny}x{state.grid.nz}", "nt": state.tgrid.nt})
@@ -237,9 +245,9 @@ def cmd_validate_initial(cfg):
 def _asymptotic_report(cfg):
     kappa = _get_above(cfg, "kappa", 0)
     params = it.choose_params(
-        _get_float(cfg, "L_v"), kappa, _kappa_bar(cfg, kappa),
-        _get_float(cfg, "Lam"), _get_float(cfg, "Lam_bar"),
-        _get_float(cfg, "D_v"), eps=_get_float(cfg, "eps"))
+        _get_above(cfg, "L_v", 0), kappa, _kappa_bar(cfg, kappa),
+        _get_above(cfg, "Lam", 0), _get_above(cfg, "Lam_bar", 0),
+        _get_above(cfg, "D_v", 0), eps=_get_above(cfg, "eps", 0))
     nyquist = min(_get_int(cfg, "nx"), _get_int(cfg, "ny"),
                   _get_int(cfg, "nz")) // 2
     return {
@@ -272,8 +280,8 @@ def cmd_step(cfg):
         raise ConfigError(f"unknown mode {cfg['mode']!r} (desk | asymptotic)")
     lams, ells, ellzs, tolerance, snapshots = _run_keys(cfg)
     _kappa_bar(cfg, _get_above(cfg, "kappa", 0))
-    state = _desk_state(cfg)
     out = _outdir(cfg)
+    state = _desk_state(cfg)
     report = it.run_step(state, lams, ells, ellzs, tolerance)
     return _finish(out, "step", report, state if snapshots else None)
 
@@ -294,8 +302,8 @@ def cmd_outer(cfg):
         raise ConfigError(f"kappa = {kappa:g} must be < 1 for outer "
                           "(the budgets kappa^(schedule_b^n) must shrink)")
     schedule_b = _get_above(cfg, "schedule_b", 1)
-    state = _desk_state(cfg)
     out = _outdir(cfg)
+    state = _desk_state(cfg)
     state, report = it.run_outer(state, lams, ells, ellzs, steps,
                                  schedule_b=schedule_b, tolerance=tolerance)
     return _finish(out, "outer", report, state if snapshots else None)
@@ -332,6 +340,7 @@ def cmd_scaling(cfg):
     if sweep:
         _check_sweep(quantity, sweep)
     out = _outdir(cfg)
+    os.makedirs(out, exist_ok=True)  # the tables are written before the report
     report = {}
     ok = True
     if quantity in ("lambda", "all"):

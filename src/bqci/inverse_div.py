@@ -1,8 +1,8 @@
 """Antidivergence operators on the torus and their decay diagnostics.
 
-shift_entry tabulates what every symbol below reads for one integer shift
-xi: the shifted wavenumbers K = m + xi, -1/|K|^2 (0 at K = 0) and the grid
-index of K = 0. r_hat / g_hat are the symbols, acting on the spectrum of the
+Every symbol below reads the torus_field.ShiftEntry of one integer shift xi:
+the shifted wavenumbers K = m + xi, -1/|K|^2 (0 at K = 0) and the grid index
+of K = 0. r_hat / g_hat are the symbols, acting on the spectrum of the
 slow amplitude of a(x) e^{i xi.x}; the wave engine applies them class by
 class. div_mode_hat is G composed with the divergence on one oscillation mode
 A k e^{i xi.x}, a real symbol on the scalar spectrum of A; with k . xi = 0
@@ -15,39 +15,11 @@ a(x) e^{i lam k.x} (through the shifted symbol path) their output decays like
 1/lam, which decay_probe measures.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import torus_field as tf
-
-
-class ShiftEntry(namedtuple("ShiftEntry", "xi K inv zero")):
-    """The symbol data of one integer shift xi (a tuple): K, the shifted
-    wavenumbers as 1-D broadcasts (tf.shifted_k); inv = -1/|K|^2 on the
-    grid, 0 at K = 0; zero, the grid index of K = 0 (None when it is not a
-    grid frequency)."""
-
-    def dropped_mean(self, fh):
-        """The T^3 mean of the amplitude's K = 0 mode, the coefficient the
-        symbols drop (leading axes of fh kept; 0 without a zero mode)."""
-        if self.zero is None:
-            return 0.0
-        return fh[(Ellipsis,) + self.zero] / self.inv.size
-
-
-def shift_entry(grid, xi=None):
-    """ShiftEntry of the integer shift xi (None: no shift)."""
-    xi = (0, 0, 0) if xi is None else tuple(int(x) for x in xi)
-    K = tf.shifted_k(grid, xi)
-    # K_d = 0 at one index per axis at most, so K = 0 at one point at most
-    hits = [np.flatnonzero(Kd.ravel() == 0) for Kd in K]
-    zero = tuple(int(h[0]) for h in hits) if all(h.size for h in hits) else None
-    k2 = K[0] * K[0] + K[1] * K[1] + K[2] * K[2]
-    if zero is not None:
-        k2[zero] = np.inf  # so that -1/|K|^2 is 0 there
-    return ShiftEntry(xi, K, -1.0 / k2, zero)
 
 
 def r_hat(vh, entry):
@@ -75,15 +47,13 @@ def r_hat(vh, entry):
 def g_hat(fh, entry):
     """Gradient-of-inverse-Laplacian symbol on the spectrum fh of a shifted
     scalar amplitude; the mode K = 0 is dropped (entry.dropped_mean)."""
-    KX, KY, KZ = entry.K
-    u = fh * entry.inv
-    return np.stack([1j * KX * u, 1j * KY * u, 1j * KZ * u])
+    return entry.grad(fh * entry.inv)
 
 
 def div_mode_hat(Ah, k, entry):
     """G(div(A k e^{i xi.x})) as the spectrum of the slow amplitude, from the
     spectrum Ah of A, for a shift xi with k . xi = 0 (entry =
-    shift_entry(grid, xi)).
+    tf.shift_entry(grid, xi)).
 
     It is g_hat on the polarized input i (k . K) Ah, reduced to a real
     symbol: the two factors of i cancel, -1/|K|^2 is entry.inv, and the
@@ -123,7 +93,7 @@ def R_op(v, grid, xi=None):
     v = np.asarray(v)
     if v.shape != (3,) + grid.shape:
         raise ValueError("expected a vector field on the grid")
-    out = tf.sym_unpack(tf.ifft3(r_hat(tf.fft3(v), shift_entry(grid, xi))))
+    out = tf.sym_unpack(tf.ifft3(r_hat(tf.fft3(v), tf.shift_entry(grid, xi))))
     return out.real if (xi is None and not np.iscomplexobj(v)) else out
 
 
@@ -132,7 +102,7 @@ def G_op(f, grid, xi=None):
     f = np.asarray(f)
     if f.shape != grid.shape:
         raise ValueError("expected a scalar field on the grid")
-    out = tf.ifft3(g_hat(tf.fft3(f), shift_entry(grid, xi)))
+    out = tf.ifft3(g_hat(tf.fft3(f), tf.shift_entry(grid, xi)))
     return out.real if (xi is None and not np.iscomplexobj(f)) else out
 
 

@@ -11,22 +11,12 @@ cells whose waves share a phase class; the 8 corners of a cube realize all
 corner of class c.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-C1_DEFAULT = 0.9
-C2_DEFAULT = 0.95
 
-
-@dataclass(frozen=True)
 class PartitionOfUnity:
-    c1: float = C1_DEFAULT
-    c2: float = C2_DEFAULT
-
-    def __post_init__(self):
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError("need 0 < c1 < c2 < 1")
+    c1 = 0.9  # bump(c1) = e^-1
+    c2 = 0.95  # the cutoff radius, below 1: only the containing cube's corners activate
 
     def bump(self, r):
         """Radial profile beta(r): C-infinity, positive for r < c2, zero after."""

@@ -32,7 +32,6 @@ from collections import namedtuple
 import numpy as np
 
 from . import algebra
-from . import inverse_div as idv
 from . import partition as pt
 from . import torus_field as tf
 
@@ -50,14 +49,6 @@ class AmplitudeError(ValueError):
 # built from (b or beta), its class sum S, the momentum-weighted sums
 # S l_d / mu, the exact phase term -i omega S, and the amplitude-only d_t S.
 WaveKeys = namedtuple("WaveKeys", "slot base momentum phase dt")
-
-
-def _gradient_hat(h, entry):
-    """i K_d h stacked over d, K the shift entry's wavenumbers."""
-    out = np.empty((3,) + h.shape, dtype=complex)
-    for d in range(3):
-        np.multiply(1j * entry.K[d], h, out=out[d])
-    return out
 
 
 class WaveEngine:
@@ -104,8 +95,8 @@ class WaveEngine:
         self.kinds = ("w", "chi") if self.c_n is not None and n <= 3 else ("w",)
         self.class_q = self.lam * 2 ** np.arange(8)  # class c's carrier: class_q[c] k_h-perp
         self._omega_ladder = (self.lam / self.mu) * np.ldexp(1.0, np.arange(8))
-        self._kv = grid.wavenumbers()
-        kx, ky, kz = self._kv
+        self._shifts = {}
+        kx, ky, kz = self._entry(0).K  # the base scalars are unshifted
         s, t = self.avec[0], self.avec[1]
         kp = self.carrier  # the carrier is k_h-perp
         # per kind: polarization and correction symbol, which class c divides
@@ -121,7 +112,6 @@ class WaveEngine:
         self._amp_cache = {}
         self._amp_j = None
         self._amp_syms = {}
-        self._shifts = {}
         self._check_radicand()
 
     def _check_radicand(self):
@@ -405,7 +395,7 @@ class WaveEngine:
         def build():
             keys = self.KEYS[kind]
             S1h = self.base_hat(j, keys.momentum)
-            kx, ky, kz = self._kv
+            kx, ky, kz = self._entry(0).K
             div = kx * S1h[:, 0]
             div += ky * S1h[:, 1]
             div += kz * S1h[:, 2]
@@ -418,7 +408,7 @@ class WaveEngine:
         """Spectrum of the amplitude of d_zz of the wave per class: the
         symbol -m_z^2 on the base scalar (every carrier is horizontal, so
         the shift leaves K_z = m_z)."""
-        mz = self._kv[2]
+        mz = self._entry(0).K[2]
         return self._kind_memo(j, kind, "dzz", lambda: self._amp_hat(
             -(mz * mz) * self.base_hat(j, self.KEYS[kind].base), self.classes(j), kind))
 
@@ -450,11 +440,11 @@ class WaveEngine:
     # (lam 2^c for class c, lam (2^c +- 2^c') for a mode): one table, one loop.
 
     def _entry(self, q):
-        """inverse_div.shift_entry of q k_h-perp, built on first use and kept
-        for the engine: every slice, both wave kinds and the class and mode
-        paths read the same entry."""
+        """tf.shift_entry of q k_h-perp, built on first use and kept for the
+        engine: every slice, both wave kinds, the class and mode paths and
+        (q = 0) the unshifted base scalars read the same entry."""
         if q not in self._shifts:
-            self._shifts[q] = idv.shift_entry(self.grid, q * self.carrier)
+            self._shifts[q] = tf.shift_entry(self.grid, q * self.carrier)
         return self._shifts[q]
 
     def assemble(self, hats, qs, lead, op=None):
@@ -484,7 +474,7 @@ class WaveEngine:
         (3 deriv) + polarization + grid each. The symbol of d_d on class c
         is i K_d, stacked over d."""
         return self._memo(j, ("grad", kind), lambda: self._materialize(
-            j, kind, (3,), _gradient_hat))
+            j, kind, (3,), lambda h, entry: entry.grad(h)))
 
     def _materialize(self, j, kind, lead, op=None):
         """assemble with op (output lead + the spectrum's shape) of the main
@@ -528,7 +518,7 @@ class WaveEngine:
         """Materialized div w_n via the shifted symbol (exactly the curl
         structure cancelling; nonzero only through FFT roundoff)."""
         return self.assemble(sum(self.wave_hats(j, "w")), self.class_q[self.classes(j)], (),
-                             lambda h, e: sum(1j * e.K[d] * h[d] for d in range(3)))
+                             lambda h, entry: entry.div(h))
 
     def cancellation_residual(self, j):
         """(|2 sum_l b^2 - (e - a)|_sup, |2 sum_l beta b + c|_sup); both are

@@ -1,17 +1,18 @@
 """Periodic field arithmetic on the 3-torus [0, 2pi)^3.
 
 Fields are plain numpy arrays whose last three axes are (x, y, z); a time
-series carries time as the leading axis. Spatial derivatives are spectral,
-each by 1-D transforms along the one axis it acts on; time derivatives are
-4th-order finite differences on the shared uniform time grid. A "shifted"
-variant of every spectral operator acts on the slow amplitude a of a
-modulated term a(x) e^{i xi . x} by replacing the symbol i m with
-i (m + xi); this is how fast phases stay symbolic while the operators
-remain exact.
+series carries time as the leading axis. Spatial derivatives of real fields
+are spectral, each by 1-D transforms along the one axis it acts on; time
+derivatives are 4th-order finite differences on the shared uniform time
+grid. A modulated term a(x) e^{i xi . x} keeps its fast phase symbolic: every
+operator on it acts on the spectrum of the slow amplitude a through the
+shifted symbol i (m + xi), read from the shift's ShiftEntry, the one place
+that builds wavenumbers.
 """
 
 import struct
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,77 +142,92 @@ def add_shifted(acc_hat, fh, xi):
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
-def shifted_k(grid, xi=None):
-    """Wavenumbers (kx, ky, kz) broadcastable to the grid, shifted by the
-    integer 3-vector xi: on the slow amplitude a of a(x) e^{i xi . x} the
-    symbol of d/dx_a is i (m + xi)_a."""
-    kx, ky, kz = grid.wavenumbers()
-    if xi is None:
-        return kx, ky, kz
-    return kx + xi[0], ky + xi[1], kz + xi[2]
+class ShiftEntry(namedtuple("ShiftEntry", "xi K inv zero")):
+    """The symbol data of one integer shift xi (a tuple), acting on the
+    spectrum of the slow amplitude of a(x) e^{i xi . x}: K = m + xi, the
+    shifted wavenumbers as 1-D broadcasts, so that d/dx_d is i K_d;
+    inv = -1/|K|^2 on the grid, 0 at K = 0; zero, the grid index of K = 0
+    (None when it is not a grid frequency)."""
+
+    def grad(self, h):
+        """i K_d h stacked over d: the gradient of the amplitude spectrum h."""
+        out = np.empty((3,) + h.shape, dtype=complex)
+        for d in range(3):
+            np.multiply(1j * self.K[d], h, out=out[d])
+        return out
+
+    def div(self, h):
+        """i K . h over the leading axis of h: the divergence."""
+        return sum(1j * self.K[d] * h[d] for d in range(3))
+
+    def dropped_mean(self, fh):
+        """The T^3 mean of the amplitude's K = 0 mode, the coefficient the
+        symbols drop (leading axes of fh kept; 0 without a zero mode)."""
+        if self.zero is None:
+            return 0.0
+        return fh[(Ellipsis,) + self.zero] / self.inv.size
 
 
-def _axis_derivatives(f, a, grid, xi=None, orders=(1,)):
-    """Derivatives of f along grid axis a, one per order (symbol i m_a for 1,
-    -m_a^2 for 2), all from one 1-D transform of f along that axis alone.
+def shift_entry(grid, xi=None):
+    """ShiftEntry of the integer shift xi (None: no shift)."""
+    xi = (0, 0, 0) if xi is None else tuple(int(x) for x in xi)
+    K = tuple(k + x for k, x in zip(grid.wavenumbers(), xi))
+    # K_d = 0 at one index per axis at most, so K = 0 at one point at most
+    hits = [np.flatnonzero(Kd.ravel() == 0) for Kd in K]
+    zero = tuple(int(h[0]) for h in hits) if all(h.size for h in hits) else None
+    k2 = K[0] * K[0] + K[1] * K[1] + K[2] * K[2]
+    if zero is not None:
+        k2[zero] = np.inf  # so that -1/|K|^2 is 0 there
+    return ShiftEntry(xi, K, -1.0 / k2, zero)
 
-    Real unshifted input goes through the half spectrum and comes back real,
-    with m_a's Nyquist entry zeroed: for real input the full-spectrum
-    derivative followed by taking the real part annihilates all Nyquist
-    content, and the half-spectrum path must reproduce that exactly. Complex
-    or shifted input goes through the full spectrum with m_a + xi_a for m_a
-    and comes back complex (the amplitude of a modulated field)."""
+
+def _axis_derivatives(f, a, grid, orders=(1,)):
+    """Derivatives of the real field f along grid axis a, one per order
+    (symbol i m_a for 1, -m_a^2 for 2), all from one 1-D half-spectrum
+    transform of f along that axis alone, with m_a's Nyquist entry zeroed:
+    for real input the full-spectrum derivative followed by taking the real
+    part annihilates all Nyquist content, and this path reproduces that
+    exactly. A modulated amplitude takes its symbols from its ShiftEntry."""
+    if np.iscomplexobj(f):
+        raise TypeError("spectral derivatives take real fields; a modulated "
+                        "amplitude takes its symbols from its ShiftEntry")
     n, axes = grid.shape[a], (a - 3,)
-    if xi is None and not np.iscomplexobj(f):
-        m = np.append(np.arange(n // 2), 0.0)  # the Nyquist entry zeroed
-        fh = sfft.rfftn(f, axes=axes)
-        inverse = lambda h: sfft.irfftn(h, s=(n,), axes=axes, overwrite_x=True)
-    else:
-        m = shifted_k(grid, xi)[a].ravel()
-        fh = sfft.fftn(f, axes=axes)
-        inverse = lambda h: sfft.ifftn(h, axes=axes, overwrite_x=True)
-    m = m.reshape((-1,) + (1,) * (2 - a))
-    return [inverse((1j * m if o == 1 else -(m * m)) * fh) for o in orders]
+    m = np.append(np.arange(n // 2), 0.0).reshape((-1,) + (1,) * (2 - a))
+    fh = sfft.rfftn(f, axes=axes)
+    return [sfft.irfftn((1j * m if o == 1 else -(m * m)) * fh, s=(n,), axes=axes,
+                        overwrite_x=True) for o in orders]
 
 
-def derivative(f, axis, grid, xi=None):
-    """Spectral spatial derivative along 'x' | 'y' | 'z'. With xi (integer
-    3-vector) given, f is the slow amplitude of f(x) e^{i xi . x} and the
-    result the amplitude of the derivative: the symbol is i (m + xi)_axis."""
-    return _axis_derivatives(f, _AXIS_INDEX[axis], grid, xi)[0]
+def derivative(f, axis, grid):
+    """Spectral spatial derivative along 'x' | 'y' | 'z'."""
+    return _axis_derivatives(f, _AXIS_INDEX[axis], grid)[0]
 
 
-def second_derivative(f, axis, grid, xi=None):
-    """Spectral second derivative along one axis: symbol -(m + xi)_axis^2."""
-    return _axis_derivatives(f, _AXIS_INDEX[axis], grid, xi, (2,))[0]
-
-
-def _gradient(f, grid, xi, z_orders):
+def _gradient(f, grid, z_orders):
     """(gradient, then the derivatives of z_orders[1:] along z from the same
     z transform)."""
-    real = xi is None and not np.iscomplexobj(f)
-    g = np.empty((3,) + f.shape, dtype=float if real else complex)
+    g = np.empty((3,) + f.shape)
     for a in range(3):
-        g[a], *rest = _axis_derivatives(f, a, grid, xi, z_orders if a == 2 else (1,))
+        g[a], *rest = _axis_derivatives(f, a, grid, z_orders if a == 2 else (1,))
     return (g, *rest)
 
 
-def gradient(f, grid, xi=None):
+def gradient(f, grid):
     """All three spatial derivatives, stacked on a new leading axis."""
-    return _gradient(f, grid, xi, (1,))[0]
+    return _gradient(f, grid, (1,))[0]
 
 
 def gradient_and_dzz(f, grid):
-    """(gradient(f, grid), second_derivative(f, "z", grid)) of a real field,
-    sharing the z transform, equal to the two calls bit for bit."""
-    return _gradient(f, grid, None, (1, 2))
+    """(gradient(f, grid), d_zz f) of a real field, sharing the z transform;
+    the gradient equals gradient(f, grid) bit for bit."""
+    return _gradient(f, grid, (1, 2))
 
 
 # rows of a packed symmetric tensor (sym_pack order): row i holds T_i0..T_i2
 _PACKED_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 
-def divergence(T, grid, xi=None):
+def divergence(T, grid):
     """Divergence of a vector (3, ...) -> scalar, of a tensor (3, 3, ...) ->
     vector, contracting the second index, or of a packed symmetric tensor
     (6, ...) -> vector; the components d/dx_b acts on share one transform
@@ -223,9 +239,9 @@ def divergence(T, grid, xi=None):
         column = lambda b: T[..., b, :, :, :]
     else:
         raise ValueError(f"unsupported shape {T.shape}")
-    out = _axis_derivatives(column(0), 0, grid, xi)[0]
+    out = _axis_derivatives(column(0), 0, grid)[0]
     for b in (1, 2):
-        out += _axis_derivatives(column(b), b, grid, xi)[0]
+        out += _axis_derivatives(column(b), b, grid)[0]
     return out
 
 

@@ -114,7 +114,13 @@ def apply_symbol(f, grid, xi, symbol):
         K = tuple(_rfft_symbol(grid, a) for a in range(3))
         return sfft.irfftn(symbol(K, sfft.rfftn(f, axes=(-3, -2, -1))), s=grid.shape,
                            axes=(-3, -2, -1))
-    return tf.ifft3(symbol(tf.shifted_k(grid, xi), tf.fft3(f)))
+    return tf.ifft3(symbol(shifted_wavenumbers(grid, xi), tf.fft3(f)))
+
+
+def shifted_wavenumbers(grid, xi=None):
+    """The grid's wavenumbers m, plus the integer shift xi when given."""
+    ks = grid.wavenumbers()
+    return ks if xi is None else tuple(k + x for k, x in zip(ks, xi))
 
 
 def derivative_3d(f, axis, grid, xi=None):
@@ -260,14 +266,14 @@ class AmplitudeSet:
         """Wave coefficient g_{+-nl} (3, grid), complex."""
         e = self.engine
         b = self.b(l, j).astype(complex)
-        gb = tf.gradient(b, e.grid)
+        gb = gradient_3d(b, e.grid)
         fac = 1.0 / (sign * 1j * e.lam * 2 ** pt.parity_index(l))
         return b[None] * e.k.reshape(3, 1, 1, 1) + fac * _cross_with(gb, e.avec)
 
     def h(self, l, j, sign=+1):
         e = self.engine
         beta = self.beta(l, j).astype(complex)
-        gb = tf.gradient(beta, e.grid)
+        gb = gradient_3d(beta, e.grid)
         kp = e.frame.k_perp_arr()
         fac = 1.0 / (sign * 1j * e.lam * 2 ** pt.parity_index(l) * e.khsq)
         return beta + fac * sum(kp[d] * gb[d] for d in range(3))

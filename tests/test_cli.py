@@ -341,6 +341,36 @@ def _no_state(*args, **kwargs):
     raise AssertionError("a state was built from a refused config")
 
 
+@pytest.mark.parametrize("key, value", [("L_v", "0"), ("D_v", "0"), ("Lam", "0"),
+                                        ("Lam_bar", "0"), ("eps", "-5")])
+def test_asymptotic_step_refuses_non_positive_constants(tmp_path, capsys, key, value):
+    # choose_params divides by L_v, Lam and Lam_bar; every constant must be
+    # positive, and the refusal names its key without a traceback
+    args = ["--set", "mode=asymptotic", "--set", f"{key}={value}"]
+    assert cli.main(["step"] + args + _out(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} = {float(value):g} must be > 0" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["validate-initial", "step", "outer", "scaling"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_naming_a_file_is_refused_before_any_state(tmp_path, capsys, monkeypatch,
+                                                       command, below):
+    # an out that is, or lies below, a file is refused before any state is
+    # built, and nothing is created or overwritten
+    monkeypatch.setattr(cli.it, "initial_state", _no_state)
+    path = tmp_path / "report.txt"
+    path.write_text("kept\n")
+    out = path / "sub" if below else path
+    args = SMALL + ["--set", "lams=" + ",".join(["16"] * 6), "--set", f"out={out}"]
+    assert cli.main([command] + args) == 2
+    assert f"config error: out = {str(out)!r}: {path} is a file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+    assert path.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", ["step", "outer"])
 def test_time_grid_without_richardson_companion_is_refused(tmp_path, capsys,
                                                            monkeypatch, command):

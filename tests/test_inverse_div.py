@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bqci import algebra
 from bqci import inverse_div as idv
 from bqci import torus_field as tf
-from oracles import dealias
+from oracles import dealias, divergence_3d, gradient_3d, shifted_wavenumbers
 
 # integer shifts from the resolved band (where a mode of the amplitude lands
 # on the zero mode) to far beyond the grid
@@ -75,7 +75,7 @@ def test_shifted_R_contract(grid, xi):
     rng = np.random.default_rng(3)
     v = random_mean_zero_vector(grid, rng).astype(complex)
     R = idv.R_op(v, grid, xi=xi)
-    d = tf.divergence(R, grid, xi=xi)
+    d = divergence_3d(R, grid, xi)
     assert np.max(np.abs(d - (v - dropped_mode(v, grid, xi)))) < 1e-8 * np.max(np.abs(v))
 
 
@@ -87,7 +87,7 @@ def test_shifted_G_contract(grid, xi):
     rng = np.random.default_rng(4)
     f = dealias(rng.standard_normal(grid.shape), grid).astype(complex)
     g = idv.G_op(f, grid, xi=xi)
-    d = tf.divergence(g, grid, xi=xi)
+    d = divergence_3d(g, grid, xi)
     assert np.max(np.abs(d - (f - dropped_mode(f, grid, xi)))) < 1e-8 * np.max(np.abs(f))
 
 
@@ -172,13 +172,21 @@ def reference_mode_factor(k, K):
 def test_symbols_on_the_shift_entry_match_the_references(xi, shape, seed):
     # the same numbers as the per-call references, the dropped mean included
     grid = tf.Grid3(*shape)
-    entry = idv.shift_entry(grid, xi)
-    K = tf.shifted_k(grid, xi)
+    entry = tf.shift_entry(grid, xi)
+    K = shifted_wavenumbers(grid, xi)
     assert entry.xi == tuple(xi)
     assert all(np.array_equal(a, b) for a, b in zip(entry.K, K))
     assert entry.inv.shape == grid.shape and entry.inv.dtype == np.float64
     rng = np.random.default_rng(seed)
-    vh = tf.fft3(rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape))
+    V = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
+    vh = tf.fft3(V)
+    # i K on the amplitude: the shifted gradient and divergence of the
+    # 3-D transform references
+    for got, ref in ((entry.grad(vh[0]), gradient_3d(V[0], grid, xi)),
+                     (entry.div(vh), divergence_3d(V, grid, xi))):
+        got = tf.ifft3(got)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     ref, ref_mean = reference_r_hat(vh, K, grid.npts)
     assert np.array_equal(idv.r_hat(vh, entry), ref)
     assert np.array_equal(np.broadcast_to(entry.dropped_mean(vh), (3,)), ref_mean)
@@ -205,7 +213,7 @@ def check_mode_hat(n, q, shape, seed):
     grid = tf.Grid3(*shape)
     frame = algebra.wave_frame(n)
     k = frame.k_arr()
-    entry = idv.shift_entry(grid, q * frame.k_perp_arr())
+    entry = tf.shift_entry(grid, q * frame.k_perp_arr())
     K = entry.K
     rng = np.random.default_rng(seed)
     A = dealias(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from bqci import partition as pt
@@ -78,11 +77,6 @@ def test_active_cells_near_corner():
     cells = active_cells(p)
     assert (0, 0, 0) in cells
     assert (1, 1, 1) not in cells  # distance ~ sqrt(3) > c2
-
-
-def test_partition_rejects_bad_radii():
-    with pytest.raises(ValueError):
-        pt.PartitionOfUnity(c1=0.99, c2=0.95)
 
 
 def offset_order_corner_alphas(pou, p):

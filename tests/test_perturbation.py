@@ -4,7 +4,7 @@ import pytest
 from bqci import partition as pt
 from bqci import perturbation as pb
 from bqci import torus_field as tf
-from oracles import AmplitudeSet, active_cells
+from oracles import AmplitudeSet, active_cells, gradient_3d
 from test_partition import offset_order_corner_alphas
 
 KAPPA = 0.1
@@ -113,7 +113,7 @@ def check_gradient_matches_oracle(kind):
 
     def term(l, xi):
         g = amp(l, j, +1)
-        gg = tf.gradient(g, grid)
+        gg = gradient_3d(g, grid)
         return np.stack([gg[d] + 1j * xi[d] * g for d in range(3)])
     ref = per_cell_sum(eng, j, term)
     assert np.max(np.abs(grad - ref)) < 1e-10 * max(np.max(np.abs(ref)), 1.0)
@@ -142,7 +142,7 @@ def check_transport_matches_oracle(kind):
     def term(l, xi):
         dtg = sum(W[j, m] * amp(l, int(S[j, m]), +1) for m in range(5))
         g = amp(l, j, +1)
-        adv = sum((l[d] / eng.mu) * tf.gradient(g, grid)[d] for d in range(3))
+        adv = sum((l[d] / eng.mu) * gradient_3d(g, grid)[d] for d in range(3))
         return dtg + adv
     ref = per_cell_sum(eng, j, term, cells=sorted(cells))
     assert np.max(np.abs(got - ref)) < 1e-9 * max(np.max(np.abs(ref)), 1.0)

@@ -9,7 +9,7 @@ from bqci import perturbation as pb
 from bqci import stress_update as su
 from bqci import torus_field as tf
 from conftest import mini_start, mini_step
-from oracles import AmplitudeSet, active_cells, dealias
+from oracles import AmplitudeSet, active_cells, dealias, shifted_wavenumbers
 from test_inverse_div import reference_g_hat, reference_r_hat
 
 KAPPA = 0.1
@@ -112,7 +112,7 @@ def per_mode_oscillation(asm, j, kind):
     k = eng.k.astype(np.float64)
     for q, A in asm.oscillation_modes(j, kind).items():
         xi = q * eng.carrier
-        K = tf.shifted_k(grid, xi)
+        K = shifted_wavenumbers(grid, xi)
         dh = 1j * (k[0] * K[0] + k[1] * K[1] + k[2] * K[2]) * tf.fft3(A)
         out, _ = sym(eng.polarize(dh, kind), K, grid.npts)
         tf.add_shifted(acc, out, xi)
@@ -137,10 +137,10 @@ def test_oscillation_matches_the_per_mode_antidivergence():
                 fast = asm._oscillation(j, kind)[0]
                 assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
                 qs |= set(asm.oscillation_modes(j, kind))
-        # one table entry per shift, shared by both kinds: the modes and the
-        # classes of the materialized waves, each the 1-D wavenumber
-        # broadcasts and one real grid array
-        assert set(eng._shifts) == qs | class_qs(eng, (0, 4, 8))
+        # one table entry per shift, shared by both kinds: the modes, the
+        # classes of the materialized waves and the unshifted base scalars
+        # (q = 0), each the 1-D wavenumber broadcasts and one real grid array
+        assert set(eng._shifts) == {0} | qs | class_qs(eng, (0, 4, 8))
         for q, entry in eng._shifts.items():
             assert entry.xi == tuple(int(x) for x in q * eng.carrier)
             assert [x.size for x in entry.K] == list(eng.grid.shape)
@@ -159,7 +159,7 @@ def per_class_modes(asm, j, kind, hats, field):
         if not np.any(hats[row]):
             continue
         xi = tuple(int(v) for v in eng.lam * (2 ** int(c)) * eng.carrier)
-        out, m = sym(hats[row], tf.shifted_k(grid, xi), grid.npts)
+        out, m = sym(hats[row], shifted_wavenumbers(grid, xi), grid.npts)
         tf.add_shifted(acc, out, xi)
         mean = mean + m.real
     return (tf.twice_real_ifft3(acc),
@@ -198,10 +198,10 @@ def test_class_terms_match_the_per_class_loop():
             slow = per_class_modes(asm, j, kind, hats, field)
             for f, s in zip(fast, slow):
                 assert np.max(np.abs(f - s)) <= 1e-13 * np.max(np.abs(s))
-    # the table holds exactly the class shifts; the oscillation modes then
-    # add theirs and reuse the class entries they share
+    # the table holds exactly the class shifts and the unshifted entry; the
+    # oscillation modes then add theirs and reuse the class entries they share
     table = dict(eng._shifts)
-    assert set(table) == class_qs(eng, js)
+    assert set(table) == {0} | class_qs(eng, js)
     modes = set()
     for j in js:
         for kind in ("w", "chi"):
@@ -219,7 +219,7 @@ def test_inverse_div_symbol_exactness_resolved_mode():
     rng = np.random.default_rng(3)
     xi = np.array([0, 3, 0])
     amp = dealias(rng.standard_normal((3,) + grid.shape), grid).astype(complex)
-    entry = idv.shift_entry(grid, xi)
+    entry = tf.shift_entry(grid, xi)
     ah = tf.fft3(amp)
     Rh6, mean = idv.r_hat(ah, entry), entry.dropped_mean(ah)
     x, y, z = grid.axes()
@@ -243,7 +243,7 @@ def test_gradient_inverse_laplacian_exactness_resolved_mode():
     rng = np.random.default_rng(4)
     xi = np.array([2, -2, 0])
     amp = dealias(rng.standard_normal(grid.shape), grid).astype(complex)
-    entry = idv.shift_entry(grid, xi)
+    entry = tf.shift_entry(grid, xi)
     ah = tf.fft3(amp)
     Gh3, mean = idv.g_hat(ah, entry), entry.dropped_mean(ah)
     x, y, z = grid.axes()
@@ -634,7 +634,7 @@ def reference_transport_hat(self, j, kind):
     """WaveEngine.transport_hat as the amplitude symbol of d_t plus the slow
     divergence of the polarized momentum stack."""
     def div_hat(Mh):
-        kx, ky, kz = self._kv
+        kx, ky, kz = self.grid.wavenumbers()
         return 1j * (kx * Mh[:, 0] + ky * Mh[:, 1] + kz * Mh[:, 2])
     return self._kind_memo(j, kind, "transport", lambda: (
         self._amp_hat(self.base_hat(j, self.KEYS[kind].dt), self.classes(j), kind)

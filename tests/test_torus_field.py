@@ -30,27 +30,11 @@ def test_derivative_exact_on_trig(grid):
     dfz = tf.derivative(f, "z", grid)
     assert np.allclose(dfx, 3 * np.cos(3 * X) * np.cos(2 * Y), atol=1e-12)
     assert np.allclose(dfz, -5 * np.sin(5 * Z), atol=1e-12)
-    assert np.allclose(tf.second_derivative(f, "z", grid), -25 * np.cos(5 * Z),
-                       atol=1e-11)
-    # the second-derivative symbol is the derivative applied twice, on real
-    # input and on the amplitude of a shifted complex field
-    for g, xi in ((f, None), ((1 + 0.5j) * f, (3, -40, 7))):
-        for ax in "xyz":
-            twice = tf.derivative(tf.derivative(g, ax, grid, xi=xi), ax, grid, xi=xi)
-            got = tf.second_derivative(g, ax, grid, xi=xi)
-            assert np.max(np.abs(got - twice)) < 1e-12 * np.max(np.abs(twice))
-
-
-def test_shifted_derivative_matches_modulated(grid):
-    # d/dx of a(x) e^{i xi.x} = (da/dx + i xi_x a) e^{i xi.x}; the shifted
-    # symbol must reproduce the parenthesis even when xi is far beyond the
-    # grid's own resolvable band.
-    X, Y, Z = grid.meshes()
-    a = dealias(np.exp(np.sin(X) + np.cos(2 * Y)), grid)
-    xi = (257, -1024, 0)
-    da = tf.derivative(a, "x", grid, xi=xi)
-    expect = tf.derivative(a, "x", grid) + 1j * xi[0] * a
-    assert np.max(np.abs(da - expect)) < 1e-10 * np.max(np.abs(expect))
+    dzz = tf.gradient_and_dzz(f, grid)[1]
+    assert np.allclose(dzz, -25 * np.cos(5 * Z), atol=1e-11)
+    # the second-derivative symbol is the derivative applied twice
+    twice = tf.derivative(tf.derivative(f, "z", grid), "z", grid)
+    assert np.max(np.abs(dzz - twice)) < 1e-12 * np.max(np.abs(twice))
 
 
 def test_gradient_stacks_components(grid):
@@ -60,14 +44,12 @@ def test_gradient_stacks_components(grid):
     c = np.cos(X + 2 * Y - Z)
     assert np.allclose(g, np.stack([c, 2 * c, -c]), atol=1e-12)
     # divergence contracts the last component axis; it must match the sum of
-    # per-axis derivatives for vectors and tensors, real and shifted complex
+    # per-axis derivatives for vectors and tensors
     T = np.random.default_rng(5).standard_normal((3, 3) + grid.shape)
-    for field, xi in ((T, None), ((1 - 2j) * T, (3, -40, 7))):
-        for V in (field[0], field):
-            per_axis = sum(tf.derivative(V[..., b, :, :, :], "xyz"[b], grid, xi=xi)
-                           for b in range(3))
-            got = tf.divergence(V, grid, xi=xi)
-            assert np.max(np.abs(got - per_axis)) < 1e-12 * np.max(np.abs(per_axis))
+    for V in (T[0], T):
+        per_axis = sum(tf.derivative(V[..., b, :, :, :], "xyz"[b], grid) for b in range(3))
+        got = tf.divergence(V, grid)
+        assert np.max(np.abs(got - per_axis)) < 1e-12 * np.max(np.abs(per_axis))
 
 
 def test_time_derivative_fourth_order():
@@ -268,10 +250,9 @@ def test_mollify_rejects_a_series_off_the_time_grid(grid):
 def test_packed_divergence_matches_unpacked(grid):
     A = np.random.default_rng(6).standard_normal((3, 3) + grid.shape)
     T = A + np.swapaxes(A, 0, 1)
-    for field, xi in ((T, None), ((1 - 2j) * T, (3, -40, 7))):
-        got = tf.divergence(tf.sym_pack(field), grid, xi=xi)
-        assert got.shape == (3,) + grid.shape
-        assert np.array_equal(got, tf.divergence(field, grid, xi=xi))
+    got = tf.divergence(tf.sym_pack(T), grid)
+    assert got.shape == (3,) + grid.shape
+    assert np.array_equal(got, tf.divergence(T, grid))
 
 
 def test_gradient_and_dzz_match_separate_calls(grid):
@@ -279,7 +260,8 @@ def test_gradient_and_dzz_match_separate_calls(grid):
     for f in (rng.standard_normal(grid.shape), rng.standard_normal((3,) + grid.shape)):
         g, dzz = tf.gradient_and_dzz(f, grid)
         assert np.array_equal(g, tf.gradient(f, grid))
-        assert np.array_equal(dzz, tf.second_derivative(f, "z", grid))
+        ref = second_derivative_3d(f, "z", grid)
+        assert np.max(np.abs(dzz - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_dealias_removes_top_third(grid):
@@ -364,50 +346,44 @@ def _nyquist_loaded(f, grid, rng):
     for a, n in enumerate(grid.shape):
         ax = f.ndim - 3 + a
         plane = rng.standard_normal(f.shape[:ax] + (1,) + f.shape[ax + 1:])
-        if np.iscomplexobj(f):
-            plane = plane + 1j * rng.standard_normal(plane.shape)
         f = f + plane * (-1.0) ** np.arange(n).reshape((-1,) + (1,) * (2 - a))
     return f
 
 
 # the per-axis 1-D transform path against the whole 3-D transforms, on real
-# input (half spectrum, Nyquist zeroed), complex input and shifted amplitudes
+# input (half spectrum, Nyquist zeroed); a modulated amplitude's symbols are
+# on its ShiftEntry (test_inverse_div)
 @settings(max_examples=30, deadline=None)
-@example(shape=(8, 10, 12), kind="real", seed=0)
-@example(shape=(16, 8, 10), kind="shifted", seed=1)
-@given(shape=st.tuples(sizes, sizes, sizes),
-       kind=st.sampled_from(["real", "complex", "shifted"]),
-       seed=st.integers(0, 2**32 - 1))
-def test_derivatives_match_3d_transforms(shape, kind, seed):
+@example(shape=(8, 10, 12), seed=0)
+@given(shape=st.tuples(sizes, sizes, sizes), seed=st.integers(0, 2**32 - 1))
+def test_derivatives_match_3d_transforms(shape, seed):
     grid = tf.Grid3(*shape)
     rng = np.random.default_rng(seed)
-    xi = tuple(int(x) for x in rng.integers(-3000, 3001, 3)) if kind == "shifted" else None
-
-    def field(*lead):
-        f = rng.standard_normal(lead + grid.shape)
-        if kind != "real":
-            f = f + 1j * rng.standard_normal(f.shape)
-        return _nyquist_loaded(f, grid, rng)
-
-    f, v, T = field(), field(3), field(3, 3)
-    pairs = []
-    for ax in "xyz":
-        pairs.append((tf.derivative(f, ax, grid, xi), derivative_3d(f, ax, grid, xi)))
-        pairs.append((tf.second_derivative(v, ax, grid, xi),
-                      second_derivative_3d(v, ax, grid, xi)))
+    f, v, T = (_nyquist_loaded(rng.standard_normal(lead + grid.shape), grid, rng)
+               for lead in ((), (3,), (3, 3)))
+    pairs = [(tf.derivative(f, ax, grid), derivative_3d(f, ax, grid)) for ax in "xyz"]
     for g in (f, v):
-        pairs.append((tf.gradient(g, grid, xi), gradient_3d(g, grid, xi)))
-        if kind == "real":
-            got_g, got_zz = tf.gradient_and_dzz(g, grid)
-            pairs += [(got_g, gradient_3d(g, grid)),
-                      (got_zz, second_derivative_3d(g, "z", grid))]
+        got_g, got_zz = tf.gradient_and_dzz(g, grid)
+        pairs += [(tf.gradient(g, grid), gradient_3d(g, grid)),
+                  (got_g, gradient_3d(g, grid)),
+                  (got_zz, second_derivative_3d(g, "z", grid))]
     S = tf.sym_pack(T + np.swapaxes(T, 0, 1))
     for D in (v, T, S):
-        pairs.append((tf.divergence(D, grid, xi), divergence_3d(D, grid, xi)))
+        pairs.append((tf.divergence(D, grid), divergence_3d(D, grid)))
     for got, ref in pairs:
         assert got.shape == ref.shape
-        assert np.iscomplexobj(got) == (kind != "real")
+        assert not np.iscomplexobj(got)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_spatial_derivatives_refuse_complex_fields(grid):
+    # the derivatives take real fields only: a complex one raises, never
+    # returning a result
+    f = np.ones(grid.shape, dtype=complex)
+    for call in (lambda: tf.derivative(f, "x", grid), lambda: tf.gradient(f, grid),
+                 lambda: tf.divergence(np.stack([f] * 3), grid)):
+        with pytest.raises(TypeError, match="real fields"):
+            call()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, complex])
