@@ -189,7 +189,7 @@ def _desk_state(cfg):
         raise ConfigError(f"t0, t1, nt = {tgrid.t0}, {tgrid.t1}, {tgrid.nt}: the time "
                           f"cutoff (support ({z0:g}, {z1:g})) is zero at every sample")
     kappa = _get_above(cfg, "kappa", 0)
-    level = (_get_float(cfg, "energy_level") if cfg["energy_level"].strip()
+    level = (_get_above(cfg, "energy_level", 0) if cfg["energy_level"].strip()
              else 10 * kappa)
     e_vals = np.full(tgrid.nt, level)
     lam, nyquist = _get_int(cfg, "lam_init"), min(grid.ny, grid.nz) // 2
@@ -244,10 +244,14 @@ def cmd_validate_initial(cfg):
 
 def _asymptotic_report(cfg):
     kappa = _get_above(cfg, "kappa", 0)
-    params = it.choose_params(
-        _get_above(cfg, "L_v", 0), kappa, _kappa_bar(cfg, kappa),
-        _get_above(cfg, "Lam", 0), _get_above(cfg, "Lam_bar", 0),
-        _get_above(cfg, "D_v", 0), eps=_get_above(cfg, "eps", 0))
+    given = {"kappa": kappa, "kappa_bar": _kappa_bar(cfg, kappa)}
+    given.update((key, _get_above(cfg, key, 0))
+                 for key in ("L_v", "Lam", "Lam_bar", "D_v", "eps"))
+    try:
+        params = it.choose_params(**given)
+    except ArithmeticError:  # a power overflows, or an underflow to 0 divides
+        raise ConfigError(", ".join(f"{key} = {val:g}" for key, val in given.items())
+                          + ": the closed-formula parameters leave the float range") from None
     nyquist = min(_get_int(cfg, "nx"), _get_int(cfg, "ny"),
                   _get_int(cfg, "nz")) // 2
     return {

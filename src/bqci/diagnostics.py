@@ -18,7 +18,6 @@ import csv
 
 import numpy as np
 
-from . import algebra
 from . import torus_field as tf
 from .perturbation import WaveEngine
 from .stress_update import SubstepAssembler
@@ -27,7 +26,6 @@ __all__ = [
     "system_residual",
     "normalized_residuals",
     "richardson_floor",
-    "block_projection",
     "lambda_scaling",
     "mu_scaling",
     "mollification_scaling",
@@ -60,8 +58,7 @@ def _residuals(state, stencils):
         adv_v = np.einsum("b...,ba...->a...", v, state.grad_v[j])
         grad_p = tf.gradient(state.p[j], state.grid)
         adv_theta = np.einsum("b...,b...->...", v, state.grad_theta[j])
-        div_R = state.carried_divergence("R", j)
-        div_f = state.carried_divergence("f", j)
+        div_R, div_f = state.div_R_store[j], state.div_f_store[j]
         for name, (stride, dt_v, dt_theta) in stencils.items():
             if j % stride == 0:
                 mom = dt_v[j // stride] + adv_v + grad_p - state.dzz_v[j]
@@ -80,9 +77,9 @@ def normalized_residuals(state):
     plus the incompressibility defect relative to the velocity gradient."""
     res = _residuals(state, {"fine": (1, state.dt_v, state.dt_theta)})["fine"]
     scale_m = max(tf.sup_norm(state.dt_v), tf.sup_norm(state.dzz_v),
-                  tf.sup_norm(state.div_R0_store), 1e-30)
+                  tf.sup_norm(state.div_R_store), 1e-30)
     scale_f = max(tf.sup_norm(state.dt_theta), tf.sup_norm(state.dzz_theta),
-                  tf.sup_norm(state.div_f0_store), 1e-30)
+                  tf.sup_norm(state.div_f_store), 1e-30)
     div_sup = tf.max_or_nan(*(tf.sup_norm(sum(state.grad_v[j, b, b] for b in range(3)))
                               for j in range(state.tgrid.nt)))
     grad_sup = tf.sup_norm(state.grad_v)
@@ -121,23 +118,6 @@ def richardson_floor(state, tolerance=5.0):
         j = int(np.argmax(slices))
         out.update({"witness_eq": eq, "witness_t": state.tgrid.times()[j],
                     "witness_slice": j, "witness_sup": slices[j]})
-    return out
-
-
-def block_projection(state, j=None):
-    """Projection of the structured stress / flux part onto the cancelled
-    blocks (should vanish after each substep)."""
-    if j is None:
-        j = state.tgrid.nt // 2
-    gam = algebra.decompose_packed(state.carried("R", j) - state.delta_R[j])
-    bvec = algebra.decompose_vec(state.carried("f", j) - state.delta_f[j])
-    n = state.completed
-    out = {
-        "completed": n,
-        "gamma_cancelled": [float(np.max(np.abs(gam[i]))) for i in range(n)],
-        "flux_cancelled": [float(np.max(np.abs(bvec[i]))) for i in range(min(n, 3))],
-    }
-    out["max_cancelled"] = max(out["gamma_cancelled"] + out["flux_cancelled"], default=0.0)
     return out
 
 

@@ -11,8 +11,8 @@ construction's algebra and bookkeeping at resolvable scales.
 The step driver owns the state plumbing: building the explicit starting
 tuple with all derivative stores, decomposing and mollifying the stress
 into block coefficients at the start of each step, chaining the six
-cancellation substeps with a closure check after each, and rolling the
-accumulated updates into the next step's input.
+cancellation substeps with a closure check after each, and rolling a
+finished step into the next step's input.
 """
 
 import dataclasses
@@ -294,7 +294,7 @@ def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, analytic=False)
         grad_v=_separable([(tv, grad_pv)]), grad_theta=_separable([(tth, grad_pth)]),
         dt_v=dt(tv, pv, tgrid), dt_theta=dt(tth, pth, tgrid),
         dzz_v=_separable([(tv, dzz_pv)]), dzz_theta=_separable([(tth, dzz_pth)]),
-        R0=data["R0"], f0=data["f0"], div_R0_store=div("R0"), div_f0_store=div("f0"),
+        R=data["R0"], f=data["f0"], div_R_store=div("R0"), div_f_store=div("f0"),
         a=np.zeros((nt, 6) + grid.shape), c=np.zeros((nt, 3) + grid.shape),
         dt_v_coarse=dt(tv[::2], pv, ctg), dt_theta_coarse=dt(tth[::2], pth, ctg),
     )
@@ -338,8 +338,9 @@ def run_step(state, lams, ells, ellzs, tolerance=5.0):
     `residual`.  Wrong ladder lengths are refused first (state untouched).
 
     Returns the step report: the block and substep reports, M_rec, the sup
-    norms of the stress / flux updates and of the velocity / temperature
-    increments, failed_substeps (the substeps whose check failed), passed."""
+    norms of the stress / flux updates (the carried stores once every block
+    is cancelled) and of the velocity / temperature increments,
+    failed_substeps (the substeps whose check failed), passed."""
     if len(lams) != 6 or len(ells) != 6 or len(ellzs) != 6:
         raise ValueError("need six lambda / ell / ell_z values")
     t0 = time.perf_counter()
@@ -356,8 +357,8 @@ def run_step(state, lams, ells, ellzs, tolerance=5.0):
     report.update({
         "kappa": state.kappa,
         "M_rec": 300.0 * report["sup_b"] / sqk if sqk > 0 else 0.0,
-        "delta_R_sup": tf.sup_norm(state.delta_R),
-        "delta_f_sup": tf.sup_norm(state.delta_f),
+        "delta_R_sup": tf.sup_norm(state.R),
+        "delta_f_sup": tf.sup_norm(state.f),
         "v_increment_sup": tf.sup_norm(state.v - v0),
         "theta_increment_sup": tf.sup_norm(state.theta - th0),
         "blocks": blocks,
@@ -372,15 +373,13 @@ def run_step(state, lams, ells, ellzs, tolerance=5.0):
 def advance_step(state, kappa_next, e_vals_next):
     """Roll a completed step into the next step's input state.
 
-    The accumulated stress / flux updates become the new carried stress /
-    flux; the velocity, temperature and every derivative store continue in
-    place."""
+    Every store continues in place: the stress / flux, now the finished
+    step's update, becomes the next step's carried stress / flux; the block
+    coefficients start again at zero."""
     if state.completed != 6:
         raise ValueError(f"cannot advance: only {state.completed} substeps completed")
-    return dataclasses.replace(
-        state, kappa=kappa_next, e_vals=e_vals_next, R0=state.delta_R, f0=state.delta_f,
-        div_R0_store=state.div_R_store, div_f0_store=state.div_f_store,
-        a=np.zeros_like(state.a), c=np.zeros_like(state.c))
+    return dataclasses.replace(state, kappa=kappa_next, e_vals=e_vals_next,
+                               a=np.zeros_like(state.a), c=np.zeros_like(state.c))
 
 
 def run_outer(state, lams, ells, ellzs, steps, schedule_b=1.5, tolerance=5.0):
@@ -398,7 +397,7 @@ def run_outer(state, lams, ells, ellzs, steps, schedule_b=1.5, tolerance=5.0):
     reports = []
     for s, kappa in enumerate(kappas):
         if s > 0:
-            level = 10 * kappa + 8.0 * tf.sup_norm(state.delta_R)
+            level = 10 * kappa + 8.0 * tf.sup_norm(state.R)
             state = advance_step(state, kappa, np.full(state.tgrid.nt, level))
         reports.append(run_step(state, [lam * 2 ** s for lam in lams], ells, ellzs, tolerance))
     passed = all(rep["passed"] for rep in reports)

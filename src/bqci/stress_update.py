@@ -9,21 +9,23 @@ through shifted symbols, and the slow interaction terms are materialized
 pointwise.
 
 Divergence bookkeeping: for every contribution to delta R / delta f the
-exact divergence of the materialized field is accumulated alongside it
-(for inverse-divergence outputs this is the operator input minus its mean,
-an exact symbol identity; for pointwise products it is the product rule
-over stored gradients).  The stored divergences are what the residual
-evaluator consumes -- fast content must never be differentiated through a
-plain grid transform.  Terms whose exact value is a materially-zero
-divergence (div of the full wave, div of the accumulated velocity) are
-omitted from the stores; they sit far below the time-discretization floor.
+exact divergence of the materialized field is added alongside it to the
+carried store's divergence (for inverse-divergence outputs this is the
+operator input minus its mean, an exact symbol identity; for pointwise
+products it is the product rule over stored gradients).  The stored
+divergences are what the residual evaluator consumes -- fast content must
+never be differentiated through a plain grid transform.  Terms whose exact
+value is a materially-zero divergence (div of the full wave, div of the
+accumulated velocity) are omitted from the stores; they sit far below the
+time-discretization floor.
 
 The velocity and temperature terms share their code where the paper's
 construction does: a wave kind ("w" or "chi") selects the antidivergence
 (R on vector amplitudes, G on scalar ones), the block it cancels and the
 StepState stores it updates.  Likewise the stress R = sum_i gamma_i k_i (x) k_i
 and the flux f = sum_i b_i k_i share one block path: a block kind ("R" or
-"f", BLOCKS) selects the stores, coefficients, basis and accumulators.
+"f", BLOCKS) selects the carried store and its divergence, the coefficients
+and their basis.
 """
 
 import dataclasses
@@ -314,20 +316,19 @@ class SubstepAssembler:
 
     def mollification(self, j, kind):
         """Carried stress ('R') or flux ('f') of the start state minus its
-        mollified block sum, with its divergence (None after substep 1).
+        mollified block sum (None after substep 1), with divergence None.
 
-        The divergence is the carried store's exact one (div_R0_store /
-        div_f0_store) minus the blocks' (StepState.block_divergence): from
-        the second outer step on the carried stress is the previous update,
+        The carried store already holds this residual with its exact
+        divergence, so run_substep takes it back out of the store update:
+        it enters only delta R / delta f and the report's parts.  From the
+        second outer step on the carried stress is the previous update,
         whose fast content is aliased on the grid, so a grid divergence of
         it would be wrong."""
         if self.start is None:
             return None
         blk = BLOCKS[kind]
-        m = (getattr(self.start, blk.store)[j]
-             - np.einsum("i...,im->m...", getattr(self.start, blk.coef)[j], blk.basis))
-        return m, (getattr(self.start, blk.div_store)[j]
-                   - self.start.block_divergence(kind, j, 0))
+        return (getattr(self.start, blk.store)[j]
+                - np.einsum("i...,im->m...", getattr(self.start, blk.coef)[j], blk.basis)), None
 
     # -- slice totals ---------------------------------------------------------
 
@@ -372,7 +373,8 @@ CATEGORIES = ("oscillation", "transport", "error_N", "error_corr", "mollificatio
 def _total(terms):
     """(delta, div, parts) of (category, (field, div) or None) terms summed
     in list order, in place; parts has every category, zero where it has no
-    term (a category's only term is its part as is)."""
+    term (a category's only term is its part as is).  A div may be None (the
+    mollification residual), but not the first term's."""
     terms = [(cat, term) for cat, term in terms if term is not None]
     delta = np.zeros_like(terms[0][1][0])
     div = np.zeros_like(terms[0][1][1])
@@ -380,7 +382,8 @@ def _total(terms):
     for cat, (field, dv) in terms:
         parts[cat] = field if parts[cat] is None else parts[cat] + field
         delta += field
-        div += dv
+        if dv is not None:
+            div += dv
     zero = np.zeros_like(delta)
     return delta, div, {cat: zero if p is None else p for cat, p in parts.items()}
 
@@ -393,21 +396,17 @@ _DYADS6 = np.stack([
     tf.sym_pack(np.outer(_KVECS[i], _KVECS[i])) for i in range(6)
 ])
 
-# per block kind: the carried store and its divergence, the coefficients,
-# their basis (packed k_i (x) k_i of rank 2, or k_i) and offset (stress block
-# i is (a_i - e) k_i (x) k_i, flux block i is c_i k_i), the accumulated update
-# and its divergence, the assembler's slice method, the decomposition of one
-# carried sample into coefficients in out (looked up at call time, so a wrapped
-# algebra function runs), and the coefficient bound in units of kappa
-_Block = namedtuple("Block", "store div_store coef basis rank offset delta div_delta "
-                             "slice decompose bound noun")
+# per block kind: the carried store and its exact divergence, the
+# coefficients and their basis (packed k_i (x) k_i of rank 2, or k_i), the
+# assembler's slice method, the decomposition of one carried sample into
+# coefficients in out (looked up at call time, so a wrapped algebra function
+# runs), and the coefficient bound in units of kappa
+_Block = namedtuple("Block", "store div_store coef basis rank slice decompose bound noun")
 BLOCKS = {
-    "R": _Block(store="R0", div_store="div_R0_store", coef="a", basis=_DYADS6, rank=2,
-                offset="e_vals", delta="delta_R", div_delta="div_R_store",
+    "R": _Block(store="R", div_store="div_R_store", coef="a", basis=_DYADS6, rank=2,
                 slice="delta_R_slice", bound=5.0, noun="block",
                 decompose=lambda T, out: algebra.decompose_packed(T, out)),
-    "f": _Block(store="f0", div_store="div_f0_store", coef="c", basis=_KVECS[:3], rank=1,
-                offset=None, delta="delta_f", div_delta="div_f_store",
+    "f": _Block(store="f", div_store="div_f_store", coef="c", basis=_KVECS[:3], rank=1,
                 slice="delta_f_slice", bound=2.0, noun="flux",
                 decompose=lambda F, out: algebra.decompose_vec(F, out)),
 }
@@ -421,15 +420,22 @@ class StepState:
     derivative stores grad_*, dt_*, dzz_* (from the slow starting tuple,
     extended wave by wave) and the half-resolution dt_*_coarse companions of
     the discretization-floor estimate (None when nt does not halve); the
-    stress / flux R0 / f0 carried into the step with their exact divergences
-    div_*0_store; and a / c, the mollified block coefficients (begin_step).
+    current stress R (packed) and flux f with their exact divergences
+    div_R_store / div_f_store; and a / c, the mollified block coefficients
+    (begin_step).
 
-    __post_init__ sets what a step accumulates, so dataclasses.replace starts
-    a fresh step: the updates delta_R / delta_f with their exact divergences
-    div_R_store / div_f_store (zeros), completed and failed (None or the
-    message of a refused slice that left the stores partly updated,
-    run_substep).  eq=False: a generated __eq__ would compare arrays
-    and make the state unhashable.
+    Substep n updates R and f in place: it adds its update (less the
+    mollification residual, which the store already holds) and removes
+    block n, a_n k_n (x) k_n or c_n k_n.  After substep n, R is the update
+    so far plus sum_{i>n} a_i k_i (x) k_i.  The block the paper cancels is
+    (a_i - e) k_i (x) k_i; the constant e k_i (x) k_i is divergence-free and
+    is not stored.  After the sixth substep R and f are the step's update,
+    and advance_step carries them into the next step as they are.
+
+    __post_init__ sets completed and failed (None or the message of a
+    refused slice that left the stores partly updated, run_substep), so
+    dataclasses.replace starts a fresh step.  eq=False: a generated __eq__
+    would compare arrays and make the state unhashable.
     """
 
     grid: tf.Grid3
@@ -446,10 +452,10 @@ class StepState:
     dt_theta: np.ndarray
     dzz_v: np.ndarray
     dzz_theta: np.ndarray
-    R0: np.ndarray
-    f0: np.ndarray
-    div_R0_store: np.ndarray
-    div_f0_store: np.ndarray
+    R: np.ndarray
+    f: np.ndarray
+    div_R_store: np.ndarray
+    div_f_store: np.ndarray
     a: np.ndarray
     c: np.ndarray
     dt_v_coarse: np.ndarray = None
@@ -457,11 +463,6 @@ class StepState:
 
     def __post_init__(self):
         self.e_vals = np.asarray(self.e_vals, dtype=np.float64)
-        nt, shape = self.tgrid.nt, self.grid.shape
-        self.delta_R = np.zeros((nt, 6) + shape)
-        self.delta_f = np.zeros((nt, 3) + shape)
-        self.div_R_store = np.zeros((nt, 3) + shape)
-        self.div_f_store = np.zeros((nt,) + shape)
         self.completed, self.failed = 0, None
 
     def mollify(self, f, ell, ell_z):
@@ -474,48 +475,18 @@ class StepState:
         return tf.mollify(f, self.tgrid, self.grid, ell, ell_z,
                           band=min(self.grid.shape) // 4)
 
-    # -- current stress / flux at one time sample ---------------------------
-
-    def carried(self, kind, j):
-        """Current stress ('R', packed (6, grid)) or flux ('f', (3, grid)) at
-        time sample j: the accumulated update plus the blocks not yet
-        cancelled (before any substep, a copy of R0 / f0)."""
+    def block(self, kind, j, i):
+        """Block i (from 0) of kind at time sample j and its exact
+        divergence: a_i k_i (x) k_i and (k_i . grad a_i) k_i ('R'), or
+        c_i k_i and k_i . grad c_i ('f')."""
         blk = BLOCKS[kind]
-        if self.completed == 0:
-            return getattr(self, blk.store)[j].copy()
-        out = getattr(self, blk.delta)[j].copy()
-        coef = getattr(self, blk.coef)[j]
-        offset = getattr(self, blk.offset)[j] if blk.offset else 0.0
-        for i in range(self.completed, len(blk.basis)):
-            out += (coef[i] - offset) * blk.basis[i].reshape(-1, 1, 1, 1)
-        return out
-
-    def carried_divergence(self, kind, j):
-        """Exact divergence of carried(kind, j)."""
-        blk = BLOCKS[kind]
-        if self.completed == 0:
-            return getattr(self, blk.div_store)[j]
-        return self.block_divergence(kind, j, self.completed,
-                                     getattr(self, blk.div_delta)[j].copy())
-
-    def block_divergence(self, kind, j, first, out=None):
-        """out (zeros when None) plus the divergence of the blocks first..
-        of kind at time sample j, accumulated in place (the constant offset
-        drops out): sum_i div(a_i k_i (x) k_i) ('R') or sum_i div(c_i k_i)
-        ('f')."""
-        blk = BLOCKS[kind]
-        coef = getattr(self, blk.coef)[j]
-        if out is None:
-            out = np.zeros((3,) * (blk.rank - 1) + self.grid.shape)
-        for i in range(first, len(blk.basis)):
-            kv = _KVECS[i]
-            # div(c k) = k . grad c and div(a k (x) k) = (k . grad a) k: the
-            # derivatives of c along k's nonzero (unit) entries, summed in
-            # the order (and so to the bits) of tf.divergence(c k)
-            div = sum(tf.derivative(coef[i], "xyz"[d], self.grid)
-                      for d in range(3) if kv[d])
-            out += div * kv.reshape(3, 1, 1, 1) if blk.rank == 2 else div
-        return out
+        coef, kv = getattr(self, blk.coef)[j, i], _KVECS[i]
+        # the derivatives of the coefficient along k's nonzero (unit)
+        # entries, summed in the order (and so to the bits) of
+        # tf.divergence(coef k)
+        div = sum(tf.derivative(coef, "xyz"[d], self.grid) for d in range(3) if kv[d])
+        return (coef * blk.basis[i].reshape(-1, 1, 1, 1),
+                div * kv.reshape(3, 1, 1, 1) if blk.rank == 2 else div)
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +502,15 @@ def run_substep(state, n, lam, ell, ell_z):
     """Execute cancellation substep n on the step state in place.
 
     Mollifies the carried fields at (ell, ell_z) (StepState.mollify), builds
-    the wave engine on block n, accumulates delta R / delta f with their
-    divergence stores, and adds the wave to the velocity (and temperature,
-    substeps 1-3) together with all derivative stores.  Returns the substep
-    report.
+    the wave engine on block n, updates the carried stress / flux and their
+    divergence stores slice by slice (StepState), and adds the wave to the
+    velocity (and temperature, substeps 1-3) together with all derivative
+    stores.  Returns the substep report.
 
     A slice whose delta R / delta f (or their divergence) or wave increment
     is not finite raises ValueError naming the substep, the slice and its
     time, before that quantity reaches the state.  Earlier slices stay
-    accumulated, so the state is marked failed and refused from then on.
+    updated, so the state is marked failed and refused from then on.
     """
     if state.failed:
         raise ValueError(f"substep {n} on a failed state ({state.failed})")
@@ -581,10 +552,15 @@ def run_substep(state, n, lam, ell, ell_z):
 
         for kind, blk in BLOCKS.items():
             delta, div, slice_parts = getattr(asm, blk.slice)(j)
-            require_finite(j, blk.delta, delta, div)
-            getattr(state, blk.delta)[j] += delta
-            getattr(state, blk.div_delta)[j] += div
-            sup[blk.delta] = max(sup[blk.delta], tf.sup_norm(delta))
+            require_finite(j, f"delta_{kind}", delta, div)
+            store, div_store = getattr(state, blk.store)[j], getattr(state, blk.div_store)[j]
+            store += delta - slice_parts["mollification"]  # already in the store
+            div_store += div
+            if n <= len(blk.basis):  # block n leaves the store
+                field, field_div = state.block(kind, j, n - 1)
+                store -= field
+                div_store -= field_div
+            sup[f"delta_{kind}"] = max(sup[f"delta_{kind}"], tf.sup_norm(delta))
             for key, field in slice_parts.items():
                 parts[kind][key] = max(parts[kind][key], tf.sup_norm(field))
 

@@ -197,12 +197,12 @@ def initial_stores_per_sample(data, grid, tgrid):
     nt = tgrid.nt
     out = {name: np.empty((nt,) + lead + grid.shape) for name, lead in (
         ("grad_v", (3, 3)), ("dzz_v", (3,)), ("grad_theta", (3,)), ("dzz_theta", ()),
-        ("div_R0_store", (3,)), ("div_f0_store", ()))}
+        ("div_R_store", (3,)), ("div_f_store", ()))}
     for j in range(nt):
         out["grad_v"][j], out["dzz_v"][j] = tf.gradient_and_dzz(v[j], grid)
         out["grad_theta"][j], out["dzz_theta"][j] = tf.gradient_and_dzz(theta[j], grid)
-        out["div_R0_store"][j] = tf.divergence(data["R0"][j], grid)
-        out["div_f0_store"][j] = tf.divergence(data["f0"][j], grid)
+        out["div_R_store"][j] = tf.divergence(data["R0"][j], grid)
+        out["div_f_store"][j] = tf.divergence(data["f0"][j], grid)
     out["dt_v"] = tf.time_derivative(v, tgrid)
     out["dt_theta"] = tf.time_derivative(theta, tgrid)
     ctg = tgrid.halved()

@@ -315,6 +315,10 @@ def test_scaling_sweep_is_checked_before_any_probe(tmp_path, capsys, monkeypatch
     ("outer", "residual_tolerance", "0", "residual_tolerance = 0 must be > 0"),
     ("step", "snapshots", "x", "snapshots = 'x' is not an integer"),
     ("validate-initial", "tolerance", "0", "tolerance = 0 must be > 0"),
+    # a non-positive energy level failed only after the state was built, as
+    # the runtime error "e - a = ... < kappa/2"
+    ("step", "energy_level", "-1", "energy_level = -1 must be > 0"),
+    ("outer", "energy_level", "0", "energy_level = 0 must be > 0"),
 ])
 def test_bad_budget_or_cell_scale_is_refused_before_any_state(
         tmp_path, capsys, monkeypatch, command, key, value, message):
@@ -350,6 +354,19 @@ def test_asymptotic_step_refuses_non_positive_constants(tmp_path, capsys, key, v
     assert cli.main(["step"] + args + _out(tmp_path)) == 2
     err = capsys.readouterr().err
     assert f"config error: {key} = {float(value):g} must be > 0" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key, value", [("Lam", "1e300"), ("eps", "1e6")])
+def test_asymptotic_step_refuses_constants_that_overflow(tmp_path, capsys, key, value):
+    # choose_params raised OverflowError on Lam ** (1 + eps) and
+    # lams[-1] ** (1 + eps): a traceback instead of a configuration error
+    args = ["--set", "mode=asymptotic", "--set", f"{key}={value}"]
+    assert cli.main(["step"] + args + _out(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"{key} = {float(value):g}" in err and "leave the float range" in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
 

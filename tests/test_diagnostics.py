@@ -77,15 +77,6 @@ def test_richardson_witness_names_the_failing_equation():
     assert check["witness_sup"] == check["flux_fine"] >= 10.0 - 1e-12
 
 
-def test_full_step_cancels_projected_blocks(mini_stepped):
-    state, _ = mini_stepped
-    proj = dg.block_projection(state)
-    assert proj["completed"] == 6
-    assert len(proj["gamma_cancelled"]) == 6
-    assert len(proj["flux_cancelled"]) == 3
-    assert proj["max_cancelled"] <= 1e-10 * KAPPA
-
-
 def test_corrupted_transport_breaks_closure(corrupt_transport):
     clean = _small_state()
     it.begin_step(clean, 0.9, 0.9)

@@ -1,5 +1,7 @@
 """Parameter selection, profiles, initial data and the step driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,8 +157,8 @@ def test_initial_state_stores_equal_per_slice_operators():
     for analytic in (False, True):
         st = make_state(n=24, analytic=analytic)
         data = it.initial_data(st.grid, st.tgrid, M=0.05, lam=4, analytic=analytic)
-        for name in ("v", "theta", "p", "R0", "f0"):
-            assert np.array_equal(getattr(st, name), data[name]), name
+        for name, key in (("v", "v"), ("theta", "theta"), ("p", "p"), ("R", "R0"), ("f", "f0")):
+            assert np.array_equal(getattr(st, name), data[key]), name
         want = initial_stores_per_sample(data, st.grid, st.tgrid)
         assert len(want) == 10
         for name, ref in want.items():
@@ -172,8 +174,8 @@ def test_initial_state_stores_match_3d_transforms():
             "dzz_v": lambda j: second_derivative_3d(st.v[j], "z", st.grid),
             "grad_theta": lambda j: gradient_3d(st.theta[j], st.grid),
             "dzz_theta": lambda j: second_derivative_3d(st.theta[j], "z", st.grid),
-            "div_R0_store": lambda j: divergence_3d(st.R0[j], st.grid),
-            "div_f0_store": lambda j: divergence_3d(st.f0[j], st.grid)}
+            "div_R_store": lambda j: divergence_3d(st.R[j], st.grid),
+            "div_f_store": lambda j: divergence_3d(st.f[j], st.grid)}
     for name, ref in refs.items():
         want = np.stack([ref(j) for j in range(st.tgrid.nt)])
         got = getattr(st, name)
@@ -183,14 +185,6 @@ def test_initial_state_stores_match_3d_transforms():
 def test_initial_state_without_coarse_companion():
     st = make_state(nt=8)  # nt - 1 odd: the time grid does not halve
     assert st.dt_v_coarse is None and st.dt_theta_coarse is None
-
-
-def test_structured_fields_before_any_substep():
-    st = make_state()
-    assert np.array_equal(st.carried("R", 2), st.R0[2])
-    assert np.array_equal(st.carried("f", 2), st.f0[2])
-    assert np.array_equal(st.carried_divergence("R", 2), st.div_R0_store[2])
-    assert np.array_equal(st.carried_divergence("f", 2), st.div_f0_store[2])
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +199,7 @@ def test_begin_step_reconstructs_filtered_stress():
     ])
     band = min(st.grid.shape) // 4
     target = low_pass(
-        tf.mollify(st.R0, st.tgrid, st.grid, 0.9, 0.9), st.grid, band)
+        tf.mollify(st.R, st.tgrid, st.grid, 0.9, 0.9), st.grid, band)
     assert np.allclose(rec, target, atol=1e-10)
 
 
@@ -228,7 +222,7 @@ def test_begin_step_refuses_failed_state():
 def test_begin_step_names_non_finite_coefficients():
     # sup > bound is False for NaN: the check must not let it through
     st = make_state()
-    st.R0[3, 1, 2, 5, 7] = np.nan
+    st.R[3, 1, 2, 5, 7] = np.nan
     rep = it.begin_step(st, 0.9, 0.9)
     assert np.isnan(rep["a_sup"]) and np.isfinite(rep["c_sup"])
     assert len(rep["violations"]) == 1
@@ -250,28 +244,24 @@ def test_advance_step_requires_completed_step():
 
 def test_advance_step_rolls_updates_forward():
     st = make_state()
+    it.begin_step(st, 0.9, 0.9)
     st.completed = 6
-    st.delta_R[:] = 1.5
-    st.div_R_store[:] = 0.25
-    st.delta_f[:] = -0.5
-    st.div_f_store[:] = 0.125
     nxt = it.advance_step(st, 0.125, 0.5 * st.e_vals)
     assert nxt.completed == 0 and nxt.failed is None
     assert nxt.kappa == 0.125
     assert np.array_equal(nxt.e_vals, 0.5 * st.e_vals)
-    assert nxt.R0 is st.delta_R and nxt.f0 is st.delta_f
-    assert nxt.div_R0_store is st.div_R_store and nxt.div_f0_store is st.div_f_store
-    assert np.allclose(nxt.a, 0.0) and np.allclose(nxt.c, 0.0)
-    assert nxt.v is st.v and nxt.dt_v is st.dt_v
-    assert nxt.dt_v_coarse is st.dt_v_coarse
-    # the new accumulators are fresh zeros, not views of the rolled stores
-    for acc, rolled in (("delta_R", "R0"), ("delta_f", "f0"),
-                        ("div_R_store", "div_R0_store"), ("div_f_store", "div_f0_store")):
-        new = getattr(nxt, acc)
-        assert new.shape == getattr(st, acc).shape and not np.any(new), acc
-        assert not np.shares_memory(new, getattr(nxt, rolled)), acc
-        assert not np.shares_memory(new, getattr(st, acc)), acc
-    assert np.all(nxt.R0 == 1.5) and np.all(nxt.f0 == -0.5)
+    # every other store continues in place: the finished step's stress /
+    # flux is the next step's carried stress / flux
+    stores = [fld.name for fld in dataclasses.fields(st)
+              if isinstance(getattr(st, fld.name), np.ndarray)]
+    assert {"R", "f", "div_R_store", "div_f_store", "dt_v_coarse"} <= set(stores)
+    for name in set(stores) - {"e_vals", "a", "c"}:
+        assert getattr(nxt, name) is getattr(st, name), name
+    # the block coefficients are fresh zeros
+    for name in ("a", "c"):
+        new = getattr(nxt, name)
+        assert new.shape == getattr(st, name).shape and not np.any(new), name
+        assert not np.shares_memory(new, getattr(st, name)), name
     # the state is compared and hashed by identity
     assert nxt != st and len({nxt, st}) == 2
 

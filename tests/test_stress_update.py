@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bqci import algebra
-from bqci import diagnostics as dg
 from bqci import inverse_div as idv
+from bqci import iteration as it
 from bqci import partition as pt
 from bqci import perturbation as pb
 from bqci import stress_update as su
@@ -364,7 +364,7 @@ def make_state(N=16, nt=9, mu=2):
         dt_theta=np.zeros((nt,) + grid.shape),
         dzz_v=np.zeros((nt, 3) + grid.shape),
         dzz_theta=np.zeros((nt,) + grid.shape),
-        R0=R0, f0=f0, div_R0_store=div_R0, div_f0_store=div_f0, a=a, c=c,
+        R=R0, f=f0, div_R_store=div_R0, div_f_store=div_f0, a=a, c=c,
         dt_v_coarse=np.zeros((nt_c, 3) + grid.shape),
         dt_theta_coarse=np.zeros((nt_c,) + grid.shape),
     )
@@ -391,88 +391,84 @@ def test_run_substep_mini_step():
     assert np.max(np.abs(state.dt_v_coarse)) > 0
 
 
-def test_structured_blocks_after_substep():
+def _record_slices(monkeypatch):
+    """Wrap delta_R_slice / delta_f_slice; the returned {kind: {j: (delta,
+    div, mollification part)}} holds each kind's latest slices."""
+    record = {kind: {} for kind in su.BLOCKS}
+    for kind, blk in su.BLOCKS.items():
+        def recording(self, j, clean=getattr(su.SubstepAssembler, blk.slice), kind=kind):
+            delta, div, parts = clean(self, j)
+            record[kind][j] = (delta.copy(), div.copy(), parts["mollification"].copy())
+            return delta, div, parts
+        monkeypatch.setattr(su.SubstepAssembler, blk.slice, recording)
+    return record
+
+
+def test_structured_blocks_after_substep(monkeypatch):
+    record = _record_slices(monkeypatch)
     state = make_state()
     su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
     j = 4
-    gam = algebra.decompose_sym(tf.sym_unpack(state.carried("R", j) - state.delta_R[j]))
-    # cancelled block projects to zero; remaining blocks carry -(e - a_i)
+    # the store minus its slice update: the cancelled block projects to zero,
+    # the remaining blocks keep a_i (e k_i (x) k_i, divergence-free, is not
+    # stored); make_state's stress is its block sum, so the mollification
+    # residual is roundoff
+    gam = algebra.decompose_sym(tf.sym_unpack(state.R[j] - record["R"][j][0]))
     assert np.max(np.abs(gam[0])) < 1e-10
     for i in range(1, 6):
-        ref = -(state.e_vals[j] - state.a[j, i])
-        assert np.max(np.abs(gam[i] - ref)) < 1e-10
-    bvec = algebra.decompose_vec(state.carried("f", j) - state.delta_f[j])
+        assert np.max(np.abs(gam[i] - state.a[j, i])) < 1e-10
+    bvec = algebra.decompose_vec(state.f[j] - record["f"][j][0])
     assert np.max(np.abs(bvec[0])) < 1e-10
     for i in range(1, 3):
         assert np.max(np.abs(bvec[i] - state.c[j, i])) < 1e-10
 
 
-# whole-array reference bodies of the current stress / flux and their
-# divergences, for the per-slice block path
+# whole-array reference bodies of the carried stress / flux and their
+# divergences after `completed` substeps: the summed slice updates plus the
+# blocks not yet cancelled, each block differentiated by tf.divergence
 
-def _stress_field(st):
-    if st.completed == 0:
-        return st.R0.copy()
-    out = st.delta_R.copy()
-    e = st.e_vals.reshape(-1, *([1] * 4))
-    for i in range(st.completed, 6):
-        out -= (e - st.a[:, i : i + 1]) * su._DYADS6[i].reshape(1, 6, 1, 1, 1)
-    return out
-
-
-def _flux_field(st):
-    if st.completed == 0:
-        return st.f0.copy()
-    out = st.delta_f.copy()
-    for i in range(st.completed, 3):
-        out += st.c[:, i : i + 1] * su._KVECS[i].reshape(1, 3, 1, 1, 1)
-    return out
-
-
-def _stress_divergence(st, j):
-    if st.completed == 0:
-        return st.div_R0_store[j]
-    out = st.div_R_store[j].copy()
-    for i in range(st.completed, 6):
+def _blocks(st, kind, first):
+    """(nt, ...) sum of the blocks first.. of kind and their divergences."""
+    blk = su.BLOCKS[kind]
+    coef = getattr(st, blk.coef)
+    field = np.zeros_like(getattr(st, blk.store))
+    div = np.zeros_like(getattr(st, blk.div_store))
+    for i in range(first, len(blk.basis)):
+        field += coef[:, i : i + 1] * blk.basis[i].reshape(1, -1, 1, 1, 1)
         k = su._KVECS[i].reshape(3, 1, 1, 1)
-        out += tf.divergence(st.a[j, i] * k, st.grid) * k
-    return out
+        for j in range(st.tgrid.nt):
+            d = tf.divergence(coef[j, i] * k, st.grid)
+            div[j] += d * k if blk.rank == 2 else d
+    return field, div
 
 
-def _flux_divergence(st, j):
-    if st.completed == 0:
-        return st.div_f0_store[j]
-    out = st.div_f_store[j].copy()
-    for i in range(st.completed, 3):
-        out += tf.divergence(st.c[j, i] * su._KVECS[i].reshape(3, 1, 1, 1), st.grid)
-    return out
-
-
-def test_block_path_matches_whole_array_bodies():
-    state = make_state()
-    rng = np.random.default_rng(7)
-    # every block, accumulator and energy value nonzero and distinct
-    for name in ("a", "c", "delta_R", "delta_f", "div_R_store", "div_f_store"):
-        setattr(state, name, rng.standard_normal(getattr(state, name).shape))
-    state.e_vals = 1.0 + rng.random(state.tgrid.nt)
-    for n in range(7):
-        state.completed = n
-        S, F = _stress_field(state), _flux_field(state)
-        for j in range(state.tgrid.nt):
-            assert np.array_equal(state.carried("R", j), S[j]), (n, j)
-            assert np.array_equal(state.carried("f", j), F[j]), (n, j)
-            assert np.array_equal(state.carried_divergence("R", j),
-                                  _stress_divergence(state, j)), (n, j)
-            assert np.array_equal(state.carried_divergence("f", j),
-                                  _flux_divergence(state, j)), (n, j)
-        j = state.tgrid.nt // 2
-        gam = algebra.decompose_sym(tf.sym_unpack(S[j] - state.delta_R[j]))
-        bvec = algebra.decompose_vec(F[j] - state.delta_f[j])
-        sups_R = [float(np.max(np.abs(gam[i]))) for i in range(n)]
-        sups_f = [float(np.max(np.abs(bvec[i]))) for i in range(min(n, 3))]
-        assert dg.block_projection(state) == {
-            "completed": n, "gamma_cancelled": sups_R, "flux_cancelled": sups_f,
-            "max_cancelled": max(sups_R + sups_f, default=0.0)}
+def test_stores_follow_the_in_place_rule(monkeypatch):
+    # mini_stepped's step, substep by substep: each store equals the summed
+    # slice updates plus the blocks not yet cancelled, and each divergence
+    # store the summed slice divergences plus those blocks'
+    record = _record_slices(monkeypatch)
+    state = mini_start()
+    it.begin_step(state, 0.9, 0.9)
+    acc = {}
+    for kind, blk in su.BLOCKS.items():
+        blocks, block_divs = _blocks(state, kind, 0)
+        # the mollification residual is the carried stress minus every
+        # block, its divergence the carried store's minus every block's
+        acc[kind] = (np.zeros_like(blocks), getattr(state, blk.div_store) - block_divs,
+                     getattr(state, blk.store) - blocks)
+    for n in range(1, 7):
+        su.run_substep(state, n, 16, 0.9, 0.9)
+        for kind, blk in su.BLOCKS.items():
+            delta_sum, div_sum, moll = acc[kind]
+            for j, (delta, div, moll_j) in record[kind].items():
+                delta_sum[j] += delta
+                div_sum[j] += div
+                want = moll[j] if n == 1 else 0.0
+                assert np.max(np.abs(moll_j - want)) <= 1e-13 * np.max(np.abs(moll))
+            blocks, block_divs = _blocks(state, kind, n)
+            for got, want in ((getattr(state, blk.store), delta_sum + blocks),
+                              (getattr(state, blk.div_store), div_sum + block_divs)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, kind)
 
 
 def test_substep_order_enforced():
@@ -487,7 +483,7 @@ def test_negative_control_corrupts_store_only(corrupt_transport):
     su.run_substep(clean, 1, lam=8, ell=1.0, ell_z=1.0)
     corrupt_transport(1.1)
     su.run_substep(bad, 1, lam=8, ell=1.0, ell_z=1.0)
-    assert np.allclose(clean.delta_R, bad.delta_R, atol=1e-13)
+    assert np.allclose(clean.R, bad.R, atol=1e-13)
     diff = np.max(np.abs(clean.div_R_store - bad.div_R_store))
     assert diff > 1e-8 * max(np.max(np.abs(clean.div_R_store)), 1e-30)
 
@@ -530,8 +526,11 @@ def test_non_finite_wave_is_refused(monkeypatch):
 
     def finite_slice(ncomp, div_shape):
         # zero slices, so that only the wave increment can trip the check
-        return lambda self, j: (np.zeros((ncomp,) + self.grid.shape),
-                                np.zeros(div_shape + self.grid.shape), {})
+        def zero(self, j):
+            delta = np.zeros((ncomp,) + self.grid.shape)
+            return (delta, np.zeros(div_shape + self.grid.shape),
+                    dict.fromkeys(su.CATEGORIES, delta))
+        return zero
     monkeypatch.setattr(pb.WaveEngine, "wave_parts", poisoned)
     monkeypatch.setattr(su.SubstepAssembler, "delta_R_slice", finite_slice(6, (3,)))
     monkeypatch.setattr(su.SubstepAssembler, "delta_f_slice", finite_slice(3, ()))
@@ -561,19 +560,20 @@ def test_refused_slice_marks_state_failed(monkeypatch):
         return (field * np.nan if j == 3 else field), div
     monkeypatch.setattr(su.SubstepAssembler, "N_field", poisoned)
     state = make_state()
+    R = state.R.copy()
     with pytest.raises(ValueError, match=r"substep 1: delta_R is not finite at slice 3 "
                                          r"\(t = 0\.3750\); .* marked failed"):
         su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
-    # slices 0-2 are already accumulated: a rerun would add them twice
+    # slices 0-2 are already updated: a rerun would update them twice
     assert state.completed == 0
-    assert np.max(np.abs(state.delta_R[0])) > 0
+    assert not np.array_equal(state.R[:3], R[:3]) and np.array_equal(state.R[3:], R[3:])
     assert state.failed == "substep 1: delta_R is not finite at slice 3 (t = 0.3750)"
     monkeypatch.undo()
-    delta_R = state.delta_R.copy()
+    R = state.R.copy()
     with pytest.raises(ValueError, match=r"substep 1 on a failed state \(substep 1: "
                                          r"delta_R is not finite at slice 3"):
         su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
-    assert np.array_equal(state.delta_R, delta_R)
+    assert np.array_equal(state.R, R)
 
 
 def test_substep_stores_gain_the_materialized_chi_wave(monkeypatch):
@@ -657,7 +657,7 @@ def reference_total(terms):
     for cat, (field, dv) in terms:
         parts[cat] = parts[cat] + field
         delta = delta + field
-        div = div + dv
+        div = div if dv is None else div + dv
     return delta, div, parts
 
 
