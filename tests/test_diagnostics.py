@@ -77,6 +77,24 @@ def test_richardson_witness_names_the_failing_equation():
     assert check["witness_sup"] == check["flux_fine"] >= 10.0 - 1e-12
 
 
+def test_full_step_cancels_projected_blocks(mini_stepped):
+    # substep n cancelled block n (and flux block n while n <= 3, by a chi
+    # wave where c_n is nonzero): six stress blocks, three flux blocks,
+    # every wave's cancellation residual at roundoff and the closure check
+    # after every substep passed
+    state, report = mini_stepped
+    assert state.completed == 6 and state.failed is None
+    assert state.a.shape[1] == 6 and state.c.shape[1] == 3
+    subs = report["substeps"]
+    assert [r["n"] for r in subs] == list(range(1, 7))
+    for r in subs:
+        n = r["n"]
+        assert (r["chi_sup"] > 0) == (n <= 3 and bool(np.any(state.c[:, n - 1]))), n
+        assert max(r["cancel_r1"], r["cancel_r2"]) <= 1e-10 * KAPPA, n
+        assert r["residual"]["passed"], n
+    assert max(report["cancel_r1"], report["cancel_r2"]) <= 1e-10 * KAPPA
+
+
 def test_corrupted_transport_breaks_closure(corrupt_transport):
     clean = _small_state()
     it.begin_step(clean, 0.9, 0.9)

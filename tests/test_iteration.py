@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bqci import iteration as it
+from bqci import stress_update as su
 from bqci import torus_field as tf
 from oracles import (divergence_3d, gradient_3d, initial_stores_per_sample, low_pass,
                      reconstruct_sym, second_derivative_3d)
@@ -185,6 +186,32 @@ def test_initial_state_stores_match_3d_transforms():
 def test_initial_state_without_coarse_companion():
     st = make_state(nt=8)  # nt - 1 odd: the time grid does not halve
     assert st.dt_v_coarse is None and st.dt_theta_coarse is None
+
+
+def test_structured_fields_before_any_substep():
+    # begin_step fills the block coefficients and leaves the carried stores
+    # as the tuple gave them; StepState.block hands substep i + 1 the block
+    # a_i k_i (x) k_i (c_i k_i) and its divergence, (k_i . grad a_i) k_i
+    # (k_i . grad c_i), to the bits of tf.divergence
+    st = make_state()
+    stores = ("R", "f", "div_R_store", "div_f_store")
+    before = {name: getattr(st, name).copy() for name in stores}
+    it.begin_step(st, 0.9, 0.9)
+    assert st.completed == 0 and st.failed is None
+    for name in stores:
+        assert np.array_equal(getattr(st, name), before[name]), name
+    j = 2
+    for kind, blk in su.BLOCKS.items():
+        coef = getattr(st, blk.coef)
+        assert np.any(coef[j]), kind
+        for i in range(len(blk.basis)):
+            field, div = st.block(kind, j, i)
+            k = su._KVECS[i].reshape(3, 1, 1, 1)
+            assert np.array_equal(field, coef[j, i] * blk.basis[i].reshape(-1, 1, 1, 1))
+            want = tf.divergence(coef[j, i] * k, st.grid)
+            assert np.array_equal(div, want * k if blk.rank == 2 else want), (kind, i)
+            packed = tf.divergence(field, st.grid)
+            assert np.max(np.abs(div - packed)) <= 1e-13 * max(np.max(np.abs(packed)), 1e-30)
 
 
 # ---------------------------------------------------------------------------

@@ -442,7 +442,7 @@ def _blocks(st, kind, first):
     return field, div
 
 
-def test_stores_follow_the_in_place_rule(monkeypatch):
+def test_block_path_matches_whole_array_bodies(monkeypatch):
     # mini_stepped's step, substep by substep: each store equals the summed
     # slice updates plus the blocks not yet cancelled, and each divergence
     # store the summed slice divergences plus those blocks'
