@@ -56,7 +56,7 @@ def _residuals(state, stencils):
     for j in range(state.tgrid.nt):
         v = state.v[j]
         adv_v = np.einsum("b...,ba...->a...", v, state.grad_v[j])
-        grad_p = tf.gradient(state.p[j], state.grid)
+        grad_p = state.p_factor[j] * state.grad_p_profile
         adv_theta = np.einsum("b...,b...->...", v, state.grad_theta[j])
         div_R, div_f = state.div_R_store[j], state.div_f_store[j]
         for name, (stride, dt_v, dt_theta) in stencils.items():

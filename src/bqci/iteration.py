@@ -141,10 +141,6 @@ class ParamSet:
         self.lam0 = float(lam0)
         self.violations = list(violations)
 
-    def __repr__(self):
-        return (f"ParamSet(mode={self.mode!r}, mu={self.mu}, lams={self.lams}, "
-                f"violations={len(self.violations)})")
-
 
 def _lt(a, b):
     """Strictly below with a relative slack, so parameters that sit exactly
@@ -231,7 +227,8 @@ def desk_params(mu, lams, ells, ellzs, kappa, Lam=None, Lam_bar=None, eps=0.05):
 # starting tuple
 
 def initial_data(grid, tgrid, M=0.05, lam=8, analytic=False):
-    """Explicit shear starting tuple (v, theta, p, R0, f0), with its "terms".
+    """Explicit shear starting tuple (v, theta, R0, f0) and its "terms", each
+    field as (time factor, profile) terms; the pressure p is only its term.
 
     By default the time derivative of the cutoff is taken with the same
     4th-order stencil the residual evaluator uses, so the discrete tuple
@@ -250,7 +247,6 @@ def initial_data(grid, tgrid, M=0.05, lam=8, analytic=False):
     v = np.zeros((nt, 3) + grid.shape)
     v[:, 0] = ch * cyl
     theta = ch * cyl
-    p = chp * szl / lam
     R0 = np.zeros((nt, 6) + grid.shape)
     R0[:, 1] = chp * syl / lam          # xy
     R0[:, 4] = -ch * syl / lam          # yz
@@ -262,8 +258,8 @@ def initial_data(grid, tgrid, M=0.05, lam=8, analytic=False):
     terms = {"v": [(A, np.stack([cyl, zero, zero]))], "theta": [(A, cyl)],
              "R0": [(B, np.stack([zero, syl, zero, zero, zero, szl]) / lam),
                     (A, np.stack([zero, zero, zero, zero, -syl, zero]) / lam)],
-             "f0": [(B, np.stack([zero, syl, zero]) / lam)]}
-    return {"v": v, "theta": theta, "p": p, "R0": R0, "f0": f0, "terms": terms}
+             "f0": [(B, np.stack([zero, syl, zero]) / lam)], "p": [(B, szl / lam)]}
+    return {"v": v, "theta": theta, "R0": R0, "f0": f0, "terms": terms}
 
 
 def _separable(terms):
@@ -281,16 +277,17 @@ def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, analytic=False)
     """StepState for the first outer step, every derivative store built from
     the starting tuple's separable terms: each spatial operator once per
     profile, d_t by the stencil on each time factor (with analytic=True too),
-    dt_*_coarse on tgrid.halved() (None when the time grid does not halve)."""
+    dt_*_coarse on tgrid.halved() (None when the time grid does not halve);
+    the pressure as its time factor and the gradient of its profile."""
     data = initial_data(grid, tgrid, M=M, lam=lam, analytic=analytic)
     nt, ctg, terms = tgrid.nt, tgrid.halved(), data["terms"]
-    [(tv, pv)], [(tth, pth)] = terms["v"], terms["theta"]
+    [(tv, pv)], [(tth, pth)], [(tp, pp)] = terms["v"], terms["theta"], terms["p"]
     (grad_pv, dzz_pv), (grad_pth, dzz_pth) = (tf.gradient_and_dzz(P, grid) for P in (pv, pth))
     div = lambda key: _separable([(T, tf.divergence(P, grid)) for T, P in terms[key]])
     dt = lambda T, P, tg: None if tg is None else _separable([(tf.time_derivative(T, tg), P)])
     return StepState(
         grid, tgrid, mu, kappa, e_vals,
-        v=data["v"], theta=data["theta"], p=data["p"],
+        v=data["v"], theta=data["theta"], p_factor=tp, grad_p_profile=tf.gradient(pp, grid),
         grad_v=_separable([(tv, grad_pv)]), grad_theta=_separable([(tth, grad_pth)]),
         dt_v=dt(tv, pv, tgrid), dt_theta=dt(tth, pth, tgrid),
         dzz_v=_separable([(tv, dzz_pv)]), dzz_theta=_separable([(tth, dzz_pth)]),
@@ -390,7 +387,9 @@ def run_outer(state, lams, ells, ellzs, steps, schedule_b=1.5, tolerance=5.0):
     the second step on, the energy profile must keep e - a >= kappa/2 on the
     stress support, so its level is 10 kappa_s plus a floor set by the
     carried stress.  Returns the final state and the report: per-step
-    reports, the kappas, and whether every substep's check passed."""
+    reports, the kappas, and whether every substep's check passed.  Each
+    step report adds R_growth (sup R after the step over sup R carried in),
+    e_over_kappa (max e over the step's kappa) and contracting (R_growth < 1)."""
     if steps < 1:
         raise ValueError(f"steps = {steps} must be >= 1")
     kappas = [state.kappa ** (schedule_b ** s) for s in range(steps)]
@@ -399,7 +398,11 @@ def run_outer(state, lams, ells, ellzs, steps, schedule_b=1.5, tolerance=5.0):
         if s > 0:
             level = 10 * kappa + 8.0 * tf.sup_norm(state.R)
             state = advance_step(state, kappa, np.full(state.tgrid.nt, level))
-        reports.append(run_step(state, [lam * 2 ** s for lam in lams], ells, ellzs, tolerance))
+        carried = tf.sup_norm(state.R)
+        rep = run_step(state, [lam * 2 ** s for lam in lams], ells, ellzs, tolerance)
+        growth = rep["delta_R_sup"] / carried if carried > 0 else math.inf
+        reports.append({**rep, "R_growth": growth, "contracting": growth < 1,
+                        "e_over_kappa": float(np.max(state.e_vals)) / kappa})
     passed = all(rep["passed"] for rep in reports)
     return state, {"steps": reports, "kappas": kappas, "passed": passed}
 

@@ -59,6 +59,13 @@ class WaveEngine:
     classes with amplitude in the samples it reads (classes(j)), and its
     class amplitudes stay spectral until a field is materialized.
 
+    It keeps three kinds of data: engine-wide tables (the shift entries of
+    carriers and modes, the class amplitude symbols); one per-sample window
+    of binned slot data (_binned), holding a sample while the visited slice
+    is among those whose time stencils read it and recording its largest b
+    (sup_b); and one per-slice value (per_slice), the visited slice's class
+    spectra and materialized fields.
+
     a_n, c_n: (nt, nx, ny, nz) coefficient fields of the mollified stress /
     flux block being cancelled (c_n may be None: no temperature wave).
     e_vals: (nt,) energy profile samples. v_ell: (nt, 3, nx, ny, nz)
@@ -107,11 +114,11 @@ class WaveEngine:
             "w": np.stack(np.broadcast_arrays(ky - t * kz, s * kz - kx, t * kx - s * ky)),
             "chi": (kp[0] * kx + kp[1] * ky + kp[2] * kz) / self.khsq,
         }
-        self._bin_cache = {}
-        self._bmax = {}
-        self._amp_cache = {}
-        self._amp_j = None
         self._amp_syms = {}
+        self._window = {}
+        self._b_max = [None] * self.tgrid.nt
+        self._reach = self._stencil_reach()
+        self._slice = (None, {})
         self._check_radicand()
 
     def _check_radicand(self):
@@ -160,28 +167,31 @@ class WaveEngine:
         'classes' (sorted class indices), b, beta, the integer
         k_h-perp . l 'kdot' (na, grid), its per-class 'range' (na, 2: min,
         max) and l/mu (na, 3, grid). Slot c is class c, so binning takes
-        rows; it is done once per sample, since every class sum that reads
-        sample j (its own and the time stencils of its neighbours) reuses
-        these rows."""
-        if j in self._bin_cache:
-            return self._bin_cache[j]
+        rows; the per-sample window keeps them for every slice that reads j."""
+        if j in self._window:
+            return self._window[j]
         b, beta, kdot, lmu = self.slot_data(j)
         cls = np.flatnonzero(np.any(b.reshape(8, -1) != 0.0, axis=1))
         kdot = kdot[cls]
         flat = kdot.reshape(len(cls), self.grid.npts)
-        data = {
-            "classes": cls,
-            "b": b[cls],
-            "kdot": kdot,
+        self._b_max[j] = float(np.max(b))
+        self._window[j] = {
+            "classes": cls, "b": b[cls], "kdot": kdot, "lmu": lmu[cls],
             "range": np.stack([flat.min(axis=1), flat.max(axis=1)], axis=1),
-            "lmu": lmu[cls],
-            "beta": beta[cls] if beta is not None else None,
-        }
-        self._bmax[j] = float(np.max(b))
-        self._bin_cache[j] = data
-        while len(self._bin_cache) > 12:
-            self._bin_cache.pop(next(iter(self._bin_cache)))
-        return data
+            "beta": beta[cls] if beta is not None else None}
+        return self._window[j]
+
+    def _stencil_reach(self):
+        """(first, last): per sample, the first and last slice whose time
+        stencils (stride 1, and 2 when the time grid halves) read it."""
+        nt = self.tgrid.nt
+        first, last = np.full(nt, nt), np.full(nt, -1)
+        for stride, tg in ((1, self.tgrid), (2, self.tgrid.halved())):
+            if tg is not None:
+                for jj, S in enumerate(stride * tf.time_derivative_support(tg.nt)):
+                    first[S] = np.minimum(first[S], stride * jj)
+                    last[S] = np.maximum(last[S], stride * jj)
+        return first, last
 
     def _phase_factor(self, j_amp, t_phase):
         """e^{-i omega t} on the binned rows of sample j_amp: per class, a
@@ -207,7 +217,7 @@ class WaveEngine:
             return np.array(sorted(set().union(
                 *(self._binned(m)["classes"].tolist() for m in samples))),
                 dtype=np.int64)
-        return self._memo(j, ("classes", stride), build)
+        return self.per_slice(j, ("classes", stride), build)
 
     def _class_sums(self, j_amp, j, cls, full):
         """Class sums on the rows cls (which hold every class of sample
@@ -227,7 +237,7 @@ class WaveEngine:
             return out
 
         if full:  # omega = ((lam/mu) 2^c) (k_h-perp . l)
-            omega = self._per_class(self._omega_ladder, bn["classes"], 4) * bn["kdot"]
+            omega = self._omega_ladder[bn["classes"]].reshape(-1, 1, 1, 1) * bn["kdot"]
         out = {}
         for kind in self.kinds:
             keys = self.KEYS[kind]
@@ -270,7 +280,7 @@ class WaveEngine:
         terms; OU, OV the -i omega phase terms; Tb, Tc the amplitude-only
         time derivatives (4th-order stencil at frozen phase). Only the
         kinds in kinds have entries."""
-        return self._memo(j, "base", lambda: {
+        return self.per_slice(j, "base", lambda: {
             **self._class_sums(j, j, self.classes(j), True),
             **self.amplitude_time_derivative(j)})
 
@@ -281,30 +291,22 @@ class WaveEngine:
     # classes(j) and only materialized fields leave spectral space, each
     # with one inverse transform per component (assemble_hat).
 
-    def _memo(self, j, key, builder):
-        """Per-slice cache of the heavy class-amplitude stacks (and of the
-        SubstepAssembler's fields, under "asm" keys).
-
-        Several stress terms need the same stack at the same sample; slices
-        are visited sequentially, so only the current slice is retained
-        (the stacks are large).  Callers must not mutate the results."""
-        if j != self._amp_j:
-            self._amp_j = j
-            self._amp_cache = {}
-        if key not in self._amp_cache:
-            self._amp_cache[key] = builder()
-        return self._amp_cache[key]
-
-    def _kind_memo(self, j, kind, key, build):
-        """_memo of a per-kind spectrum; None for a kind not in kinds."""
-        if kind not in self.kinds:
+    def per_slice(self, j, key, build, kind=None):
+        """The per-slice value's entry key at slice j, built by build() on
+        first use (None for a kind not in kinds): the class spectra and
+        fields several terms share. The stacks are large, so visiting another
+        slice starts an empty value and drops the samples its stencils do
+        not read from the window. Callers must not mutate the results."""
+        if kind is not None and kind not in self.kinds:
             return None
-        return self._memo(j, (key, kind), build)
-
-    def _per_class(self, values, cls, ndim):
-        """Per-class values (8,) on the rows cls, shaped to broadcast over
-        an ndim stack."""
-        return np.asarray(values)[cls].reshape((len(cls),) + (1,) * (ndim - 1))
+        if self._slice[0] != j:
+            first, last = self._reach
+            self._window = {m: d for m, d in self._window.items() if first[m] <= j <= last[m]}
+            self._slice = (j, {})
+        value = self._slice[1]
+        if key not in value:
+            value[key] = build()
+        return value[key]
 
     def polarize(self, X, kind):
         """pol (x) X: the polarization axes of kind (3 for 'w', none for
@@ -344,7 +346,7 @@ class WaveEngine:
         def build():
             f = self.base_rows(j).get(key)
             return None if f is None else tf.fft3(f)
-        return self._memo(j, ("hat", key), build)
+        return self.per_slice(j, ("hat", key), build)
 
     def wave_hats(self, j, kind):
         """(main, corr) spectra of the class amplitudes of wave kind on the
@@ -353,7 +355,7 @@ class WaveEngine:
             Sh = self.base_hat(j, self.KEYS[kind].base)
             return (self.polarize(Sh, kind),
                     self._amp_hat(Sh, self.classes(j), kind, main=False))
-        return self._kind_memo(j, kind, "hats", build)
+        return self.per_slice(j, ("hats", kind), build, kind)
 
     def momentum_hat(self, j, kind):
         """Spectrum of the amplitudes of sum_l (wave_l) (l_d / mu):
@@ -363,7 +365,7 @@ class WaveEngine:
             cls = self.classes(j)
             return np.stack([self._amp_hat(S1h[:, d], cls, kind) for d in range(3)],
                             axis=1)
-        return self._kind_memo(j, kind, "momentum", build)
+        return self.per_slice(j, ("momentum", kind), build, kind)
 
     def packed_momentum_hat(self, j):
         """Spectra of the packed Q + Q^T of the velocity wave, Q[a, b] =
@@ -402,15 +404,15 @@ class WaveEngine:
             div *= 1j
             div += self.base_hat(j, keys.dt)
             return self._amp_hat(div, self.classes(j), kind)
-        return self._kind_memo(j, kind, "transport", build)
+        return self.per_slice(j, ("transport", kind), build, kind)
 
     def dzz_hat(self, j, kind):
         """Spectrum of the amplitude of d_zz of the wave per class: the
         symbol -m_z^2 on the base scalar (every carrier is horizontal, so
         the shift leaves K_z = m_z)."""
         mz = self._entry(0).K[2]
-        return self._kind_memo(j, kind, "dzz", lambda: self._amp_hat(
-            -(mz * mz) * self.base_hat(j, self.KEYS[kind].base), self.classes(j), kind))
+        return self.per_slice(j, ("dzz", kind), lambda: self._amp_hat(
+            -(mz * mz) * self.base_hat(j, self.KEYS[kind].base), self.classes(j), kind), kind)
 
     def dt_hat(self, j, kind, stride=1):
         """Spectrum of the amplitude of d_t of the wave per class: the
@@ -432,7 +434,7 @@ class WaveEngine:
                 Th = tf.fft3(self.amplitude_time_derivative(j, stride)[keys.dt])
                 Th[np.searchsorted(cls, self.classes(j))] += self.base_hat(j, keys.phase)
             return self._amp_hat(Th, cls, kind)
-        return self._kind_memo(j, kind, ("dt", stride), build)
+        return self.per_slice(j, ("dt", kind, stride), build, kind)
 
     # -- materialization ------------------------------------------------------
     #
@@ -464,16 +466,31 @@ class WaveEngine:
         classes cls."""
         return self.assemble(hats, self.class_q[cls], hats.shape[1:-3])
 
+    def dropped_mean(self, hats, qs):
+        """The real T^3 means the shifted symbols drop (ShiftEntry.dropped_mean)
+        from the amplitude spectra hats at the carriers q k_h-perp, summed."""
+        return sum(self._entry(q).dropped_mean(h).real for h, q in zip(hats, qs))
+
+    def field(self, j, op, kind):
+        """Materialized <op>_hat spectra (op 'transport', 'dt' or 'dzz') of
+        wave kind at sample j (None without that wave)."""
+        return self.per_slice(j, ("field", op, kind), lambda: self.assemble_hat(
+            getattr(self, op + "_hat")(j, kind), self.classes(j)), kind)
+
+    def div_v_ell(self, j):
+        """div v_ell at sample j."""
+        return self.per_slice(j, "div_v_ell", lambda: tf.divergence(self.v_ell[j], self.grid))
+
     def wave_parts(self, j, kind):
         """Materialized (main, corr) of wave kind at sample j: polarization
         + grid each, the whole wave is their sum."""
-        return self._memo(j, ("wave", kind), lambda: self._materialize(j, kind, ()))
+        return self.per_slice(j, ("wave", kind), lambda: self._materialize(j, kind, ()))
 
     def wave_gradient_parts(self, j, kind):
         """Materialized (grad main, grad corr) of wave kind at sample j:
         (3 deriv) + polarization + grid each. The symbol of d_d on class c
         is i K_d, stacked over d."""
-        return self._memo(j, ("grad", kind), lambda: self._materialize(
+        return self.per_slice(j, ("grad", kind), lambda: self._materialize(
             j, kind, (3,), lambda h, entry: entry.grad(h)))
 
     def _materialize(self, j, kind, lead, op=None):
@@ -534,10 +551,7 @@ class WaveEngine:
         return r1, r2
 
     def sup_b(self):
-        """max_l |b_nl| over all samples (sets the recorded constant M)."""
-        worst = 0.0
-        for j in range(self.tgrid.nt):
-            if j not in self._bmax:
-                self._binned(j)
-            worst = max(worst, self._bmax[j])
-        return worst
+        """max_l |b_nl| over all samples (sets the recorded constant M), from
+        the maxima recorded at binning (slot_data for a sample never read)."""
+        return max([0.0] + [float(np.max(self.slot_data(j)[0])) if m is None else m
+                            for j, m in enumerate(self._b_max)])

@@ -54,9 +54,9 @@ class SubstepAssembler:
     is the step state on the first substep only (None later): there the
     mollification residual of its carried stress and flux enters the update.
 
-    The waves and their gradients are the engine's materializations
-    (WaveEngine.wave_parts / wave_gradient_parts); a wave kind selects the
-    antidivergence its terms take (_ANTIDIV).
+    The waves, their gradients and the op fields are the engine's (wave_parts,
+    wave_gradient_parts, field); a wave kind selects the antidivergence its
+    terms take (_ANTIDIV).
     """
 
     def __init__(self, engine, v_prev, grad_v_prev, theta_prev, grad_theta_prev,
@@ -70,25 +70,9 @@ class SubstepAssembler:
         self.theta_ell = theta_ell
         self.start = start
 
-    # -- per-slice fields (the engine's per-slice memo, under "asm" keys) -----
-
-    def field(self, j, op, kind):
-        """Materialized engine field op ('transport', 'dt' or 'dzz', the
-        WaveEngine.<op>_hat spectra) of wave kind at sample j, shared by the
-        stress term that needs it and the derivative stores (None without
-        that wave)."""
-        def build():
-            hats = getattr(self.e, op + "_hat")(j, kind)
-            return None if hats is None else self.e.assemble_hat(hats, self.e.classes(j))
-        return self.e._memo(j, ("asm", op, kind), build)
-
-    def _div_v_ell(self, j):
-        return self.e._memo(j, ("asm", "div_v_ell"),
-                            lambda: tf.divergence(self.e.v_ell[j], self.grid))
-
     def _grad_theta_ell(self, j):
-        return self.e._memo(j, ("asm", "grad_theta_ell"),
-                            lambda: tf.gradient(self.theta_ell[j], self.grid))
+        return self.e.per_slice(j, "grad_theta_ell",
+                                lambda: tf.gradient(self.theta_ell[j], self.grid))
 
     # -- oscillation mode expansion -------------------------------------------
 
@@ -98,18 +82,13 @@ class SubstepAssembler:
         is sum_q 2 Re(A_q e^{i q carrier.x}), with the zero mode (the block
         being cancelled) removed; times k (x) k for 'w', k for 'chi'. None
         without that wave."""
-        rows = self.e.base_rows(j)
-        X = rows.get(self.e.KEYS[kind].base)
-        if X is None:
+        rows, cls, lam = self.e.base_rows(j), self.e.classes(j), self.e.lam
+        A, B = rows["U"], rows.get(self.e.KEYS[kind].base)
+        if B is None:
             return None
-        return self._pair_modes(rows["U"], X, self.e.classes(j))
-
-    def _pair_modes(self, A, B, cls):
-        """A, B: class scalars on the rows of the classes cls."""
         active_a = [(r, int(c)) for r, c in enumerate(cls) if np.any(A[r])]
         active_b = [(r, int(c)) for r, c in enumerate(cls) if np.any(B[r])]
         modes = {}
-        lam = self.e.lam
         for ra, c in active_a:
             for rb, cp in active_b:
                 for sign, other in ((1, B[rb]), (-1, B[rb].conj())):
@@ -179,9 +158,9 @@ class SubstepAssembler:
         divergence is field minus its (exact) mean."""
         sym, ncomp, _ = _ANTIDIV[kind]
         live = [(h, q) for h, q in zip(hats, self.e.class_q[self.e.classes(j)]) if np.any(h)]
-        out = self.e.assemble((h for h, _ in live), (q for _, q in live), (ncomp,), sym)
-        # the means the symbol drops (_entry stays private: an untraced lookup)
-        mean = sum(self.e._entry(q).dropped_mean(h).real for h, q in live)
+        hats, qs = [h for h, _ in live], [q for _, q in live]
+        out = self.e.assemble(hats, qs, (ncomp,), sym)
+        mean = self.e.dropped_mean(hats, qs)
         return out, field - 2.0 * np.reshape(mean, np.shape(mean) + (1, 1, 1))
 
     def _field_modes(self, j, op, kind):
@@ -190,7 +169,7 @@ class SubstepAssembler:
         hats = getattr(self.e, op + "_hat")(j, kind)
         if hats is None:
             return None
-        return self._class_modes(j, kind, hats, self.field(j, op, kind))
+        return self._class_modes(j, kind, hats, self.e.field(j, op, kind))
 
     def transport_R(self, j):
         return self._field_modes(j, "transport", "w")
@@ -201,7 +180,7 @@ class SubstepAssembler:
     def r_dzz_and_buoyancy(self, j):
         """R(d_zz w + chi e3): both enter error_corr with the same sign and R
         is linear, so they share one pass over the classes."""
-        return self._with_buoyancy(j, self.e.dzz_hat(j, "w"), self.field(j, "dzz", "w"))
+        return self._with_buoyancy(j, self.e.dzz_hat(j, "w"), self.e.field(j, "dzz", "w"))
 
     def r_buoyancy(self, j):
         """R(chi e3) -- the buoyancy of the temperature wave."""
@@ -235,7 +214,7 @@ class SubstepAssembler:
         wdv = np.einsum("b...,ba...->a...", w, self.grad_v_prev[j])
         # cell-velocity advection of the wave, with the exact same amplitude
         # bookkeeping the transport and time-derivative stores use
-        adv = self.field(j, "transport", "w") - self.field(j, "dt", "w")
+        adv = self.e.field(j, "transport", "w") - self.e.field(j, "dt", "w")
         div3 = vdw + wdv - adv
         return tf.sym_pack(T) - qq, div3
 
@@ -263,8 +242,8 @@ class SubstepAssembler:
         v_ell = self.e.v_ell[j]
         t5 = v_ell * chi - Pchi
         grad_chi = sum(self.e.wave_gradient_parts(j, "chi"))
-        adv = self.field(j, "transport", "chi") - self.field(j, "dt", "chi")
-        div1 = (self._div_v_ell(j) * chi
+        adv = self.e.field(j, "transport", "chi") - self.e.field(j, "dt", "chi")
+        div1 = (self.e.div_v_ell(j) * chi
                 + np.einsum("b...,b...->...", v_ell, grad_chi)
                 - adv)
         return t5, div1
@@ -275,7 +254,7 @@ class SubstepAssembler:
             return None
         dv = self.v_prev[j] - self.e.v_ell[j]
         grad_chi = sum(self.e.wave_gradient_parts(j, "chi"))
-        div1 = (-self._div_v_ell(j) * chi
+        div1 = (-self.e.div_v_ell(j) * chi
                 + np.einsum("b...,b...->...", dv, grad_chi))
         return dv * chi, div1
 
@@ -416,13 +395,14 @@ BLOCKS = {
 class StepState:
     """State carried through the six substeps of one outer step.
 
-    Every store is an (nt, ...) array: the accumulated v, theta, p; the exact
+    Every store is an (nt, ...) array: the accumulated v, theta; the exact
     derivative stores grad_*, dt_*, dzz_* (from the slow starting tuple,
     extended wave by wave) and the half-resolution dt_*_coarse companions of
     the discretization-floor estimate (None when nt does not halve); the
     current stress R (packed) and flux f with their exact divergences
     div_R_store / div_f_store; and a / c, the mollified block coefficients
-    (begin_step).
+    (begin_step).  No step changes the pressure: it is the time factor
+    p_factor (nt,) times a profile whose gradient is grad_p_profile (3, grid).
 
     Substep n updates R and f in place: it adds its update (less the
     mollification residual, which the store already holds) and removes
@@ -445,7 +425,8 @@ class StepState:
     e_vals: np.ndarray
     v: np.ndarray
     theta: np.ndarray
-    p: np.ndarray
+    p_factor: np.ndarray
+    grad_p_profile: np.ndarray
     grad_v: np.ndarray
     grad_theta: np.ndarray
     dt_v: np.ndarray
@@ -587,8 +568,8 @@ def run_substep(state, n, lam, ell, ell_z):
                                                for name in _STORES[kind])
             field[j] += inc
             grad[j] += sum(engine.wave_gradient_parts(j, kind))
-            dzz[j] += asm.field(j, "dzz", kind)
-            dt[j] += asm.field(j, "dt", kind)
+            dzz[j] += engine.field(j, "dzz", kind)
+            dt[j] += engine.field(j, "dt", kind)
             if j % 2 == 0 and dt_coarse is not None:
                 dt_coarse[j // 2] += engine.assemble_hat(
                     engine.dt_hat(j, kind, stride=2), engine.classes(j, 2))

@@ -153,6 +153,9 @@ def test_outer_one_step_passes(tmp_path):
     text = (tmp_path / "outer.txt").read_text()
     assert "passed=True" in text
     assert "steps[0].v_increment_sup=" in text
+    # the chain's growth report: report fields only, the exit code stays 0
+    for key in ("R_growth", "e_over_kappa", "contracting"):
+        assert f"steps[0].{key}=" in text, key
 
 
 # SMALL's ladder on which both outer steps close (test_second_outer_step_closes)

@@ -158,8 +158,17 @@ def test_initial_state_stores_equal_per_slice_operators():
     for analytic in (False, True):
         st = make_state(n=24, analytic=analytic)
         data = it.initial_data(st.grid, st.tgrid, M=0.05, lam=4, analytic=analytic)
-        for name, key in (("v", "v"), ("theta", "theta"), ("p", "p"), ("R", "R0"), ("f", "f0")):
+        for name, key in (("v", "v"), ("theta", "theta"), ("R", "R0"), ("f", "f0")):
             assert np.array_equal(getattr(st, name), data[key]), name
+        # the pressure: its time factor and the gradient of its profile, whose
+        # product is the per-sample gradient to roundoff
+        [(B, P)] = data["terms"]["p"]
+        assert np.array_equal(st.p_factor, B)
+        assert np.array_equal(st.grad_p_profile, tf.gradient(P, st.grid))
+        for j in range(st.tgrid.nt):
+            ref = tf.gradient(B[j] * P, st.grid)
+            got = st.p_factor[j] * st.grad_p_profile
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), j
         want = initial_stores_per_sample(data, st.grid, st.tgrid)
         assert len(want) == 10
         for name, ref in want.items():
@@ -315,6 +324,30 @@ def test_second_outer_step_closes():
         assert res["passed"], res
         assert max(res["momentum_ratio"], res["flux_ratio"]) < 1e-6
     assert outer["passed"]
+
+
+def test_outer_chain_reports_its_growth():
+    # the 16^3 x 9 chain of test_second_outer_step_closes, three steps: every
+    # check passes while sup R grows each step, and the report says so
+    grid = tf.Grid3(16, 16, 16)
+    tgrid = tf.TimeGrid(0.75, 4.25, 9)
+    st = it.initial_state(grid, tgrid, mu=2, kappa=KAPPA,
+                          e_vals=np.full(9, 10 * KAPPA), M=0.05, lam=4)
+    carried = tf.sup_norm(st.R)
+    _, outer = it.run_outer(st, [8 * 2 ** i for i in range(6)], [0.6] * 6,
+                            [0.6] * 6, steps=3)
+    assert outer["passed"]
+    first, *later = outer["steps"]
+    # step 1 compares bit for bit: sup R grows from the start tuple's 0.31
+    # to 16.9, with e at 10 kappa
+    assert first["R_growth"] == first["delta_R_sup"] / carried
+    assert first["R_growth"] == pytest.approx(54.56086443321041, rel=1e-9)
+    assert first["e_over_kappa"] == 10.0
+    assert first["contracting"] is False
+    # later steps amplify roundoff (ROADMAP item 3): pinned loosely
+    for rep in later:
+        assert rep["contracting"] is False and rep["R_growth"] > 10
+        assert rep["e_over_kappa"] > 10
 
 
 def test_mini_step_report(mini_stepped):

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -299,3 +302,16 @@ def test_stride2_dt_is_the_halved_grid_dt():
             want = half.assemble_hat(half.dt_hat(j // 2, kind), half.classes(j // 2))
             assert np.any(want)
             assert np.array_equal(got, want), (j, kind)
+
+
+def test_no_other_module_reads_the_engine_privates():
+    # the engine's data (tables, per-sample window, per-slice value) is
+    # reached through its public methods only: no module but perturbation
+    # names an underscore attribute of an engine
+    pattern = re.compile(r"(?:\.e|\bengine)\._\w")
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(pathlib.Path(pb.__file__).parent.glob("*.py"))
+            if path.name != "perturbation.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []

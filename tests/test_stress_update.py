@@ -185,13 +185,13 @@ def test_class_terms_match_the_per_class_loop():
         chi = eng.wave_hats(j, "chi")
         buoy_hats = eng.dzz_hat(j, "w").copy()
         buoy_hats[:, 2] += sum(chi)
-        buoy_field = asm.field(j, "dzz", "w").copy()
+        buoy_field = eng.field(j, "dzz", "w").copy()
         buoy_field[2] += sum(eng.wave_parts(j, "chi"))
         cases = [
             (asm.transport_R(j), "w", eng.transport_hat(j, "w"),
-             asm.field(j, "transport", "w")),
+             eng.field(j, "transport", "w")),
             (asm.transport_f(j), "chi", eng.transport_hat(j, "chi"),
-             asm.field(j, "transport", "chi")),
+             eng.field(j, "transport", "chi")),
             (asm.r_dzz_and_buoyancy(j), "w", buoy_hats, buoy_field),
         ]
         for fast, kind, hats, field in cases:
@@ -357,7 +357,7 @@ def make_state(N=16, nt=9, mu=2):
         grid, tgrid, mu, KAPPA, e_vals,
         v=np.zeros((nt, 3) + grid.shape),
         theta=np.zeros((nt,) + grid.shape),
-        p=np.zeros((nt,) + grid.shape),
+        p_factor=np.zeros(nt), grad_p_profile=np.zeros((3,) + grid.shape),
         grad_v=np.zeros((nt, 3, 3) + grid.shape),
         grad_theta=zeros3.copy(),
         dt_v=np.zeros((nt, 3) + grid.shape),
@@ -502,6 +502,72 @@ def test_run_substep_is_deterministic():
             assert np.array_equal(store, getattr(states[1], name)), name
 
 
+def _slices_in_order(order):
+    """Every per-slice output of a fresh make_engine / make_assembler pair,
+    its slices visited in the given order: {j: (delta_R_slice, delta_f_slice,
+    wave_parts per kind, dt_hat(j, kind, 2) per kind at even j)}."""
+    eng = make_engine()
+    asm = make_assembler(eng)
+    return {j: (asm.delta_R_slice(j), asm.delta_f_slice(j),
+                [eng.wave_parts(j, kind) for kind in ("w", "chi")],
+                [eng.dt_hat(j, kind, 2) for kind in ("w", "chi") if j % 2 == 0])
+            for j in order}
+
+
+def _assert_bitwise_equal(a, b):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        a, b = list(a.values()), [b[k] for k in a]
+    if isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_bitwise_equal(x, y)
+    else:
+        assert np.array_equal(a, b)
+
+
+def test_slice_outputs_do_not_depend_on_the_visiting_order():
+    # in order, in reverse and as two interleaved halves (a worker's halo
+    # and the probe slices visit out of order): the per-sample window and
+    # the per-slice value rebuild what they dropped, bit for bit
+    nt = make_engine().tgrid.nt
+    half = (nt + 1) // 2
+    interleaved = [j for pair in zip(range(half), range(half, nt)) for j in pair]
+    interleaved += list(range(len(interleaved) // 2, half))
+    assert sorted(interleaved) == list(range(nt))
+    ref = _slices_in_order(range(nt))
+    for order in (range(nt - 1, -1, -1), interleaved):
+        got = _slices_in_order(order)
+        for j in range(nt):
+            _assert_bitwise_equal(got[j], ref[j])
+
+
+@pytest.mark.parametrize("nt, coarse", [(33, True), (16, False)])
+def test_substep_bins_each_sample_once_in_a_stencil_wide_window(monkeypatch, nt, coarse):
+    # a slice-by-slice pass gathers each sample's slot data once, and the
+    # window never holds more samples than one slice's time stencils span
+    # (5 samples at stride 1, 9 with the stride-2 companion)
+    calls, sizes = [], []
+    clean = pb.WaveEngine.slot_data
+
+    def recording(self, j):
+        calls.append(j)
+        sizes.append(len(self._window) + 1)  # with the sample being binned
+        return clean(self, j)
+    monkeypatch.setattr(pb.WaveEngine, "slot_data", recording)
+    state = make_state(nt=nt)
+    if not coarse:
+        state.dt_v_coarse = state.dt_theta_coarse = None
+    assert (state.tgrid.halved() is not None) == coarse
+    strides = [(1, state.tgrid)] + ([(2, state.tgrid.halved())] if coarse else [])
+    span = max(stride * np.ptp(tf.time_derivative_support(tg.nt), axis=1).max() + 1
+               for stride, tg in strides)
+    assert span == (9 if coarse else 5)
+    su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
+    assert sorted(calls) == list(range(nt))
+    assert max(sizes) <= span
+
+
 @pytest.mark.parametrize("term, name", [("N_field", "delta_R"),
                                         ("flux_theta_drift", "delta_f")])
 def test_non_finite_slice_is_refused(monkeypatch, term, name):
@@ -624,7 +690,8 @@ def reference_oscillation(self, j, kind):
 def reference_amp_hat(self, Sh, cls, kind, main=True):
     """WaveEngine._amp_hat rebuilding the symbol on every call."""
     pol = self._pol[kind]
-    sym = self._corr_sym[kind] * (1.0 / self._per_class(self.class_q, cls, 4 + pol.ndim))
+    q = np.asarray(self.class_q)[cls].reshape((len(cls),) + (1,) * (3 + pol.ndim))
+    sym = self._corr_sym[kind] * (1.0 / q)
     if main:
         sym = sym + pol.reshape(pol.shape + (1, 1, 1))
     return Sh.reshape(Sh.shape[:1] + (1,) * pol.ndim + Sh.shape[1:]) * sym
@@ -632,13 +699,14 @@ def reference_amp_hat(self, Sh, cls, kind, main=True):
 
 def reference_transport_hat(self, j, kind):
     """WaveEngine.transport_hat as the amplitude symbol of d_t plus the slow
-    divergence of the polarized momentum stack."""
-    def div_hat(Mh):
-        kx, ky, kz = self.grid.wavenumbers()
-        return 1j * (kx * Mh[:, 0] + ky * Mh[:, 1] + kz * Mh[:, 2])
-    return self._kind_memo(j, kind, "transport", lambda: (
-        self._amp_hat(self.base_hat(j, self.KEYS[kind].dt), self.classes(j), kind)
-        + div_hat(self.momentum_hat(j, kind))))
+    divergence of the polarized momentum stack, rebuilt on every call (None
+    for a kind not in kinds)."""
+    if kind not in self.kinds:
+        return None
+    kx, ky, kz = self.grid.wavenumbers()
+    Mh = self.momentum_hat(j, kind)
+    return (self._amp_hat(self.base_hat(j, self.KEYS[kind].dt), self.classes(j), kind)
+            + 1j * (kx * Mh[:, 0] + ky * Mh[:, 1] + kz * Mh[:, 2]))
 
 
 def reference_packed_momentum(self, j):
@@ -683,7 +751,6 @@ def test_transport_symbol_matches_the_momentum_divergence():
     for j in (0, 3, 8):
         for kind in ("w", "chi"):
             fast = eng.transport_hat(j, kind)
-            eng._amp_j = None  # drop the slice memo, so the reference rebuilds
             slow = reference_transport_hat(eng, j, kind)
             assert fast.shape == slow.shape
             assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
@@ -699,11 +766,16 @@ def test_packed_momentum_is_the_packed_momentum_stack():
 def test_assembler_fields_share_the_engine_slice_memo():
     eng = make_engine()
     asm = make_assembler(eng)
-    field = asm.field(3, "transport", "w")
+    field = eng.field(3, "transport", "w")
     # the engine's spectra under the same (op, kind) stay spectra
     assert eng.transport_hat(3, "w").shape == (len(eng.classes(3)), 3) + eng.grid.shape
-    assert asm.field(3, "transport", "w") is field
-    assert asm.field(4, "transport", "w") is not field
+    assert eng.field(3, "transport", "w") is field
+    # the assembler keeps its own field, grad theta_ell, in the engine's
+    # per-slice value too: visiting another slice drops it with the rest
+    grad = asm._grad_theta_ell(3)
+    assert asm._grad_theta_ell(3) is grad
+    assert eng.field(4, "transport", "w") is not field
+    assert asm._grad_theta_ell(3) is not grad
 
 
 def _stores_and_values(state, report):
