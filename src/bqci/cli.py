@@ -347,24 +347,24 @@ def cmd_scaling(cfg):
     os.makedirs(out, exist_ok=True)  # the tables are written before the report
     report = {}
     ok = True
+
+    def ladder(name, cast=float):  # a blank sweep keeps the study's default
+        return {name: [cast(x) for x in sweep]} if sweep else {}
     if quantity in ("lambda", "all"):
-        lams = [int(x) for x in sweep] or (16, 32, 64, 128)
-        res = dg.lambda_scaling(lams=lams)
+        res = dg.lambda_scaling(**ladder("lams", int))
         rows = list(zip(res["lams"], *(res["norms"][k] for k in sorted(res["norms"]))))
         dg.write_csv(os.path.join(out, "scaling_lambda.csv"),
                      ["lam"] + sorted(res["norms"]), rows)
         report["lambda"] = {"slopes": res["slopes"]}
         ok &= all(-1.2 < s < -0.8 for s in res["slopes"].values())
     if quantity in ("mu", "all"):
-        mus = [int(x) for x in sweep] or (2, 4, 8, 16)
-        res = dg.mu_scaling(mus=mus)
+        res = dg.mu_scaling(**ladder("mus", int))
         dg.write_csv(os.path.join(out, "scaling_mu.csv"), ["mu", "norm"],
                      list(zip(res["mus"], res["norms"])))
         report["mu"] = {"slope": res["slope"]}
         ok &= -1.3 < res["slope"] < -0.7
     if quantity in ("mollification", "all"):
-        ells = sweep or (0.15, 0.3, 0.6)
-        res = dg.mollification_scaling(ells=ells)
+        res = dg.mollification_scaling(**ladder("ells"))
         dg.write_csv(os.path.join(out, "scaling_mollification.csv"),
                      ["ell", "norm"], list(zip(res["ells"], res["norms"])))
         report["mollification"] = {"slope": res["slope"]}

@@ -1,7 +1,7 @@
 """Modulated-wave construction for one substep of the convex-integration step.
 
-Substep n adds a divergence-free velocity wave w_n = w_no + w_nc and (for
-n <= 3) a mean-zero temperature wave chi_n = chi_no + chi_nc. Every wave term
+Substep n adds a divergence-free velocity wave w_n = w_no + w_nc and (for a
+nonzero c_n) a mean-zero temperature wave chi_n = chi_no + chi_nc. Every wave term
 lives on a lattice cell l of the partition of unity evaluated at mu * v_ell
 and carries the phase
 
@@ -67,12 +67,12 @@ class WaveEngine:
     spectra and materialized fields.
 
     a_n, c_n: (nt, nx, ny, nz) coefficient fields of the mollified stress /
-    flux block being cancelled (c_n may be None: no temperature wave).
-    e_vals: (nt,) energy profile samples. v_ell: (nt, 3, nx, ny, nz)
-    mollified carrier velocity. kappa: stress budget (for preconditions).
+    flux block being cancelled (c_n None: no flux block). e_vals: (nt,)
+    energy profile samples. v_ell: (nt, 3, nx, ny, nz) mollified carrier
+    velocity. kappa: stress budget. Non-finite inputs are refused.
 
-    The kind methods return None (spectra) or zeros (materialized fields)
-    for a kind not in kinds.
+    kinds: "w", and "chi" exactly when c_n is nonzero somewhere (a zero
+    c_n is kept as None); every kind method takes a kind in kinds.
     """
 
     KEYS = {"w": WaveKeys("b", "U", "W1", "OU", "Tb"),
@@ -90,7 +90,7 @@ class WaveEngine:
         self.tgrid = tgrid
         self.frame = algebra.wave_frame(n)
         self.a_n = np.asarray(a_n)
-        self.c_n = None if c_n is None else np.asarray(c_n)
+        self.c_n = None if c_n is None or not np.any(c_n) else np.asarray(c_n)
         self.e_vals = np.asarray(e_vals, dtype=np.float64)
         self.v_ell = np.asarray(v_ell)
         self.kappa = float(kappa)
@@ -99,7 +99,7 @@ class WaveEngine:
         self.avec = np.array(self.frame.avec)
         self.carrier = self.frame.k_perp_arr()
         self.khsq = self.frame.kh_sq
-        self.kinds = ("w", "chi") if self.c_n is not None and n <= 3 else ("w",)
+        self.kinds = ("w",) if self.c_n is None else ("w", "chi")
         self.class_q = self.lam * 2 ** np.arange(8)  # class c's carrier: class_q[c] k_h-perp
         self._omega_ladder = (self.lam / self.mu) * np.ldexp(1.0, np.arange(8))
         self._shifts = {}
@@ -123,7 +123,12 @@ class WaveEngine:
 
     def _check_radicand(self):
         worst = None
+        times = self.tgrid.times()
         for j in range(self.tgrid.nt):
+            for name, x in (("e_vals", self.e_vals), ("a_n", self.a_n), ("c_n", self.c_n)):
+                if x is not None and not np.isfinite(x[j]).all():
+                    raise AmplitudeError(f"{name} is not finite at sample {j} "
+                                         f"(t = {times[j]:.4f})")
             rad = self.e_vals[j] - self.a_n[j]
             supp = np.abs(self.a_n[j]) > 1e-13 * max(self.kappa, 1e-300)
             if self.c_n is not None:
@@ -134,10 +139,9 @@ class WaveEngine:
             if worst is None or m < worst[0]:
                 worst = (float(m), j)
         if worst is not None and worst[0] < self.kappa / 2:
-            t = self.tgrid.times()[worst[1]]
             raise AmplitudeError(
                 f"e - a = {worst[0]:.3e} < kappa/2 = {self.kappa / 2:.3e} on the "
-                f"stress support at t = {t:.4f} (input stress exceeds budget)"
+                f"stress support at t = {times[worst[1]]:.4f} (input stress exceeds budget)"
             )
 
     # -- slot gather ----------------------------------------------------------
@@ -151,12 +155,10 @@ class WaveEngine:
         corners, alphas = self.pou.corner_alphas(p)
         rad = np.maximum(self.e_vals[j] - self.a_n[j], 0.0)
         root = np.sqrt(rad / 2.0)
-        b = root * alphas
+        b, beta = root * alphas, None
         if self.c_n is not None:
             safe = np.sqrt(2.0 * np.maximum(rad, 1e-300))
             beta = np.where(rad > 0, -self.c_n[j] / safe, 0.0) * alphas
-        else:
-            beta = None
         kdot = sum(self.carrier[d] * corners[:, d] for d in range(3))
         lmu = corners.astype(np.float64) / self.mu
         return b, beta, kdot, lmu
@@ -278,8 +280,8 @@ class WaveEngine:
         classes(j), class axis first, keyed by KEYS: U, V wave base sums;
         W1, V1 momentum-weighted sums (class, d, grid) feeding the l/mu
         terms; OU, OV the -i omega phase terms; Tb, Tc the amplitude-only
-        time derivatives (4th-order stencil at frozen phase). Only the
-        kinds in kinds have entries."""
+        time derivatives (4th-order stencil at frozen phase), for the
+        kinds in kinds."""
         return self.per_slice(j, "base", lambda: {
             **self._class_sums(j, j, self.classes(j), True),
             **self.amplitude_time_derivative(j)})
@@ -291,14 +293,12 @@ class WaveEngine:
     # classes(j) and only materialized fields leave spectral space, each
     # with one inverse transform per component (assemble_hat).
 
-    def per_slice(self, j, key, build, kind=None):
+    def per_slice(self, j, key, build):
         """The per-slice value's entry key at slice j, built by build() on
-        first use (None for a kind not in kinds): the class spectra and
-        fields several terms share. The stacks are large, so visiting another
-        slice starts an empty value and drops the samples its stencils do
-        not read from the window. Callers must not mutate the results."""
-        if kind is not None and kind not in self.kinds:
-            return None
+        first use: the class spectra and fields several terms share. The
+        stacks are large, so visiting another slice starts an empty value and
+        drops the samples its stencils do not read from the window. Callers
+        must not mutate the results."""
         if self._slice[0] != j:
             first, last = self._reach
             self._window = {m: d for m, d in self._window.items() if first[m] <= j <= last[m]}
@@ -342,11 +342,8 @@ class WaveEngine:
 
     def base_hat(self, j, key):
         """Spectrum of the base class scalar `key` at sample j on the rows
-        of classes(j) (None when there is none)."""
-        def build():
-            f = self.base_rows(j).get(key)
-            return None if f is None else tf.fft3(f)
-        return self.per_slice(j, ("hat", key), build)
+        of classes(j)."""
+        return self.per_slice(j, ("hat", key), lambda: tf.fft3(self.base_rows(j)[key]))
 
     def wave_hats(self, j, kind):
         """(main, corr) spectra of the class amplitudes of wave kind on the
@@ -355,7 +352,7 @@ class WaveEngine:
             Sh = self.base_hat(j, self.KEYS[kind].base)
             return (self.polarize(Sh, kind),
                     self._amp_hat(Sh, self.classes(j), kind, main=False))
-        return self.per_slice(j, ("hats", kind), build, kind)
+        return self.per_slice(j, ("hats", kind), build)
 
     def momentum_hat(self, j, kind):
         """Spectrum of the amplitudes of sum_l (wave_l) (l_d / mu):
@@ -365,7 +362,7 @@ class WaveEngine:
             cls = self.classes(j)
             return np.stack([self._amp_hat(S1h[:, d], cls, kind) for d in range(3)],
                             axis=1)
-        return self.per_slice(j, ("momentum", kind), build, kind)
+        return self.per_slice(j, ("momentum", kind), build)
 
     def packed_momentum_hat(self, j):
         """Spectra of the packed Q + Q^T of the velocity wave, Q[a, b] =
@@ -404,7 +401,7 @@ class WaveEngine:
             div *= 1j
             div += self.base_hat(j, keys.dt)
             return self._amp_hat(div, self.classes(j), kind)
-        return self.per_slice(j, ("transport", kind), build, kind)
+        return self.per_slice(j, ("transport", kind), build)
 
     def dzz_hat(self, j, kind):
         """Spectrum of the amplitude of d_zz of the wave per class: the
@@ -412,7 +409,7 @@ class WaveEngine:
         the shift leaves K_z = m_z)."""
         mz = self._entry(0).K[2]
         return self.per_slice(j, ("dzz", kind), lambda: self._amp_hat(
-            -(mz * mz) * self.base_hat(j, self.KEYS[kind].base), self.classes(j), kind), kind)
+            -(mz * mz) * self.base_hat(j, self.KEYS[kind].base), self.classes(j), kind))
 
     def dt_hat(self, j, kind, stride=1):
         """Spectrum of the amplitude of d_t of the wave per class: the
@@ -434,7 +431,7 @@ class WaveEngine:
                 Th = tf.fft3(self.amplitude_time_derivative(j, stride)[keys.dt])
                 Th[np.searchsorted(cls, self.classes(j))] += self.base_hat(j, keys.phase)
             return self._amp_hat(Th, cls, kind)
-        return self.per_slice(j, ("dt", kind, stride), build, kind)
+        return self.per_slice(j, ("dt", kind, stride), build)
 
     # -- materialization ------------------------------------------------------
     #
@@ -473,9 +470,9 @@ class WaveEngine:
 
     def field(self, j, op, kind):
         """Materialized <op>_hat spectra (op 'transport', 'dt' or 'dzz') of
-        wave kind at sample j (None without that wave)."""
+        wave kind at sample j."""
         return self.per_slice(j, ("field", op, kind), lambda: self.assemble_hat(
-            getattr(self, op + "_hat")(j, kind), self.classes(j)), kind)
+            getattr(self, op + "_hat")(j, kind), self.classes(j)))
 
     def div_v_ell(self, j):
         """div v_ell at sample j."""
@@ -497,12 +494,8 @@ class WaveEngine:
         """assemble with op (output lead + the spectrum's shape) of the main
         and correction class sums of wave kind. The main wave is pol times
         the base scalar 2 Re sum_c S_c E_c, so it takes one transform per op
-        component, not one per polarization component; zeros (lead +
-        polarization + grid) without that wave."""
+        component, not one per polarization component."""
         hats = self.wave_hats(j, kind)
-        if hats is None:
-            zero = np.zeros(lead + self._pol[kind].shape + self.grid.shape)
-            return zero, zero.copy()
         qs = self.class_q[self.classes(j)]
         main = self.base_hat(j, self.KEYS[kind].base)
         return (self.polarize(self.assemble(main, qs, lead, op), kind),
@@ -522,8 +515,6 @@ class WaveEngine:
         """
         out = np.zeros(self._pol[kind].shape)
         hats = self.wave_hats(j, kind)
-        if hats is None:
-            return out
         for row, q in enumerate(self.class_q[self.classes(j)]):
             entry = self._entry(q)
             if not all(abs(x) < n // 2 for x, n in zip(entry.xi, self.grid.shape)):
@@ -547,11 +538,10 @@ class WaveEngine:
         r1 = float(np.max(np.abs(2.0 * np.sum(b * b, axis=0) - rad)))
         if beta is None:
             return r1, 0.0
-        r2 = float(np.max(np.abs(2.0 * np.sum(beta * b, axis=0) + self.c_n[j])))
-        return r1, r2
+        return r1, float(np.max(np.abs(2.0 * np.sum(beta * b, axis=0) + self.c_n[j])))
 
     def sup_b(self):
         """max_l |b_nl| over all samples (sets the recorded constant M), from
         the maxima recorded at binning (slot_data for a sample never read)."""
-        return max([0.0] + [float(np.max(self.slot_data(j)[0])) if m is None else m
-                            for j, m in enumerate(self._b_max)])
+        return tf.max_or_nan(0.0, *[float(np.max(self.slot_data(j)[0])) if m is None else m
+                                    for j, m in enumerate(self._b_max)])

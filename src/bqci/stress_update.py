@@ -39,7 +39,7 @@ from . import torus_field as tf
 from .inverse_div import div_mode_hat, g_hat, mode_stress, r_hat
 from .perturbation import WaveEngine
 
-__all__ = ["BLOCKS", "StepState", "SubstepAssembler", "run_substep"]
+__all__ = ["BLOCKS", "StepState", "SubstepAssembler", "block", "run_substep"]
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +80,9 @@ class SubstepAssembler:
         """Quadratic main-wave interactions as {q: scalar amplitude}: the
         product of the main velocity scalar with the main scalar of wave kind
         is sum_q 2 Re(A_q e^{i q carrier.x}), with the zero mode (the block
-        being cancelled) removed; times k (x) k for 'w', k for 'chi'. None
-        without that wave."""
+        being cancelled) removed; times k (x) k for 'w', k for 'chi'."""
         rows, cls, lam = self.e.base_rows(j), self.e.classes(j), self.e.lam
-        A, B = rows["U"], rows.get(self.e.KEYS[kind].base)
-        if B is None:
-            return None
+        A, B = rows["U"], rows[self.e.KEYS[kind].base]
         active_a = [(r, int(c)) for r, c in enumerate(cls) if np.any(A[r])]
         active_b = [(r, int(c)) for r, c in enumerate(cls) if np.any(B[r])]
         modes = {}
@@ -133,9 +130,7 @@ class SubstepAssembler:
         amplitudes (products of class amplitudes) spectrally would disagree
         with those stores near the grid cutoff."""
         modes = self.oscillation_modes(j, kind)
-        if modes is None:
-            return None
-        block = _ANTIDIV[kind][2]
+        blk = _ANTIDIV[kind][2]
         k = self.e.k
         field = self.e.assemble(map(tf.fft3, modes.values()), modes.keys(), (3,),
                                 lambda Ah, entry: div_mode_hat(Ah, k, entry))
@@ -146,9 +141,9 @@ class SubstepAssembler:
         div_wo = go[0, 0] + go[1, 1] + go[2, 2]
         x_o = self.e.wave_parts(j, kind)[0]
         gx_o = self.e.wave_gradient_parts(j, kind)[0]
-        grad_block = tf.gradient(getattr(self.e, block)[j], self.grid)
+        coef = getattr(self.e, BLOCKS[blk].coef + "_n")[j]
         div = (np.einsum("b...,b...->...", w_o, gx_o) + x_o * div_wo
-               + self.e.polarize(np.einsum("b...,b...->...", k, grad_block), kind))
+               + block(blk, coef, self.e.n - 1, self.grid)[1])
         return field, div
 
     def _class_modes(self, j, kind, hats, field):
@@ -164,12 +159,9 @@ class SubstepAssembler:
         return out, field - 2.0 * np.reshape(mean, np.shape(mean) + (1, 1, 1))
 
     def _field_modes(self, j, op, kind):
-        """_class_modes of the engine's op spectra of wave kind (None
-        without that wave)."""
-        hats = getattr(self.e, op + "_hat")(j, kind)
-        if hats is None:
-            return None
-        return self._class_modes(j, kind, hats, self.e.field(j, op, kind))
+        """_class_modes of the engine's op spectra of wave kind."""
+        return self._class_modes(j, kind, getattr(self.e, op + "_hat")(j, kind),
+                                 self.e.field(j, op, kind))
 
     def transport_R(self, j):
         return self._field_modes(j, "transport", "w")
@@ -184,19 +176,16 @@ class SubstepAssembler:
 
     def r_buoyancy(self, j):
         """R(chi e3) -- the buoyancy of the temperature wave."""
-        if "chi" not in self.e.kinds:
-            return None
         na = len(self.e.classes(j))
         return self._with_buoyancy(j, np.zeros((na, 3) + self.grid.shape, dtype=complex),
                                    np.zeros((3,) + self.grid.shape))
 
     def _with_buoyancy(self, j, hats, field):
         """R of the vector class spectra hats (materialized: field) plus
-        chi e3."""
-        chi = self.e.wave_hats(j, "chi")
-        if chi is not None:
+        chi e3 when the engine carries a temperature wave."""
+        if "chi" in self.e.kinds:
             hats, field = hats.copy(), field.copy()
-            hats[:, 2] += sum(chi)
+            hats[:, 2] += sum(self.e.wave_hats(j, "chi"))
             field[2] += sum(self.e.wave_parts(j, "chi"))
         return self._class_modes(j, "w", hats, field)
 
@@ -234,11 +223,9 @@ class SubstepAssembler:
 
     def flux_momentum(self, j):
         """(v_ell - l/mu) paired with the temperature wave."""
-        tmom = self.e.momentum_hat(j, "chi")
-        if tmom is None:
-            return None
         chi = sum(self.e.wave_parts(j, "chi"))
-        Pchi = self.e.assemble_hat(tmom, self.e.classes(j))  # (d, grid): sum_l chi_l l_d / mu
+        # (d, grid): sum_l chi_l l_d / mu
+        Pchi = self.e.assemble_hat(self.e.momentum_hat(j, "chi"), self.e.classes(j))
         v_ell = self.e.v_ell[j]
         t5 = v_ell * chi - Pchi
         grad_chi = sum(self.e.wave_gradient_parts(j, "chi"))
@@ -250,8 +237,6 @@ class SubstepAssembler:
 
     def flux_drift(self, j):
         chi = sum(self.e.wave_parts(j, "chi"))
-        if not np.any(chi):
-            return None
         dv = self.v_prev[j] - self.e.v_ell[j]
         grad_chi = sum(self.e.wave_gradient_parts(j, "chi"))
         div1 = (-self.e.div_v_ell(j) * chi
@@ -260,8 +245,6 @@ class SubstepAssembler:
 
     def flux_products(self, j):
         chi_o, chi_c = self.e.wave_parts(j, "chi")
-        if not np.any(chi_o) and not np.any(chi_c):
-            return None
         w_o, w_c = self.e.wave_parts(j, "w")
         go, gc = self.e.wave_gradient_parts(j, "w")
         gco, gcc = self.e.wave_gradient_parts(j, "chi")
@@ -325,15 +308,20 @@ class SubstepAssembler:
         ])
 
     def delta_f_slice(self, j):
-        """(delta3, div1, parts) at time sample j, as delta_R_slice."""
-        dz = self._field_modes(j, "dzz", "chi")  # G(d_zz chi)
-        return _total([
-            ("oscillation", self.g_div_K(j)),
-            ("transport", self.transport_f(j)),
-            ("error_corr", None if dz is None else (-dz[0], -dz[1])),
-            ("error_corr", self.flux_products(j)),
-            ("error_N", self.flux_momentum(j)),
-            ("error_N", self.flux_drift(j)),
+        """(delta3, div1, parts) at time sample j, as delta_R_slice; the
+        temperature wave's terms come first when the engine carries one."""
+        terms = []
+        if "chi" in self.e.kinds:
+            dz = self._field_modes(j, "dzz", "chi")  # G(d_zz chi)
+            terms = [
+                ("oscillation", self.g_div_K(j)),
+                ("transport", self.transport_f(j)),
+                ("error_corr", (-dz[0], -dz[1])),
+                ("error_corr", self.flux_products(j)),
+                ("error_N", self.flux_momentum(j)),
+                ("error_N", self.flux_drift(j)),
+            ]
+        return _total(terms + [
             ("error_N", self.flux_theta_osc(j)),
             ("error_N", self.flux_theta_drift(j)),
             ("mollification", self.mollification(j, "f")),
@@ -341,9 +329,9 @@ class SubstepAssembler:
 
 
 # per wave kind: the antidivergence its terms take (R on vector amplitudes,
-# G on scalar ones), the symbol's output components, and the engine
-# attribute holding the block its oscillation term cancels
-_ANTIDIV = {"w": (r_hat, 6, "a_n"), "chi": (g_hat, 3, "c_n")}
+# G on scalar ones), the symbol's output components, and the block kind its
+# oscillation term cancels (the engine's coefficient: BLOCKS[...].coef + "_n")
+_ANTIDIV = {"w": (r_hat, 6, "R"), "chi": (g_hat, 3, "f")}
 
 # the update categories every slice reports
 CATEGORIES = ("oscillation", "transport", "error_N", "error_corr", "mollification")
@@ -456,18 +444,17 @@ class StepState:
         return tf.mollify(f, self.tgrid, self.grid, ell, ell_z,
                           band=min(self.grid.shape) // 4)
 
-    def block(self, kind, j, i):
-        """Block i (from 0) of kind at time sample j and its exact
-        divergence: a_i k_i (x) k_i and (k_i . grad a_i) k_i ('R'), or
-        c_i k_i and k_i . grad c_i ('f')."""
-        blk = BLOCKS[kind]
-        coef, kv = getattr(self, blk.coef)[j, i], _KVECS[i]
-        # the derivatives of the coefficient along k's nonzero (unit)
-        # entries, summed in the order (and so to the bits) of
-        # tf.divergence(coef k)
-        div = sum(tf.derivative(coef, "xyz"[d], self.grid) for d in range(3) if kv[d])
-        return (coef * blk.basis[i].reshape(-1, 1, 1, 1),
-                div * kv.reshape(3, 1, 1, 1) if blk.rank == 2 else div)
+
+def block(kind, coef, i, grid):
+    """Block i (from 0) of kind with coefficient coef (one sample) and its
+    exact divergence: a_i k_i (x) k_i and (k_i . grad a_i) k_i ('R'), or
+    c_i k_i and k_i . grad c_i ('f'), for run_substep and _oscillation."""
+    blk, kv = BLOCKS[kind], _KVECS[i]
+    # the derivatives of the coefficient along k's nonzero (unit) entries,
+    # summed in the order (and so to the bits) of tf.divergence(coef k)
+    div = sum(tf.derivative(coef, "xyz"[d], grid) for d in range(3) if kv[d])
+    return (coef * blk.basis[i].reshape(-1, 1, 1, 1),
+            div * kv.reshape(3, 1, 1, 1) if blk.rank == 2 else div)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +470,11 @@ def run_substep(state, n, lam, ell, ell_z):
     """Execute cancellation substep n on the step state in place.
 
     Mollifies the carried fields at (ell, ell_z) (StepState.mollify), builds
-    the wave engine on block n, updates the carried stress / flux and their
-    divergence stores slice by slice (StepState), and adds the wave to the
-    velocity (and temperature, substeps 1-3) together with all derivative
-    stores.  Returns the substep report.
+    the wave engine on block n (and on flux block n where BLOCKS["f"] has
+    one), updates the carried stress / flux and their divergence stores
+    slice by slice (StepState), and adds the waves the engine carries
+    (WaveEngine.kinds) to the velocity and temperature together with all
+    derivative stores.  Returns the substep report.
 
     A slice whose delta R / delta f (or their divergence) or wave increment
     is not finite raises ValueError naming the substep, the slice and its
@@ -504,7 +492,7 @@ def run_substep(state, n, lam, ell, ell_z):
     engine = WaveEngine(
         n, lam, state.mu, grid, tgrid,
         state.a[:, n - 1],
-        state.c[:, n - 1] if n <= 3 else None,
+        state.c[:, n - 1] if n <= len(BLOCKS["f"].basis) else None,
         state.e_vals, v_ell, state.kappa,
     )
     asm = SubstepAssembler(engine, state.v, state.grad_v, state.theta, state.grad_theta,
@@ -538,12 +526,12 @@ def run_substep(state, n, lam, ell, ell_z):
             store += delta - slice_parts["mollification"]  # already in the store
             div_store += div
             if n <= len(blk.basis):  # block n leaves the store
-                field, field_div = state.block(kind, j, n - 1)
+                field, field_div = block(kind, getattr(state, blk.coef)[j, n - 1], n - 1, grid)
                 store -= field
                 div_store -= field_div
-            sup[f"delta_{kind}"] = max(sup[f"delta_{kind}"], tf.sup_norm(delta))
+            sup[f"delta_{kind}"] = tf.max_or_nan(sup[f"delta_{kind}"], tf.sup_norm(delta))
             for key, field in slice_parts.items():
-                parts[kind][key] = max(parts[kind][key], tf.sup_norm(field))
+                parts[kind][key] = tf.max_or_nan(parts[kind][key], tf.sup_norm(field))
 
         if j in probe_js:
             for kind in engine.kinds:
@@ -561,9 +549,9 @@ def run_substep(state, n, lam, ell, ell_z):
             main, corr = engine.wave_parts(j, kind)
             inc = main + corr
             require_finite(j, f"the {kind} wave", inc)
-            sup[f"{kind}_main"] = max(sup[f"{kind}_main"], tf.sup_norm(main))
-            sup[f"{kind}_corr"] = max(sup[f"{kind}_corr"], tf.sup_norm(corr))
-            sup[kind] = max(sup[kind], tf.sup_norm(inc))
+            sup[f"{kind}_main"] = tf.max_or_nan(sup[f"{kind}_main"], tf.sup_norm(main))
+            sup[f"{kind}_corr"] = tf.max_or_nan(sup[f"{kind}_corr"], tf.sup_norm(corr))
+            sup[kind] = tf.max_or_nan(sup[kind], tf.sup_norm(inc))
             field, grad, dzz, dt, dt_coarse = (getattr(state, name)
                                                for name in _STORES[kind])
             field[j] += inc

@@ -256,7 +256,7 @@ class AmplitudeSet:
 
     def beta(self, l, j):
         e = self.engine
-        if e.c_n is None or e.n > 3:
+        if e.c_n is None:
             return np.zeros(e.grid.shape)
         rad = np.maximum(e.e_vals[j] - e.a_n[j], 0.0)
         safe = np.sqrt(2.0 * np.maximum(rad, 1e-300))

@@ -199,7 +199,7 @@ def test_initial_state_without_coarse_companion():
 
 def test_structured_fields_before_any_substep():
     # begin_step fills the block coefficients and leaves the carried stores
-    # as the tuple gave them; StepState.block hands substep i + 1 the block
+    # as the tuple gave them; stress_update.block hands substep i + 1 the block
     # a_i k_i (x) k_i (c_i k_i) and its divergence, (k_i . grad a_i) k_i
     # (k_i . grad c_i), to the bits of tf.divergence
     st = make_state()
@@ -214,7 +214,7 @@ def test_structured_fields_before_any_substep():
         coef = getattr(st, blk.coef)
         assert np.any(coef[j]), kind
         for i in range(len(blk.basis)):
-            field, div = st.block(kind, j, i)
+            field, div = su.block(kind, coef[j, i], i, st.grid)
             k = su._KVECS[i].reshape(3, 1, 1, 1)
             assert np.array_equal(field, coef[j, i] * blk.basis[i].reshape(-1, 1, 1, 1))
             want = tf.divergence(coef[j, i] * k, st.grid)

@@ -4,9 +4,12 @@ import re
 import numpy as np
 import pytest
 
+from bqci import iteration as it
 from bqci import partition as pt
 from bqci import perturbation as pb
+from bqci import stress_update as su
 from bqci import torus_field as tf
+from conftest import mini_start
 from oracles import AmplitudeSet, active_cells, gradient_3d
 from test_partition import offset_order_corner_alphas
 
@@ -173,10 +176,24 @@ def test_amplitude_value_at_lattice_point():
     assert np.allclose(b, np.sqrt(5 * KAPPA), atol=1e-12)
 
 
-def test_no_temperature_wave_for_late_substeps():
-    eng = make_engine(n=5, lam=32, mu=2)
-    assert np.allclose(sum(eng.wave_parts(3, "chi")), 0.0)
-    assert np.allclose(AmplitudeSet(eng).beta((0, 0, 0), 3), 0.0)
+def test_no_temperature_wave_for_late_substeps(monkeypatch):
+    # flux blocks exist for substeps 1-3 only (BLOCKS["f"]'s basis), so
+    # run_substep hands the engines of substeps 4-6 no c_n
+    engines = []
+
+    class Recording(pb.WaveEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+    monkeypatch.setattr(su, "WaveEngine", Recording)
+    state = mini_start()
+    it.begin_step(state, 0.9, 0.9)
+    for n in range(1, 7):
+        su.run_substep(state, n, 16, 0.9, 0.9)
+    assert [eng.n for eng in engines] == list(range(1, 7))
+    for eng in engines[3:]:
+        assert eng.c_n is None and eng.kinds == ("w",), eng.n
+        assert np.array_equal(AmplitudeSet(eng).beta((0, 0, 0), 3), np.zeros(eng.grid.shape))
 
 
 def test_zero_amplitudes_give_zero_waves():
@@ -185,8 +202,9 @@ def test_zero_amplitudes_give_zero_waves():
     shape = (tgrid.nt,) + grid.shape
     eng = pb.WaveEngine(2, 8, 2, grid, tgrid, np.zeros(shape), np.zeros(shape),
                         np.zeros(tgrid.nt), np.zeros((tgrid.nt, 3) + grid.shape), KAPPA)
+    # a zero flux block carries no temperature wave
+    assert eng.c_n is None and "chi" not in eng.kinds
     assert np.allclose(sum(eng.wave_parts(0, "w")), 0.0)
-    assert np.allclose(sum(eng.wave_parts(0, "chi")), 0.0)
 
 
 def test_parameter_validation():
@@ -199,6 +217,27 @@ def test_parameter_validation():
         pb.WaveEngine(1, 7, 2, grid, tgrid, zeros, None, np.zeros(tgrid.nt), v, KAPPA)
     with pytest.raises(pb.ParameterError):
         pb.WaveEngine(1, 8, 3, grid, tgrid, zeros, None, np.zeros(tgrid.nt), v, KAPPA)
+
+
+@pytest.mark.parametrize("name, value", [("e_vals", np.nan), ("a_n", np.nan),
+                                         ("c_n", np.inf)])
+def test_non_finite_engine_input_is_refused(name, value):
+    # NaN fails every comparison, so the radicand check alone would pass it
+    grid = tf.Grid3(16, 16, 16)
+    tgrid = tf.TimeGrid(0.0, 1.0, 9)
+    X, Y, Z = grid.meshes()
+    args = {"a_n": np.broadcast_to(KAPPA * np.sin(X), (9,) + grid.shape).copy(),
+            "c_n": np.broadcast_to(KAPPA * np.cos(Y), (9,) + grid.shape).copy(),
+            "e_vals": np.full(9, 10 * KAPPA)}
+    v = np.zeros((9, 3) + grid.shape)
+    pb.WaveEngine(1, 8, 2, grid, tgrid, args["a_n"], args["c_n"], args["e_vals"], v, KAPPA)
+    if name == "e_vals":
+        args[name][4] = value
+    else:
+        args[name][4, 3, 3, 3] = value
+    with pytest.raises(pb.AmplitudeError, match=f"{name} is not finite at sample 4 "
+                       rf"\(t = {tgrid.times()[4]:.4f}\)"):
+        pb.WaveEngine(1, 8, 2, grid, tgrid, args["a_n"], args["c_n"], args["e_vals"], v, KAPPA)
 
 
 def test_radicand_contract_breach_raises():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -671,6 +673,37 @@ def test_substep_stores_gain_the_materialized_chi_wave(monkeypatch):
     assert grad_corr_sup > 1e-6
 
 
+def test_zero_flux_block_skips_the_temperature_wave(monkeypatch):
+    # the start tuple's flux has only its y-component, so c_1 = 0: substep 1
+    # carries no temperature wave, and an engine forced to build the all-zero
+    # one gives the same stores
+    def substep_1(force):
+        engines = []
+
+        class Recording(pb.WaveEngine):
+            def __init__(self, n, lam, mu, grid, tgrid, a_n, c_n, *rest):
+                super().__init__(n, lam, mu, grid, tgrid, a_n, c_n, *rest)
+                if force:
+                    self.c_n, self.kinds = np.asarray(c_n), ("w", "chi")
+                engines.append(self)
+        monkeypatch.setattr(su, "WaveEngine", Recording)
+        state = mini_start()
+        it.begin_step(state, 0.9, 0.9)
+        assert not np.any(state.c[:, 0])
+        report = su.run_substep(state, 1, 16, 0.9, 0.9)
+        report.pop("wall_time")
+        return state, report, engines[0]
+
+    (skipped, rep_skipped, eng), (forced, rep_forced, eng_forced) = (
+        substep_1(False), substep_1(True))
+    assert eng.kinds == ("w",) and eng_forced.kinds == ("w", "chi")
+    assert rep_skipped == rep_forced
+    for field in dataclasses.fields(su.StepState):
+        a, b = getattr(skipped, field.name), getattr(forced, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+
+
 # ---------------------------------------------------------------------------
 # the stress oscillation from the rank-1 mode symbol and the per-engine
 # amplitude symbols, against the paths they replaced (copied here as
@@ -684,7 +717,7 @@ def reference_oscillation(self, j, kind):
     before the real mode symbol (per_mode_oscillation); the divergence is
     the unchanged pointwise one."""
     out = FAST_OSCILLATION(self, j, kind)
-    return None if out is None else (per_mode_oscillation(self, j, kind), out[1])
+    return per_mode_oscillation(self, j, kind), out[1]
 
 
 def reference_amp_hat(self, Sh, cls, kind, main=True):
@@ -699,10 +732,7 @@ def reference_amp_hat(self, Sh, cls, kind, main=True):
 
 def reference_transport_hat(self, j, kind):
     """WaveEngine.transport_hat as the amplitude symbol of d_t plus the slow
-    divergence of the polarized momentum stack, rebuilt on every call (None
-    for a kind not in kinds)."""
-    if kind not in self.kinds:
-        return None
+    divergence of the polarized momentum stack, rebuilt on every call."""
     kx, ky, kz = self.grid.wavenumbers()
     Mh = self.momentum_hat(j, kind)
     return (self._amp_hat(self.base_hat(j, self.KEYS[kind].dt), self.classes(j), kind)
