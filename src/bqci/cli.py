@@ -155,10 +155,14 @@ def _grids(cfg):
 def _ladders(cfg):
     """The six-substep lams, ells and ellzs lists; the lams values and the
     cell scale mu must be positive integers, mu dividing every lams value
-    (the wave engine's contract)."""
+    (the wave engine's contract), and the mollification scales positive."""
     ladders = _get_list(cfg, "lams", int), _get_list(cfg, "ells"), _get_list(cfg, "ellzs")
     if any(len(x) != 6 for x in ladders):
         raise ConfigError("lams, ells, ellzs must each list six values")
+    for key, ladder in zip(("ells", "ellzs"), ladders[1:]):
+        for ell in ladder:
+            if not ell > 0:
+                raise ConfigError(f"{key} value {ell:g} is not positive")
     mu = _get_int(cfg, "mu")
     if mu < 1:
         raise ConfigError(f"mu = {mu} is not a positive integer")
@@ -267,12 +271,14 @@ def _asymptotic_report(cfg):
 def _run_keys(cfg):
     """The keys step and outer share, read before any state is built: the
     ladders, the tolerance of the Richardson check (which needs
-    TimeGrid.halved) and the snapshots switch."""
+    TimeGrid.halved) and the snapshots switch (0 or 1)."""
     if _grids(cfg)[1].halved() is None:
         raise ConfigError(f"nt = {_get_int(cfg, 'nt')} has no stride-2 time grid "
                           "for the Richardson check (nt must be odd and >= 9)")
-    return (*_ladders(cfg), _get_above(cfg, "residual_tolerance", 0),
-            _get_int(cfg, "snapshots"))
+    snapshots = _get_int(cfg, "snapshots")
+    if snapshots not in (0, 1):
+        raise ConfigError(f"snapshots = {snapshots} must be 0 or 1")
+    return (*_ladders(cfg), _get_above(cfg, "residual_tolerance", 0), snapshots)
 
 
 def cmd_step(cfg):

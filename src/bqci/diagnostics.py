@@ -15,9 +15,11 @@ The scaling studies re-run isolated update terms over parameter ladders
 """
 
 import csv
+import functools
 
 import numpy as np
 
+from . import parallel
 from . import torus_field as tf
 from .perturbation import WaveEngine
 from .stress_update import SubstepAssembler
@@ -160,42 +162,65 @@ def _slope(xs, ys):
                             np.log(np.asarray(ys, float)), 1)[0])
 
 
-# what each probe ladder holds fixed: mu on the lambda one, lam on the mu one
+# what each probe ladder holds fixed: mu on the lambda one, lam on the mu
+# one; and the default ladders
 LAMBDA_STUDY_MU, MU_STUDY_LAM = 2, 128
+LAMS, MUS = (16, 32, 64, 128), (2, 4, 8, 16)
 
 
-def lambda_scaling(lams=(16, 32, 64, 128), N=32):
+def _lambda_probe(lam, N):
+    """Sup norms of the inverse-divergence update terms at frequency lam."""
+    asm = _probe_assembler(lam, LAMBDA_STUDY_MU, N=N)
+    j = _PROBE_NT // 2
+    return {"oscillation": tf.sup_norm(asm.r_div_M(j)[0]),
+            "transport": tf.sup_norm(asm.transport_R(j)[0]),
+            "flux_oscillation": tf.sup_norm(asm.g_div_K(j)[0]),
+            "corrections_product": tf.sup_norm(asm.product_corrections(j)[0]),
+            "buoyancy": tf.sup_norm(asm.r_buoyancy(j)[0])}
+
+
+def _mu_probe(mu, N):
+    """Sup norm of the slow interaction term at cell scale mu."""
+    asm = _probe_assembler(MU_STUDY_LAM, mu, N=N, pair_velocity=True)
+    return tf.sup_norm(asm.N_field(_PROBE_NT // 2)[0])
+
+
+def _run(probe):  # what fork_map runs on each probe
+    return probe()
+
+
+def _lambda_probes(lams, N):  # the engine probes, callables without arguments
+    return [functools.partial(_lambda_probe, lam, N) for lam in lams]
+
+
+def _mu_probes(mus, N):
+    return [functools.partial(_mu_probe, mu, N) for mu in mus]
+
+
+def _lambda_table(lams, probes):
+    terms = {key: [p[key] for p in probes] for key in probes[0]}
+    return {"lams": list(lams), "norms": terms,
+            "slopes": {k: _slope(lams, v) for k, v in terms.items()}}
+
+
+def _mu_table(mus, norms):
+    return {"mus": list(mus), "norms": list(norms), "slope": _slope(mus, norms)}
+
+
+def lambda_scaling(lams=LAMS, N=32):
     """Sup norms of the inverse-divergence update terms over a frequency
-    ladder at mu = LAMBDA_STUDY_MU; each should decay like 1/lambda."""
-    terms = {"oscillation": [], "transport": [], "flux_oscillation": [],
-             "corrections_product": [], "buoyancy": []}
-    j = _PROBE_NT // 2
-    for lam in lams:
-        asm = _probe_assembler(lam, LAMBDA_STUDY_MU, N=N)
-        terms["oscillation"].append(tf.sup_norm(asm.r_div_M(j)[0]))
-        terms["transport"].append(tf.sup_norm(asm.transport_R(j)[0]))
-        terms["flux_oscillation"].append(tf.sup_norm(asm.g_div_K(j)[0]))
-        terms["corrections_product"].append(tf.sup_norm(asm.product_corrections(j)[0]))
-        terms["buoyancy"].append(tf.sup_norm(asm.r_buoyancy(j)[0]))
-    return {
-        "lams": list(lams),
-        "norms": terms,
-        "slopes": {k: _slope(lams, v) for k, v in terms.items()},
-    }
+    ladder at mu = LAMBDA_STUDY_MU, one probe per lam, the probes split
+    over parallel.fork_map's processes; each should decay like 1/lambda."""
+    return _lambda_table(lams, parallel.fork_map(_run, _lambda_probes(lams, N)))
 
 
-def mu_scaling(mus=(2, 4, 8, 16), N=32):
+def mu_scaling(mus=MUS, N=32):
     """Sup norm of the slow interaction term over a cell-scale ladder at
-    lam = MU_STUDY_LAM; with the carrier velocity paired to the wave it
-    decays like 1/mu.  The frequency is kept well above the ladder so the
-    correction wave's 1/lambda tail stays below the cell-scale decay being
-    measured."""
-    norms = []
-    j = _PROBE_NT // 2
-    for mu in mus:
-        asm = _probe_assembler(MU_STUDY_LAM, mu, N=N, pair_velocity=True)
-        norms.append(tf.sup_norm(asm.N_field(j)[0]))
-    return {"mus": list(mus), "norms": norms, "slope": _slope(mus, norms)}
+    lam = MU_STUDY_LAM, one probe per mu, split like lambda_scaling's; with
+    the carrier velocity paired to the wave it decays like 1/mu.  The
+    frequency is kept well above the ladder so the correction wave's
+    1/lambda tail stays below the cell-scale decay being measured."""
+    return _mu_table(mus, parallel.fork_map(_run, _mu_probes(mus, N)))
 
 
 def mollification_scaling(ells=(0.15, 0.3, 0.6)):
@@ -216,10 +241,15 @@ def mollification_scaling(ells=(0.15, 0.3, 0.6)):
 
 
 def scaling_study(N=32):
-    """The three probes on their default ladders, the engine ones on N^3."""
+    """The three probes on their default ladders, the engine ones on N^3.
+    All eight engine probes run in one parallel.fork_map round, the two
+    ladders interleaved so that every contiguous share holds probes of
+    both; the mollification probe runs here."""
+    probes = [p for pair in zip(_lambda_probes(LAMS, N), _mu_probes(MUS, N)) for p in pair]
+    out = parallel.fork_map(_run, probes)
     return {
-        "lambda": lambda_scaling(N=N),
-        "mu": mu_scaling(N=N),
+        "lambda": _lambda_table(LAMS, out[0::2]),
+        "mu": _mu_table(MUS, out[1::2]),
         "mollification": mollification_scaling(),
     }
 

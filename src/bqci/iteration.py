@@ -370,9 +370,10 @@ def run_step(state, lams, ells, ellzs, tolerance=5.0):
 def advance_step(state, kappa_next, e_vals_next):
     """Roll a completed step into the next step's input state.
 
-    Every store continues in place: the stress / flux, now the finished
-    step's update, becomes the next step's carried stress / flux; the block
-    coefficients start again at zero."""
+    Every store continues in place (in shared memory, if run_substep moved
+    it there): the stress / flux, now the finished step's update, becomes
+    the next step's carried stress / flux; the block coefficients start
+    again at zero."""
     if state.completed != 6:
         raise ValueError(f"cannot advance: only {state.completed} substeps completed")
     return dataclasses.replace(state, kappa=kappa_next, e_vals=e_vals_next,

@@ -116,7 +116,7 @@ class WaveEngine:
         }
         self._amp_syms = {}
         self._window = {}
-        self._b_max = [None] * self.tgrid.nt
+        self.b_max = [None] * self.tgrid.nt  # per sample: its largest b, once binned
         self._reach = self._stencil_reach()
         self._slice = (None, {})
         self._check_radicand()
@@ -176,7 +176,7 @@ class WaveEngine:
         cls = np.flatnonzero(np.any(b.reshape(8, -1) != 0.0, axis=1))
         kdot = kdot[cls]
         flat = kdot.reshape(len(cls), self.grid.npts)
-        self._b_max[j] = float(np.max(b))
+        self.b_max[j] = float(np.max(b))
         self._window[j] = {
             "classes": cls, "b": b[cls], "kdot": kdot, "lmu": lmu[cls],
             "range": np.stack([flat.min(axis=1), flat.max(axis=1)], axis=1),
@@ -540,8 +540,14 @@ class WaveEngine:
             return r1, 0.0
         return r1, float(np.max(np.abs(2.0 * np.sum(beta * b, axis=0) + self.c_n[j])))
 
-    def sup_b(self):
+    def sup_b(self, *recorded):
         """max_l |b_nl| over all samples (sets the recorded constant M), from
-        the maxima recorded at binning (slot_data for a sample never read)."""
-        return tf.max_or_nan(0.0, *[float(np.max(self.slot_data(j)[0])) if m is None else m
-                                    for j, m in enumerate(self._b_max)])
+        the maxima recorded at binning (b_max), here and in the b_max lists
+        recorded by copies of this engine (forked workers); slot_data for a
+        sample none of them binned."""
+        per_sample = []
+        for j, seen in enumerate(zip(self.b_max, *recorded)):
+            seen = [m for m in seen if m is not None]
+            per_sample.append(tf.max_or_nan(*seen) if seen
+                              else float(np.max(self.slot_data(j)[0])))
+        return tf.max_or_nan(0.0, *per_sample)

@@ -35,6 +35,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import algebra
+from . import parallel
 from . import torus_field as tf
 from .inverse_div import div_mode_hat, g_hat, mode_stress, r_hat
 from .perturbation import WaveEngine
@@ -465,6 +466,21 @@ def block(kind, coef, i, grid):
 _STORES = {"w": ("v", "grad_v", "dzz_v", "dt_v", "dt_v_coarse"),
            "chi": ("theta", "grad_theta", "dzz_theta", "dt_theta", "dt_theta_coarse")}
 
+# every store a slice writes: the wave stores and each block's carried store
+# and divergence
+_WRITTEN = (*_STORES["w"], *_STORES["chi"],
+            *(name for blk in BLOCKS.values() for name in (blk.store, blk.div_store)))
+
+
+# the substep report's maxima over slices (besides sup_b and the parts)
+_MAXIMA = ("w_sup", "w_main_sup", "w_corr_sup", "chi_sup", "chi_main_sup", "chi_corr_sup",
+           "delta_R_sup", "delta_f_sup", "cancel_r1", "cancel_r2",
+           "wave_mean_max", "wave_div_rel")
+
+
+class _Refused(ValueError):
+    """A slice refused by run_substep (its message becomes state.failed)."""
+
 
 def run_substep(state, n, lam, ell, ell_z):
     """Execute cancellation substep n on the step state in place.
@@ -476,10 +492,18 @@ def run_substep(state, n, lam, ell, ell_z):
     (WaveEngine.kinds) to the velocity and temperature together with all
     derivative stores.  Returns the substep report.
 
+    With parallel.WORKERS > 1, contiguous slice ranges run in forked
+    processes (parallel.fork_map) after both mollifies; slice j writes only
+    sample j of the stores (and j/2 of the stride-2 ones), which move once
+    into shared memory (parallel.shared), and every report value is a
+    maximum over slices, so every worker count gives the same bits.
+
     A slice whose delta R / delta f (or their divergence) or wave increment
     is not finite raises ValueError naming the substep, the slice and its
-    time, before that quantity reaches the state.  Earlier slices stay
-    updated, so the state is marked failed and refused from then on.
+    time, before that quantity reaches the state.  Any exception out of the
+    slices (that one, or a worker that died or raised) may leave other
+    slices updated (serially: the earlier ones), so the state is marked
+    failed and refused from then on.
     """
     if state.failed:
         raise ValueError(f"substep {n} on a failed state ({state.failed})")
@@ -487,6 +511,12 @@ def run_substep(state, n, lam, ell, ell_z):
         raise ValueError(f"substep {n} out of order (completed = {state.completed})")
     t_start = time.perf_counter()
     grid, tgrid = state.grid, state.tgrid
+    nt = tgrid.nt
+    ranges = parallel.shares(range(nt), parallel.WORKERS)
+    if len(ranges) > 1:
+        for name in _WRITTEN:
+            if getattr(state, name) is not None:
+                setattr(state, name, parallel.shared(getattr(state, name)))
     v_ell = state.mollify(state.v, ell, ell_z)
     theta_ell = state.mollify(state.theta, ell, ell_z)
     engine = WaveEngine(
@@ -497,83 +527,91 @@ def run_substep(state, n, lam, ell, ell_z):
     )
     asm = SubstepAssembler(engine, state.v, state.grad_v, state.theta, state.grad_theta,
                            theta_ell, start=state if n == 1 else None)
-    nt = tgrid.nt
     times = tgrid.times()
-    sup = dict.fromkeys(
-        ["w", "w_main", "w_corr", "chi", "chi_main", "chi_corr",
-         "delta_R", "delta_f", "cancel_r1", "cancel_r2"], 0.0)
-    parts = {kind: dict.fromkeys(CATEGORIES, 0.0) for kind in BLOCKS}
     probe_js = sorted({nt // 4, nt // 2, (3 * nt) // 4})
-    wave_mean_max = 0.0
-    wave_div_rel = 0.0
 
     def require_finite(j, name, *fields):
         if not all(np.isfinite(f).all() for f in fields):
-            state.failed = (f"substep {n}: {name} is not finite at slice {j} "
-                            f"(t = {times[j]:.4f})")
-            raise ValueError(f"{state.failed}; the state holds a partial "
-                             f"update and is marked failed")
+            raise _Refused(f"substep {n}: {name} is not finite at slice {j} "
+                           f"(t = {times[j]:.4f})")
 
-    for j in range(nt):
-        r1, r2 = engine.cancellation_residual(j)
-        sup["cancel_r1"] = tf.max_or_nan(sup["cancel_r1"], r1)
-        sup["cancel_r2"] = tf.max_or_nan(sup["cancel_r2"], r2)
+    def slices(js):
+        """The substep on the slices js (in order): their samples of the
+        stores updated; returns their maxima (the report's, and parts per
+        block kind) and the b maxima the engine recorded (WaveEngine.b_max)."""
+        top = dict.fromkeys(_MAXIMA, 0.0)
+        parts = {kind: dict.fromkeys(CATEGORIES, 0.0) for kind in BLOCKS}
 
-        for kind, blk in BLOCKS.items():
-            delta, div, slice_parts = getattr(asm, blk.slice)(j)
-            require_finite(j, f"delta_{kind}", delta, div)
-            store, div_store = getattr(state, blk.store)[j], getattr(state, blk.div_store)[j]
-            store += delta - slice_parts["mollification"]  # already in the store
-            div_store += div
-            if n <= len(blk.basis):  # block n leaves the store
-                field, field_div = block(kind, getattr(state, blk.coef)[j, n - 1], n - 1, grid)
-                store -= field
-                div_store -= field_div
-            sup[f"delta_{kind}"] = tf.max_or_nan(sup[f"delta_{kind}"], tf.sup_norm(delta))
-            for key, field in slice_parts.items():
-                parts[kind][key] = tf.max_or_nan(parts[kind][key], tf.sup_norm(field))
+        def raise_to(maxima, key, value):
+            maxima[key] = tf.max_or_nan(maxima[key], value)
 
-        if j in probe_js:
+        for j in js:
+            r1, r2 = engine.cancellation_residual(j)
+            raise_to(top, "cancel_r1", r1)
+            raise_to(top, "cancel_r2", r2)
+
+            for kind, blk in BLOCKS.items():
+                delta, div, slice_parts = getattr(asm, blk.slice)(j)
+                require_finite(j, f"delta_{kind}", delta, div)
+                store, div_store = getattr(state, blk.store)[j], getattr(state, blk.div_store)[j]
+                store += delta - slice_parts["mollification"]  # already in the store
+                div_store += div
+                if n <= len(blk.basis):  # block n leaves the store
+                    field, field_div = block(kind, getattr(state, blk.coef)[j, n - 1], n - 1, grid)
+                    store -= field
+                    div_store -= field_div
+                raise_to(top, f"delta_{kind}_sup", tf.sup_norm(delta))
+                for key, field in slice_parts.items():
+                    raise_to(parts[kind], key, tf.sup_norm(field))
+
+            if j in probe_js:
+                for kind in engine.kinds:
+                    raise_to(top, "wave_mean_max",
+                             float(np.max(np.abs(engine.wave_mean(j, kind)))))
+                go, gc = engine.wave_gradient_parts(j, "w")
+                gw = tf.sup_norm(go + gc)
+                if gw > 0:
+                    raise_to(top, "wave_div_rel", tf.sup_norm(engine.wave_divergence(j)) / gw)
+
+            # wave accumulation (after all reads of the pre-substep fields at j);
+            # the stride-2 companion at even samples of a state with coarse stores
             for kind in engine.kinds:
-                wave_mean_max = tf.max_or_nan(
-                    wave_mean_max, float(np.max(np.abs(engine.wave_mean(j, kind)))))
-            go, gc = engine.wave_gradient_parts(j, "w")
-            gw = tf.sup_norm(go + gc)
-            if gw > 0:
-                wave_div_rel = tf.max_or_nan(
-                    wave_div_rel, tf.sup_norm(engine.wave_divergence(j)) / gw)
+                main, corr = engine.wave_parts(j, kind)
+                inc = main + corr
+                require_finite(j, f"the {kind} wave", inc)
+                raise_to(top, f"{kind}_main_sup", tf.sup_norm(main))
+                raise_to(top, f"{kind}_corr_sup", tf.sup_norm(corr))
+                raise_to(top, f"{kind}_sup", tf.sup_norm(inc))
+                field, grad, dzz, dt, dt_coarse = (getattr(state, name)
+                                                   for name in _STORES[kind])
+                field[j] += inc
+                grad[j] += sum(engine.wave_gradient_parts(j, kind))
+                dzz[j] += engine.field(j, "dzz", kind)
+                dt[j] += engine.field(j, "dt", kind)
+                if j % 2 == 0 and dt_coarse is not None:
+                    dt_coarse[j // 2] += engine.assemble_hat(
+                        engine.dt_hat(j, kind, stride=2), engine.classes(j, 2))
+        return top, parts, engine.b_max
 
-        # wave accumulation (after all reads of the pre-substep fields at j);
-        # the stride-2 companion at even samples of a state with coarse stores
-        for kind in engine.kinds:
-            main, corr = engine.wave_parts(j, kind)
-            inc = main + corr
-            require_finite(j, f"the {kind} wave", inc)
-            sup[f"{kind}_main"] = tf.max_or_nan(sup[f"{kind}_main"], tf.sup_norm(main))
-            sup[f"{kind}_corr"] = tf.max_or_nan(sup[f"{kind}_corr"], tf.sup_norm(corr))
-            sup[kind] = tf.max_or_nan(sup[kind], tf.sup_norm(inc))
-            field, grad, dzz, dt, dt_coarse = (getattr(state, name)
-                                               for name in _STORES[kind])
-            field[j] += inc
-            grad[j] += sum(engine.wave_gradient_parts(j, kind))
-            dzz[j] += engine.field(j, "dzz", kind)
-            dt[j] += engine.field(j, "dt", kind)
-            if j % 2 == 0 and dt_coarse is not None:
-                dt_coarse[j // 2] += engine.assemble_hat(
-                    engine.dt_hat(j, kind, stride=2), engine.classes(j, 2))
-
+    try:
+        results = parallel.fork_map(slices, ranges)
+    except _Refused as exc:
+        state.failed = str(exc)
+        raise ValueError(f"{state.failed}; the state holds a partial "
+                         f"update and is marked failed") from None
+    except BaseException as exc:  # slices may be written here and in workers
+        state.failed = f"substep {n} stopped: {type(exc).__name__}: {exc}"
+        raise
     state.completed = n
+    tops, parts, b_max = zip(*results)
     return {
         "n": n,
         "lam": lam,
         "ell": ell,
         "ell_z": ell_z,
         "wall_time": time.perf_counter() - t_start,
-        "sup_b": engine.sup_b(),
-        "wave_mean_max": wave_mean_max,
-        "wave_div_rel": wave_div_rel,
-        **{f"parts_{kind}": p for kind, p in parts.items()},
-        "cancel_r1": sup.pop("cancel_r1"),
-        "cancel_r2": sup.pop("cancel_r2"),
-        **{f"{k}_sup": val for k, val in sup.items()},
+        "sup_b": engine.sup_b(*b_max),
+        **{key: tf.max_or_nan(*(top[key] for top in tops)) for key in _MAXIMA},
+        **{f"parts_{kind}": {key: tf.max_or_nan(*(p[kind][key] for p in parts))
+                             for key in CATEGORIES} for kind in BLOCKS},
     }

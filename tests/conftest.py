@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bqci import iteration as it
+from bqci import parallel
 from bqci import stress_update as su
 from bqci import torus_field as tf
 
@@ -48,3 +49,12 @@ def corrupt_transport(monkeypatch):
             return delta6, div3 * factor
         monkeypatch.setattr(su.SubstepAssembler, "transport_R", corrupted)
     return install
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """set_to(n) sets the process count parallel.fork_map reads
+    (parallel.WORKERS) for one test; 1 keeps every call in this process."""
+    def set_to(n):
+        monkeypatch.setattr(parallel, "WORKERS", n)
+    return set_to

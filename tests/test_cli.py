@@ -322,6 +322,12 @@ def test_scaling_sweep_is_checked_before_any_probe(tmp_path, capsys, monkeypatch
     # the runtime error "e - a = ... < kappa/2"
     ("step", "energy_level", "-1", "energy_level = -1 must be > 0"),
     ("outer", "energy_level", "0", "energy_level = 0 must be > 0"),
+    # a nonpositive mollification scale skipped every mollify pass and the
+    # step passed; snapshots=7 or -1 was taken as "on"
+    ("step", "ells", "-0.3,0.3,0.3,0.3,0.3,0.3", "ells value -0.3 is not positive"),
+    ("outer", "ellzs", "0.3,0.3,0,0.3,0.3,0.3", "ellzs value 0 is not positive"),
+    ("step", "snapshots", "7", "snapshots = 7 must be 0 or 1"),
+    ("outer", "snapshots", "-1", "snapshots = -1 must be 0 or 1"),
 ])
 def test_bad_budget_or_cell_scale_is_refused_before_any_state(
         tmp_path, capsys, monkeypatch, command, key, value, message):

@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from bqci import diagnostics as dg
 from bqci import iteration as it
 from bqci import stress_update as su
 from bqci import torus_field as tf
+from test_parallel import assert_no_child_left, bits
 
 KAPPA = 0.25
 
@@ -125,6 +127,36 @@ def test_mu_scaling_slope():
     out = dg.mu_scaling()
     assert -1.3 < out["slope"] < -0.7
     assert all(a > b for a, b in zip(out["norms"], out["norms"][1:]))
+
+
+def test_scaling_is_bit_identical_for_every_worker_count(workers):
+    # the study's one fork round and each ladder's own round give the
+    # serial norms and slopes, bit for bit
+    workers(1)
+    serial = dg.scaling_study(N=16)
+    workers(2)
+    assert bits(dg.scaling_study(N=16)) == bits(serial)
+    for name, ladder in (("lambda", dg.lambda_scaling), ("mu", dg.mu_scaling)):
+        for count in (1, 2):
+            workers(count)
+            assert bits(ladder(N=16)) == bits(serial[name]), (name, count)
+    assert_no_child_left()
+
+
+def test_a_probe_failing_in_a_worker_is_raised_here(monkeypatch, workers):
+    workers(2)
+    clean, here = dg._mu_probe, os.getpid()
+
+    def failing(mu, N):
+        if os.getpid() != here:
+            raise ValueError(f"mu probe {mu} failed in a worker")
+        return clean(mu, N)
+    monkeypatch.setattr(dg, "_mu_probe", failing)
+    # the second half of the interleaved probes (lambda 64, mu 8, lambda 128,
+    # mu 16) runs in the child; mu 8 is its first failure
+    with pytest.raises(ValueError, match="^mu probe 8 failed in a worker$"):
+        dg.scaling_study(N=16)
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("pair_velocity", [False, True])

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bqci import stress_update as su
 from bqci import torus_field as tf
 from conftest import mini_start, mini_step
 from oracles import AmplitudeSet, active_cells, dealias, shifted_wavenumbers
+from test_parallel import assert_no_child_left, bits
 from test_inverse_div import reference_g_hat, reference_r_hat
 
 KAPPA = 0.1
@@ -395,7 +397,8 @@ def test_run_substep_mini_step():
 
 def _record_slices(monkeypatch):
     """Wrap delta_R_slice / delta_f_slice; the returned {kind: {j: (delta,
-    div, mollification part)}} holds each kind's latest slices."""
+    div, mollification part)}} holds each kind's latest slices (of this
+    process: run_substep with one worker)."""
     record = {kind: {} for kind in su.BLOCKS}
     for kind, blk in su.BLOCKS.items():
         def recording(self, j, clean=getattr(su.SubstepAssembler, blk.slice), kind=kind):
@@ -406,7 +409,8 @@ def _record_slices(monkeypatch):
     return record
 
 
-def test_structured_blocks_after_substep(monkeypatch):
+def test_structured_blocks_after_substep(monkeypatch, workers):
+    workers(1)
     record = _record_slices(monkeypatch)
     state = make_state()
     su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
@@ -444,7 +448,8 @@ def _blocks(st, kind, first):
     return field, div
 
 
-def test_block_path_matches_whole_array_bodies(monkeypatch):
+def test_block_path_matches_whole_array_bodies(monkeypatch, workers):
+    workers(1)
     # mini_stepped's step, substep by substep: each store equals the summed
     # slice updates plus the blocks not yet cancelled, and each divergence
     # store the summed slice divergences plus those blocks'
@@ -490,18 +495,75 @@ def test_negative_control_corrupts_store_only(corrupt_transport):
     assert diff > 1e-8 * max(np.max(np.abs(clean.div_R_store)), 1e-30)
 
 
-def test_run_substep_is_deterministic():
-    reports, states = [], []
-    for _ in range(2):
+def test_run_substep_is_deterministic(workers):
+    # two serial runs and one on two workers give the same bits in every
+    # store and report value; nt = 9 and 11 split into uneven ranges (5 + 4,
+    # 6 + 5 slices)
+    for nt in (9, 11):
+        reports, states = [], []
+        for count in (1, 1, 2):
+            workers(count)
+            state = make_state(nt=nt)
+            report = su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
+            report.pop("wall_time")
+            reports.append(report)
+            states.append(state)
+        for report, state in zip(reports[1:], states[1:]):
+            assert bits(report) == bits(reports[0])
+            for name, store in vars(states[0]).items():
+                if isinstance(store, np.ndarray):
+                    assert np.array_equal(store, getattr(state, name)), (nt, name)
+    assert_no_child_left()
+
+
+def test_slice_refused_in_a_worker_marks_state_failed(monkeypatch, workers):
+    # slice 7 of nt = 9 lies in the second worker's range (5..8): the state
+    # is marked failed with the serial path's message, and no child is left
+    clean = su.SubstepAssembler.N_field
+
+    def poisoned(self, j):
+        field, div = clean(self, j)
+        return (field * np.nan if j == 7 else field), div
+    monkeypatch.setattr(su.SubstepAssembler, "N_field", poisoned)
+    messages = []
+    for count in (1, 2):
+        workers(count)
         state = make_state()
-        report = su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
-        report.pop("wall_time")
-        reports.append(report)
-        states.append(state)
-    assert reports[0] == reports[1]
-    for name, store in vars(states[0]).items():
-        if isinstance(store, np.ndarray):
-            assert np.array_equal(store, getattr(states[1], name)), name
+        with pytest.raises(ValueError, match=r"substep 1: delta_R is not finite at slice 7 "
+                                             r"\(t = 0\.8750\); .* marked failed"):
+            su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
+        assert state.completed == 0
+        messages.append(state.failed)
+    assert messages == ["substep 1: delta_R is not finite at slice 7 (t = 0.8750)"] * 2
+    assert_no_child_left()
+    with pytest.raises(ValueError, match=r"substep 1 on a failed state"):
+        su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
+
+
+def test_worker_that_dies_mid_range_marks_state_failed(monkeypatch, workers):
+    # the second worker of nt = 9 (slices 5..8) exits at slice 7, after
+    # writing slices 5 and 6: the error reaches the caller, the state is
+    # marked failed and a rerun, which would update those slices twice, is
+    # refused
+    workers(2)
+    here, clean = os.getpid(), su.SubstepAssembler.N_field
+
+    def dying(self, j):
+        if j == 7 and os.getpid() != here:
+            os._exit(3)
+        return clean(self, j)
+    monkeypatch.setattr(su.SubstepAssembler, "N_field", dying)
+    state = make_state()
+    R = state.R.copy()
+    with pytest.raises(RuntimeError, match=r"^worker [0-9]+ ended without a result$"):
+        su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
+    assert_no_child_left()
+    assert state.completed == 0
+    assert state.failed.startswith("substep 1 stopped: RuntimeError: worker ")
+    # the parent's range and the child's first two slices are written
+    assert [np.array_equal(state.R[j], R[j]) for j in range(9)] == [False] * 7 + [True] * 2
+    with pytest.raises(ValueError, match=r"substep 1 on a failed state \(substep 1 stopped"):
+        su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
 
 
 def _slices_in_order(order):
@@ -545,7 +607,9 @@ def test_slice_outputs_do_not_depend_on_the_visiting_order():
 
 
 @pytest.mark.parametrize("nt, coarse", [(33, True), (16, False)])
-def test_substep_bins_each_sample_once_in_a_stencil_wide_window(monkeypatch, nt, coarse):
+def test_substep_bins_each_sample_once_in_a_stencil_wide_window(monkeypatch, workers, nt,
+                                                                coarse):
+    workers(1)  # the calls are counted in this process
     # a slice-by-slice pass gathers each sample's slot data once, and the
     # window never holds more samples than one slice's time stencils span
     # (5 samples at stride 1, 9 with the stride-2 companion)
@@ -620,7 +684,8 @@ def test_nan_cancellation_residual_reaches_the_report(monkeypatch):
     assert np.isnan(report["cancel_r1"]) and np.isfinite(report["cancel_r2"])
 
 
-def test_refused_slice_marks_state_failed(monkeypatch):
+def test_refused_slice_marks_state_failed(monkeypatch, workers):
+    workers(1)
     clean = su.SubstepAssembler.N_field
 
     def poisoned(self, j):
@@ -632,7 +697,7 @@ def test_refused_slice_marks_state_failed(monkeypatch):
     with pytest.raises(ValueError, match=r"substep 1: delta_R is not finite at slice 3 "
                                          r"\(t = 0\.3750\); .* marked failed"):
         su.run_substep(state, 1, lam=8, ell=1.0, ell_z=1.0)
-    # slices 0-2 are already updated: a rerun would update them twice
+    # serially, slices 0-2 are already updated: a rerun would update them twice
     assert state.completed == 0
     assert not np.array_equal(state.R[:3], R[:3]) and np.array_equal(state.R[3:], R[3:])
     assert state.failed == "substep 1: delta_R is not finite at slice 3 (t = 0.3750)"
