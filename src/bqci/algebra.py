@@ -59,16 +59,18 @@ def decompose_sym(R):
 
 def decompose_packed(P, out=None):
     """decompose_sym of a packed field P (6, ...) in sym_pack order, bit for
-    bit, without unpacking or a symmetry check; into out (6, ...) if given."""
+    bit, without unpacking or a symmetry check; into out (6, ...) if given,
+    which may be P itself (every coefficient is formed before any is stored)."""
     xx, xy, xz, yy, yz, zz = P
     out = np.empty_like(P) if out is None else out
-    out[0], out[1], out[2] = xx - xy - zz + yz, yy - zz - xy + xz, zz - yz
-    out[3], out[4], out[5] = xy - xz + zz - yz, zz - xz, xz - zz + yz
+    out[0], out[1], out[2], out[3], out[4], out[5] = (
+        xx - xy - zz + yz, yy - zz - xy + xz, zz - yz, xy - xz + zz - yz, zz - xz, xz - zz + yz)
     return out
 
 
 def decompose_vec(f, out=None):
-    """Coefficients b_1..b_3 with b_1 k_1 + b_2 k_2 + b_3 k_3 = f pointwise (into out if given)."""
+    """Coefficients b_1..b_3 with b_1 k_1 + b_2 k_2 + b_3 k_3 = f pointwise
+    (into out if given, which may be f itself)."""
     f = np.asarray(f)
     if f.shape[0] != 3:
         raise ValueError("expected leading axis of length 3")

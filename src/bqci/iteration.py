@@ -301,24 +301,26 @@ def initial_state(grid, tgrid, mu, kappa, e_vals, M=0.05, lam=8, analytic=False)
 # step driver
 
 def begin_step(state, ell1, ell1z):
-    """Decompose the carried stress / flux into block coefficients and
-    mollify them once at the step's base scales.  Returns the block report.
+    """Decompose the carried stress / flux into block coefficients,
+    mollified once at the step's base scales.  Returns the block report.
 
-    Like the per-substep engine inputs, the mollified coefficients are
-    truncated to the resolved band (StepState.mollify): the carried stress
-    contains folded carrier images that the mollifier damps but cannot
-    remove.  A failed state (run_substep) is refused."""
+    The carried store itself is mollified, and each sample of the result is
+    decomposed in place: the decomposition is pointwise linear in the
+    components, so it commutes with the mollifier (to roundoff), and no
+    undecomposed copy of the store is made.  Like the per-substep engine
+    inputs, the coefficients are truncated to the resolved band
+    (StepState.mollify): the carried stress contains folded carrier images
+    that the mollifier damps but cannot remove.  A failed state
+    (run_substep) is refused."""
     if state.failed:
         raise ValueError(f"begin_step on a failed state ({state.failed})")
     if state.completed:
         raise ValueError("begin_step on a state with completed substeps")
     report = {"violations": []}
     for blk in BLOCKS.values():
-        store = getattr(state, blk.store)
-        raw = np.empty_like(store)  # as many coefficients as components
-        for sample, out in zip(store, raw):
-            blk.decompose(sample, out)
-        coef = state.mollify(raw, ell1, ell1z)
+        coef = state.mollify(getattr(state, blk.store), ell1, ell1z)
+        for sample in coef:  # as many coefficients as components
+            blk.decompose(sample, sample)
         setattr(state, blk.coef, coef)
         sup, bound = tf.sup_norm(coef), blk.bound * state.kappa
         report.update({f"{blk.coef}_sup": sup, f"{blk.coef}_bound": bound})

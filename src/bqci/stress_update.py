@@ -367,8 +367,9 @@ _DYADS6 = np.stack([
 # per block kind: the carried store and its exact divergence, the
 # coefficients and their basis (packed k_i (x) k_i of rank 2, or k_i), the
 # assembler's slice method, the decomposition of one carried sample into
-# coefficients in out (looked up at call time, so a wrapped algebra function
-# runs), and the coefficient bound in units of kappa
+# coefficients in out, which may be the sample itself (looked up at call
+# time, so a wrapped algebra function runs), and the coefficient bound in
+# units of kappa
 _Block = namedtuple("Block", "store div_store coef basis rank slice decompose bound noun")
 BLOCKS = {
     "R": _Block(store="R", div_store="div_R_store", coef="a", basis=_DYADS6, rank=2,
@@ -437,8 +438,10 @@ class StepState:
 
     def mollify(self, f, ell, ell_z):
         """tf.mollify of a time series f at (ell, ell_z), truncated to the
-        resolved band |m| <= min(grid.shape) // 4 on every axis by the
-        mollifier's own per-axis matrices.  Sampling folds the carried wave carriers onto
+        resolved band |m| <= min(grid.shape) // 4 on every axis: each axis's
+        factor pair compresses a sample to its band coefficients and expands
+        them back with the mollifier's weights, and the time pass acts on the
+        band coefficients alone.  Sampling folds the carried wave carriers onto
         in-band grid frequencies; the mollifier damps but cannot remove
         those images, and any remnant makes the cell-amplitude fields
         under-resolved, which shows up directly in the equation residual."""

@@ -10,6 +10,7 @@ shifted symbol i (m + xi), read from the shift's ShiftEntry, the one place
 that builds wavenumbers.
 """
 
+import numbers
 import struct
 import warnings
 from collections import namedtuple
@@ -306,46 +307,99 @@ def mollifier_transform(u):
     return out if out.size > 1 else float(out[0])
 
 
-def _circulant(n, ell, band):
-    """The real n x n circulant of phi-hat(|m| ell) [|m| <= band] on one axis
-    (ell None: no mollifier), or None where that is the identity; its first
-    column is the inverse transform of the multiplier."""
-    if ell is None and (band is None or band >= n // 2):
+def _axis_pair(n, ell, band):
+    """The factor pair (F, G) of one axis at scale ell (None: no mollifier),
+    or None where the axis's operator is the identity.
+
+    Where the band cuts the axis (band < n // 2), F (r x n, r = 2 band + 1)
+    takes a line to its real Fourier coefficients a_0, a_1..a_band,
+    b_1..b_band, and G (n x r) sums them back with mode m weighted by
+    phi-hat(|m| ell), so that G F is the circulant of phi-hat(|m| ell)
+    [|m| <= band].  Otherwise F is the n x n circulant of phi-hat(|m| ell),
+    built from its first column (the inverse transform of the multiplier),
+    and G is None."""
+    if band is not None and band < n // 2:
+        m = np.arange(band + 1)
+        fac = np.ones(m.shape) if ell is None else np.atleast_1d(mollifier_transform(m * ell))
+        phase = (TWO_PI / n) * (np.outer(m, np.arange(n)) % n)
+        cos, sin = np.cos(phase), np.sin(phase[1:])
+        F = np.concatenate([cos[:1] / n, (2.0 / n) * cos[1:], (2.0 / n) * sin])
+        G = np.concatenate([fac[:, None] * cos, fac[1:, None] * sin]).T
+        return F, G
+    if ell is None:
         return None
     m, d = np.arange(n // 2 + 1), np.arange(n)
-    fac = (1.0 if ell is None else mollifier_transform(m * ell)) * (band is None or m <= band)
-    return sfft.irfftn(fac, s=(n,), axes=(0,))[np.subtract.outer(d, d) % n]
+    C = sfft.irfftn(mollifier_transform(m * ell), s=(n,), axes=(0,))[np.subtract.outer(d, d) % n]
+    return C, None
+
+
+def _along(M, a, b, axis):
+    """b = M applied along grid axis 0 | 1 | 2 of the sample a (Q, nx, ny, nz),
+    as a batch of small products; along z, M comes transposed (contiguous:
+    numpy multiplies by a transposed view slowly)."""
+    if axis == 2:
+        np.matmul(a.reshape(-1, a.shape[-2], a.shape[-1]), M,
+                  out=b.reshape(-1, b.shape[-2], b.shape[-1]))
+    elif axis == 1:
+        np.matmul(M, a.reshape(-1, a.shape[-2], a.shape[-1]),
+                  out=b.reshape(-1, b.shape[-2], b.shape[-1]))
+    else:
+        np.matmul(M, a.swapaxes(1, 2), out=b.swapaxes(1, 2))
+
+
+def _through(a, out, steps):
+    """The sample a through each (axis, M) of steps in turn, the last one
+    writing out; the ones before write small per-sample temporaries."""
+    for i, (axis, M) in enumerate(steps):
+        rows = M.shape[1] if axis == 2 else M.shape[0]
+        b = out if i == len(steps) - 1 else np.empty(
+            a.shape[:axis + 1] + (rows,) + a.shape[axis + 2:])
+        _along(M, a, b, axis)
+        a = b
 
 
 def mollify(f, tgrid, grid, ell, ell_z, time_axis=True, band=None):
     """Anisotropic mollification: scale ell in t, x, y; ell_z in z.
 
-    One small real matrix per axis, applied as a batch of matrix products of
-    at most N^3 multiply-adds each (OpenBLAS runs those on one thread for
-    N <= 64; one large product per axis would start its workers).  In z, y
-    and x it is the N x N circulant of the mollifier's transform times, with
-    band given, the sharp truncation |m| <= band; in time the banded nt x nt
-    matrix of the kernel weights with zero extension (valid for compactly
-    supported data): taps beyond the series are dropped, not renormalised.
+    In z, y and x the circulant of the mollifier's transform phi-hat(|m| ell)
+    times, with band given, the sharp truncation |m| <= band, as one factor
+    pair per axis (_axis_pair).  Sample by sample (a time sample, or each 3-D
+    field without time axis), the F factors compress along z, y and x into
+    one band series; the banded nt x nt matrix of the time kernel with zero
+    extension (valid for compactly supported data: taps beyond the series
+    are dropped, not renormalised) acts on that series; then, sample by
+    sample, the G factors expand along x, y and z into the output.  Besides
+    the output a call holds two band series and per-sample temporaries.
+    Every product is one of a batch of at most N^3 multiply-adds (OpenBLAS
+    runs those on one thread for N <= 64; one large product per axis would
+    start its workers).
+
     Scales below 2 grid cells pass through with a warning; a pass whose
-    multiplier is 1 is skipped.  The T^3 mean at each time is preserved."""
+    multiplier is 1 is skipped.  The T^3 mean at each time is preserved.  A
+    scale that is not positive and finite, or a band that is not a
+    non-negative integer, raises ValueError."""
+    for name, value in (("ell", ell), ("ell_z", ell_z)):
+        if not (value > 0 and np.isfinite(value)):
+            raise ValueError(f"mollify: {name} = {value} is not a positive finite scale")
+    if band is not None and (isinstance(band, bool) or not isinstance(band, numbers.Integral)
+                             or band < 0):
+        raise ValueError(f"mollify: band = {band} is not a non-negative integer")
     f = np.ascontiguousarray(f, dtype=np.float64)
     if f.shape[-3:] != grid.shape:
         raise ValueError(f"mollify: field shape {f.shape} does not end in grid shape {grid.shape}")
     if time_axis and (f.ndim < 4 or f.shape[0] != tgrid.nt):
         raise ValueError(f"mollify: field shape {f.shape} does not lead with {tgrid.nt} time samples")
-    (nx, ny, nz), (hx, hy, hz) = grid.shape, grid.spacing()
+    hx, _, hz = grid.spacing()
     if ell < 2 * hx:
         warnings.warn(f"mollify: ell = {ell:.3g} below 2 grid cells; horizontal pass-through")
     if ell_z < 2 * hz:
         warnings.warn(f"mollify: ell_z = {ell_z:.3g} below 2 grid cells; vertical pass-through")
     lxy, lz = (ell if ell >= 2 * hx else None), (ell_z if ell_z >= 2 * hz else None)
-    rows = lambda a: a.reshape(-1, ny, nz)
-    cols = lambda a: a.reshape(-1, nx, ny, nz).swapaxes(1, 2)
-    passes = [  # z takes C^T contiguous: numpy multiplies by a transposed view slowly
-        (_circulant(nz, lz, band), lambda C, a, b: np.matmul(rows(a), C.T.copy(), out=rows(b))),
-        (_circulant(ny, lxy, band), lambda C, a, b: np.matmul(C, rows(a), out=rows(b))),
-        (_circulant(nx, lxy, band), lambda C, a, b: np.matmul(C, cols(a), out=cols(b)))]
+    pairs = [_axis_pair(n, l, band) for n, l in zip(grid.shape, (lxy, lxy, lz))]
+    steps = lambda k, axes: [(a, pairs[a][k].T.copy() if a == 2 else pairs[a][k]) for a in axes
+                             if pairs[a] is not None and pairs[a][k] is not None]
+    compress, expand = steps(0, (2, 1, 0)), steps(1, (0, 1, 2))
+    T = None
     if time_axis and ell >= 2 * tgrid.dt:
         dt, nt, half = tgrid.dt, tgrid.nt, int(np.floor(ell / tgrid.dt))
         offs = np.arange(-half, half + 1)
@@ -353,17 +407,26 @@ def mollify(f, tgrid, grid, ell, ell_z, time_axis=True, band=None):
         w[np.abs(offs * dt) >= ell] = 0.0
         o = np.arange(nt) - np.arange(nt)[:, None]  # T[j, k]: weight at offset k - j
         T = np.where(np.abs(o) <= half, (w / np.sum(w))[np.clip(o + half, 0, 2 * half)], 0.0)
-        samples = lambda a: a.reshape(nt, -1, nz).swapaxes(0, 1)
-        passes.append((T, lambda C, a, b: np.matmul(C, samples(a), out=samples(b))))
     elif time_axis:
         warnings.warn(f"mollify: ell = {ell:.3g} below 2 time cells; time pass-through")
-    out, spare = f, None  # alternate between two buffers, never writing f
-    for C, apply in passes:
-        if C is not None:
-            dst = np.empty_like(f) if spare is None else spare
-            apply(C, out, dst)
-            out, spare = dst, (None if out is f else out)
-    return f.copy() if out is f else out
+    src = f.reshape(((tgrid.nt, -1) if time_axis else (-1, 1)) + grid.shape)
+    series = src
+    if compress:
+        series = np.empty(src.shape[:2] + tuple(
+            n if p is None else len(p[0]) for n, p in zip(grid.shape, pairs)))
+        for j in range(len(src)):  # no loop view outlives the pass
+            _through(src[j], series[j], compress)
+    if T is not None:
+        done = np.empty(series.shape)
+        samples = lambda a: a.reshape(tgrid.nt, -1, a.shape[-1]).swapaxes(0, 1)
+        np.matmul(T, samples(series), out=samples(done))
+        series = done
+    if expand:
+        out = np.empty(src.shape)
+        for j in range(len(out)):
+            _through(series[j], out[j], expand)
+        series = out
+    return (f.copy() if series is src else series).reshape(f.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,10 @@ def test_vec_round_trip_batch():
     rng = np.random.default_rng(8)
     for _ in range(1000):
         f = rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3)
-        back = reconstruct_vec(algebra.decompose_vec(f))
+        b = algebra.decompose_vec(f)
+        back = reconstruct_vec(b)
         assert np.max(np.abs(back - f)) <= 1e-12 * max(1.0, np.max(np.abs(f)))
+        assert algebra.decompose_vec(f, f) is f and np.array_equal(f, b)  # in place
 
 
 @given(hnp.arrays(np.float64, (3, 3), elements=st.floats(-1e3, 1e3)))
@@ -72,6 +74,9 @@ def test_decompose_packed_equals_decompose_sym(shape):
     out = np.full_like(P, np.nan)
     assert algebra.decompose_packed(P, out) is out
     assert np.array_equal(out, want)
+    # in place, as begin_step decomposes each mollified sample
+    assert algebra.decompose_packed(P, P) is P
+    assert np.array_equal(P, want)
 
 
 def test_gram_determinant_nonzero():

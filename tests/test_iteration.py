@@ -1,10 +1,12 @@
 """Parameter selection, profiles, initial data and the step driver."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bqci import algebra
 from bqci import iteration as it
 from bqci import stress_update as su
 from bqci import torus_field as tf
@@ -237,6 +239,46 @@ def test_begin_step_reconstructs_filtered_stress():
     target = low_pass(
         tf.mollify(st.R, st.tgrid, st.grid, 0.9, 0.9), st.grid, band)
     assert np.allclose(rec, target, atol=1e-10)
+
+
+def ref_start_state():
+    """The start state of the benchmark's ref_start workload (36^3 x 17)."""
+    grid, tgrid = tf.Grid3(36, 36, 36), tf.TimeGrid(0.75, 4.25, 17)
+    return it.initial_state(grid, tgrid, mu=4, kappa=KAPPA, e_vals=np.full(tgrid.nt, 10 * KAPPA),
+                            M=0.05, lam=8)
+
+
+@pytest.mark.filterwarnings("ignore:mollify:UserWarning")
+@pytest.mark.parametrize("build, ell", [(make_state, 0.9), (ref_start_state, 0.3)])
+def test_begin_step_mollifies_then_decomposes_like_decompose_then_mollify(build, ell):
+    # the decomposition is pointwise linear, so it commutes with the mollifier
+    st = build()
+    band = min(st.grid.shape) // 4
+    ref = {}
+    for name, store, decompose in (("a", st.R, algebra.decompose_packed),
+                                   ("c", st.f, algebra.decompose_vec)):
+        raw = np.stack([decompose(sample) for sample in store])
+        ref[name] = tf.mollify(raw, st.tgrid, st.grid, ell, ell, band=band)
+    rep = it.begin_step(st, ell, ell)
+    for name in "ac":
+        got, want = getattr(st, name), ref[name]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert rep[f"{name}_sup"] == pytest.approx(tf.sup_norm(want), rel=1e-13, abs=0)
+    assert rep["violations"] == []  # none at the parent either
+
+
+@pytest.mark.filterwarnings("ignore:mollify:UserWarning")
+def test_begin_step_allocates_no_full_size_array_besides_the_coefficients():
+    # an undecomposed copy of the store, or a full-size mollify scratch
+    # buffer, would take at least one scalar series (the size of theta)
+    st = ref_start_state()
+    tracemalloc.start()
+    try:
+        it.begin_step(st, 0.3, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < st.a.nbytes + st.c.nbytes + st.theta.nbytes
 
 
 def test_begin_step_rejects_started_state():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,9 +174,11 @@ def test_banded_mollify_warns_as_before(grid):
 
 
 def _check_mollify_against_fft(shape, nt, ncomp, ell, ell_z, dt, band, time_axis, seed):
+    """ncomp = 0: no component axis (a bare 3-D field without time axis)."""
     grid = tf.Grid3(*shape)
     tg = tf.TimeGrid(0.0, (nt - 1) * dt, nt)
-    lead = (nt, ncomp) if time_axis else (ncomp,)
+    comp = (ncomp,) if ncomp else ()
+    lead = (nt,) + comp if time_axis else comp
     f = np.random.default_rng(seed).standard_normal(lead + grid.shape)
     got = tf.mollify(f, tg, grid, ell, ell_z, time_axis=time_axis, band=band)
     ref = mollify_fft(f, tg, grid, ell, ell_z, time_axis=time_axis, band=band)
@@ -192,6 +195,12 @@ def _check_mollify_against_fft(shape, nt, ncomp, ell, ell_z, dt, band, time_axis
          time_axis=True, seed=0)
 @example(shape=(16, 8, 12), nt=17, ncomp=6, cells=(2.1, 1.0, 1.5), band=0,
          time_axis=False, seed=1)
+# a bare 3-D field: its leading axis is x, not a sample axis
+@example(shape=(12, 8, 10), nt=5, ncomp=0, cells=(2.5, 3.0, 1.5), band=2,
+         time_axis=False, seed=2)
+# band 4 cuts y and z, but keeps every mode of x (4 = 8 // 2)
+@example(shape=(8, 12, 16), nt=9, ncomp=3, cells=(2.5, 2.5, 1.5), band=4,
+         time_axis=True, seed=3)
 @given(shape=st.tuples(sizes, sizes, sizes), nt=st.integers(5, 17),
        ncomp=st.sampled_from([1, 3, 6]),
        cells=st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0), st.floats(0.5, 4.0)),
@@ -212,6 +221,72 @@ def test_mollify_matches_fft_oracle(shape, nt, ncomp, cells, band, time_axis, se
 ])
 def test_mollify_matches_fft_oracle_at_run_sizes(shape, nt, ncomp, ell, dt, band, time_axis):
     _check_mollify_against_fft(shape, nt, ncomp, ell, ell, dt, band, time_axis, 2)
+
+
+def _circulant_oracle(n, ell, band):
+    """The real n x n circulant of phi-hat(|m| ell) [|m| <= band] (ell None:
+    no mollifier), from the inverse numpy transform of its multiplier."""
+    m = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    fac = np.ones(n) if ell is None else tf.mollifier_transform(m * ell)
+    if band is not None:
+        fac = fac * (m <= band)
+    d = np.arange(n)
+    return np.fft.ifft(fac).real[np.subtract.outer(d, d) % n]
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+@pytest.mark.parametrize("cells", [1.5, 3.0])  # on both sides of the 2-cell pass-through
+@pytest.mark.parametrize("band", ["cut", "half", None])
+def test_axis_pair_factors_the_banded_circulant(n, cells, band):
+    band = {"cut": n // 2 - 2, "half": n // 2, None: None}[band]
+    ell = cells * tf.TWO_PI / n
+    ell = ell if ell >= 2 * tf.TWO_PI / n else None  # as mollify passes it through
+    pair = tf._axis_pair(n, ell, band)
+    if pair is None:
+        op = np.eye(n)
+    elif pair[1] is None:
+        op = pair[0]
+    else:
+        F, G = pair
+        assert F.shape == (2 * band + 1, n) and G.shape == (n, 2 * band + 1)
+        op = G @ F
+    assert band is None or band >= n // 2 or pair[1] is not None
+    assert np.max(np.abs(op - _circulant_oracle(n, ell, band))) <= 1e-15
+
+
+@pytest.mark.parametrize("ell, ell_z, band, name", [
+    (float("nan"), 1.0, None, "ell = nan"),
+    (0.0, 1.0, None, "ell = 0.0"),
+    (-0.3, 1.0, 4, "ell = -0.3"),
+    (float("inf"), 1.0, None, "ell = inf"),
+    (1.0, float("nan"), 4, "ell_z = nan"),
+    (1.0, -1.0, None, "ell_z = -1.0"),
+    (1.0, 1.0, -1, "band = -1"),
+    (1.0, 1.0, 2.5, "band = 2.5"),
+    (1.0, 1.0, True, "band = True"),
+])
+def test_mollify_refuses_a_bad_scale_or_band(grid, ell, ell_z, band, name):
+    # a band of -1 returned an all-zero field, 2.5 was taken as 2, and a NaN
+    # or non-positive scale passed through with a "below 2 grid cells" warning
+    tg = tf.TimeGrid(0.0, 1.0, 9)
+    f = np.ones((tg.nt, 2) + grid.shape)
+    with pytest.raises(ValueError, match=re.escape(f"mollify: {name} is not a")):
+        tf.mollify(f, tg, grid, ell, ell_z, band=band)
+
+
+def test_banded_mollify_holds_no_full_size_scratch():
+    # besides its output, a banded call holds two band series (here
+    # (13/24)^3 of the input each) and per-sample temporaries; two full
+    # scratch buffers would take at least twice the input
+    grid, tg = tf.Grid3(24, 24, 24), tf.TimeGrid(0.0, 1.0, 9)
+    f = np.random.default_rng(5).standard_normal((tg.nt, 6) + grid.shape)
+    tracemalloc.start()
+    try:
+        tf.mollify(f, tg, grid, 0.9, 0.9, band=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * f.nbytes
 
 
 def test_mollify_full_pass_through_returns_a_copy(grid):
