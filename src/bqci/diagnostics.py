@@ -10,6 +10,13 @@ companions multiplies the (4th-order) stencil error by sixteen, so a clean
 tuple shows a coarse/fine ratio near sixteen while any assembly defect
 pushes the fine residual up to the coarse one.
 
+The check is one per-slice body (_slice_closure): slice j's residual sup
+norms and the maxima of the stores that scale them.  system_residual,
+normalized_residuals and richardson_floor run it over contiguous slice
+ranges on parallel.fork_map's processes and merge the per-slice values in
+slice order, so each makes one pass over the stores and every worker count
+gives the same bits.
+
 The scaling studies re-run isolated update terms over parameter ladders
 (frequency, cell scale, mollification scale) and report log-log slopes.
 """
@@ -44,54 +51,90 @@ def system_residual(state):
     time sample: "fine" with the time-derivative stores dt_* at every
     sample, "coarse" (the Richardson companion) with the half-resolution
     stores dt_*_coarse at every second sample, None on a state without
-    them."""
+    them; and "store_sups", the maxima of the same pass (_closure): the sup
+    of each store that scales a residual, of the divergence defect and of
+    grad_v."""
     stencils = {"fine": (1, state.dt_v, state.dt_theta)}
     if state.dt_v_coarse is not None:
         stencils["coarse"] = (2, state.dt_v_coarse, state.dt_theta_coarse)
-    return {"coarse": None, **_residuals(state, stencils)}
+    return {"coarse": None, **_closure(state, stencils)}
 
 
-def _residuals(state, stencils):
-    """system_residual's entries for stencils {name: (stride, dt_v, dt_theta)};
-    each slice's advection, pressure gradient and divergences serve all."""
-    slices = {name: ([], []) for name in stencils}
-    for j in range(state.tgrid.nt):
-        v = state.v[j]
-        adv_v = np.einsum("b...,ba...->a...", v, state.grad_v[j])
-        grad_p = state.p_factor[j] * state.grad_p_profile
-        adv_theta = np.einsum("b...,b...->...", v, state.grad_theta[j])
-        div_R, div_f = state.div_R_store[j], state.div_f_store[j]
-        for name, (stride, dt_v, dt_theta) in stencils.items():
-            if j % stride == 0:
-                mom = dt_v[j // stride] + adv_v + grad_p - state.dzz_v[j]
-                mom[2] -= state.theta[j]
-                mom -= div_R
-                flux = dt_theta[j // stride] + adv_theta - state.dzz_theta[j] - div_f
-                slices[name][0].append(tf.sup_norm(mom))
-                slices[name][1].append(tf.sup_norm(flux))
-    return {name: {"momentum_sup": tf.max_or_nan(*moms), "flux_sup": tf.max_or_nan(*fluxes),
-                   "momentum_slices": moms, "flux_slices": fluxes}
-            for name, (moms, fluxes) in slices.items()}
+# the stores whose largest value scales each equation's residual
+_SCALES = {"momentum": ("dt_v", "dzz_v", "div_R_store"),
+           "flux": ("dt_theta", "dzz_theta", "div_f_store")}
+
+
+def _slice_residuals(state, stencils, j):
+    """Slice j's momentum (3, grid) and flux (grid) residual fields for each
+    of the stencils {name: (stride, dt_v, dt_theta)} that samples j; the
+    slice's advection, pressure gradient and divergences serve all."""
+    v = state.v[j]
+    adv_v = np.einsum("b...,ba...->a...", v, state.grad_v[j])
+    grad_p = state.p_factor[j] * state.grad_p_profile
+    adv_theta = np.einsum("b...,b...->...", v, state.grad_theta[j])
+    div_R, div_f = state.div_R_store[j], state.div_f_store[j]
+    out = {}
+    for name, (stride, dt_v, dt_theta) in stencils.items():
+        if j % stride == 0:
+            mom = dt_v[j // stride] + adv_v + grad_p - state.dzz_v[j]
+            mom[2] -= state.theta[j]
+            mom -= div_R
+            out[name] = mom, dt_theta[j // stride] + adv_theta - state.dzz_theta[j] - div_f
+    return out
+
+
+def _slice_closure(state, stencils, j):
+    """The closure check on slice j: the sup norms of its residuals per
+    stencil, of its sample of every _SCALES store, of its divergence defect
+    and of its velocity gradient."""
+    out = {name: tuple(map(tf.sup_norm, fields))
+           for name, fields in _slice_residuals(state, stencils, j).items()}
+    out.update((key, tf.sup_norm(getattr(state, key)[j]))
+               for keys in _SCALES.values() for key in keys)
+    out["divergence"] = tf.sup_norm(sum(state.grad_v[j, b, b] for b in range(3)))
+    out["grad_v"] = tf.sup_norm(state.grad_v[j])
+    return out
+
+
+def _closure(state, stencils):
+    """_slice_closure on every slice, contiguous slice ranges split over
+    parallel.fork_map's processes, merged in slice order: per stencil the
+    residuals' sup norms, overall and per sample, and under "store_sups"
+    every other value's maximum over slices.  A maximum over slices is
+    exact, so every worker count gives the same bits."""
+    ranges = parallel.shares(range(state.tgrid.nt), parallel.WORKERS)
+    slices = [s for part in parallel.fork_map(
+        lambda js: [_slice_closure(state, stencils, j) for j in js], ranges) for s in part]
+    out = {}
+    for name in stencils:
+        moms, fluxes = (list(x) for x in zip(*(s[name] for s in slices if name in s)))
+        out[name] = {"momentum_sup": tf.max_or_nan(*moms), "flux_sup": tf.max_or_nan(*fluxes),
+                     "momentum_slices": moms, "flux_slices": fluxes}
+    out["store_sups"] = {key: tf.max_or_nan(*(s[key] for s in slices))
+                         for key in slices[0] if key not in stencils}
+    return out
+
+
+def _rel(res):
+    """Each equation's fine residual over its largest stored term."""
+    sups = res["store_sups"]
+    return {eq: res["fine"][f"{eq}_sup"] / max(*(sups[key] for key in keys), 1e-30)
+            for eq, keys in _SCALES.items()}
 
 
 def normalized_residuals(state):
     """Momentum / flux residuals scaled by their largest constituent term,
-    plus the incompressibility defect relative to the velocity gradient."""
-    res = _residuals(state, {"fine": (1, state.dt_v, state.dt_theta)})["fine"]
-    scale_m = max(tf.sup_norm(state.dt_v), tf.sup_norm(state.dzz_v),
-                  tf.sup_norm(state.div_R_store), 1e-30)
-    scale_f = max(tf.sup_norm(state.dt_theta), tf.sup_norm(state.dzz_theta),
-                  tf.sup_norm(state.div_f_store), 1e-30)
-    div_sup = tf.max_or_nan(*(tf.sup_norm(sum(state.grad_v[j, b, b] for b in range(3)))
-                              for j in range(state.tgrid.nt)))
-    grad_sup = tf.sup_norm(state.grad_v)
+    plus the incompressibility defect relative to the velocity gradient;
+    one pass over the stores (_closure), with no coarse residual."""
+    res = _closure(state, {"fine": (1, state.dt_v, state.dt_theta)})
+    sups = res["store_sups"]
     return {
-        "momentum": res["momentum_sup"] / scale_m,
-        "flux": res["flux_sup"] / scale_f,
-        "incompressibility": div_sup / max(grad_sup, 1e-30),
-        "momentum_raw": res["momentum_sup"],
-        "flux_raw": res["flux_sup"],
-        "divergence_raw": div_sup,
+        **_rel(res),
+        "incompressibility": sups["divergence"] / max(sups["grad_v"], 1e-30),
+        "momentum_raw": res["fine"]["momentum_sup"],
+        "flux_raw": res["fine"]["flux_sup"],
+        "divergence_raw": sups["divergence"],
     }
 
 
@@ -100,18 +143,23 @@ def richardson_floor(state, tolerance=5.0):
 
     floor = coarse residual / 16 (4th-order stencil), with a roundoff guard;
     passes when the fine residual is within `tolerance` times the floor.
+    Next to each ratio, {eq}_rel is the fine residual over the equation's
+    largest stored term (as in normalized_residuals); a report field only.
     A failed check also names its witness: the equation with the larger
-    ratio and the time sample of its worst fine-stencil residual."""
+    ratio, the time sample of its worst fine-stencil residual, and
+    (_witness) the grid point there with the equation's terms."""
     if state.dt_v_coarse is None:
         raise ValueError("state carries no coarse time-derivative stores "
                          "(dt_v_coarse, dt_theta_coarse)")
     res = system_residual(state)
-    fine, coarse = res["fine"], res["coarse"]
+    fine, coarse, sups = res["fine"], res["coarse"], res["store_sups"]
+    rel = _rel(res)
     out = {}
-    for eq, dt in (("momentum", state.dt_v), ("flux", state.dt_theta)):
-        floor = max(coarse[f"{eq}_sup"] / 16.0, 1e-13 * max(tf.sup_norm(dt), 1.0))
+    for eq, dt in (("momentum", "dt_v"), ("flux", "dt_theta")):
+        floor = max(coarse[f"{eq}_sup"] / 16.0, 1e-13 * max(sups[dt], 1.0))
         out.update({f"{eq}_fine": fine[f"{eq}_sup"], f"{eq}_coarse": coarse[f"{eq}_sup"],
-                    f"{eq}_floor": floor, f"{eq}_ratio": fine[f"{eq}_sup"] / floor})
+                    f"{eq}_floor": floor, f"{eq}_ratio": fine[f"{eq}_sup"] / floor,
+                    f"{eq}_rel": rel[eq]})
     failed = [eq for eq in ("momentum", "flux") if not out[f"{eq}_ratio"] <= tolerance]
     out.update({"tolerance": tolerance, "passed": not failed})
     if failed:
@@ -119,8 +167,34 @@ def richardson_floor(state, tolerance=5.0):
         slices = fine[f"{eq}_slices"]
         j = int(np.argmax(slices))
         out.update({"witness_eq": eq, "witness_t": state.tgrid.times()[j],
-                    "witness_slice": j, "witness_sup": slices[j]})
+                    "witness_slice": j, "witness_sup": slices[j], **_witness(state, eq, j)})
     return out
+
+
+def _witness(state, eq, j):
+    """Slice j evaluated once more: witness_point, the index of eq's largest
+    fine residual there ((component, x, y, z) for momentum, (x, y, z) for
+    flux; the first NaN if any), and witness_terms, eq's terms at that
+    index, signed as they enter the residual (they sum to it)."""
+    mom, flux = _slice_residuals(state, {"fine": (1, state.dt_v, state.dt_theta)}, j)["fine"]
+    field = mom if eq == "momentum" else flux
+    point = np.unravel_index(np.argmax(np.abs(field)), field.shape)
+    x, y, z = point[-3:]
+    if eq == "momentum":
+        a = point[0]
+        terms = {"dt": state.dt_v[j][point],
+                 "advection": state.v[j, :, x, y, z] @ state.grad_v[j, :, a, x, y, z],
+                 "pressure": state.p_factor[j] * state.grad_p_profile[point],
+                 "dzz": -state.dzz_v[j][point],
+                 "buoyancy": -state.theta[j, x, y, z] if a == 2 else 0.0,
+                 "div_store": -state.div_R_store[j][point]}
+    else:
+        terms = {"dt": state.dt_theta[j][point],
+                 "advection": state.v[j, :, x, y, z] @ state.grad_theta[j, :, x, y, z],
+                 "dzz": -state.dzz_theta[j][point],
+                 "div_store": -state.div_f_store[j][point]}
+    return {"witness_point": [int(i) for i in point],
+            "witness_terms": {key: float(value) for key, value in terms.items()}}
 
 
 # ---------------------------------------------------------------------------

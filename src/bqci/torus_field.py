@@ -369,7 +369,9 @@ def mollify(f, tgrid, grid, ell, ell_z, time_axis=True, band=None):
     extension (valid for compactly supported data: taps beyond the series
     are dropped, not renormalised) acts on that series; then, sample by
     sample, the G factors expand along x, y and z into the output.  Besides
-    the output a call holds two band series and per-sample temporaries.
+    the output, a call with a time pass holds two band series and
+    per-sample temporaries; without one, each sample goes straight from
+    compress to expand through one band buffer, with the same products.
     Every product is one of a batch of at most N^3 multiply-adds (OpenBLAS
     runs those on one thread for N <= 64; one large product per axis would
     start its workers).
@@ -410,10 +412,16 @@ def mollify(f, tgrid, grid, ell, ell_z, time_axis=True, band=None):
     elif time_axis:
         warnings.warn(f"mollify: ell = {ell:.3g} below 2 time cells; time pass-through")
     src = f.reshape(((tgrid.nt, -1) if time_axis else (-1, 1)) + grid.shape)
+    coefs = src.shape[1:2] + tuple(n if p is None else len(p[0]) for n, p in zip(grid.shape, pairs))
+    if T is None and expand:  # each sample through one band buffer
+        out, buf = np.empty(src.shape), np.empty(coefs)
+        for j in range(len(src)):
+            _through(src[j], buf, compress)
+            _through(buf, out[j], expand)
+        return out.reshape(f.shape)
     series = src
     if compress:
-        series = np.empty(src.shape[:2] + tuple(
-            n if p is None else len(p[0]) for n, p in zip(grid.shape, pairs)))
+        series = np.empty(src.shape[:1] + coefs)
         for j in range(len(src)):  # no loop view outlives the pass
             _through(src[j], series[j], compress)
     if T is not None:

@@ -186,6 +186,30 @@ def mollify_fft(f, tgrid, grid, ell, ell_z, time_axis=True, band=None):
     return out
 
 
+def mollify_series(f, grid, ell, ell_z, band, samples):
+    """tf.mollify without a time pass, through a whole band series: the f
+    split into `samples` leading samples (tgrid.nt, or one per 3-D field
+    without time axis), every sample compressed into the series by the F
+    factors, then every sample expanded out of it by the G factors.  The
+    package takes each sample through one band buffer instead, with the same
+    products."""
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    hx, _, hz = grid.spacing()
+    scales = [ell if ell >= 2 * hx else None] * 2 + [ell_z if ell_z >= 2 * hz else None]
+    pairs = [tf._axis_pair(n, l, band) for n, l in zip(grid.shape, scales)]
+    steps = lambda k, axes: [(a, pairs[a][k].T.copy() if a == 2 else pairs[a][k]) for a in axes
+                             if pairs[a] is not None and pairs[a][k] is not None]
+    src = f.reshape((samples, -1) + grid.shape)
+    series = np.empty(src.shape[:2] + tuple(
+        n if p is None else len(p[0]) for n, p in zip(grid.shape, pairs)))
+    out = np.empty(src.shape)
+    for j in range(samples):
+        tf._through(src[j], series[j], steps(0, (2, 1, 0)))
+    for j in range(samples):
+        tf._through(series[j], out[j], steps(1, (0, 1, 2)))
+    return out.reshape(f.shape)
+
+
 # -- the start state's derivative stores, sample by sample ----------------------
 
 def initial_stores_per_sample(data, grid, tgrid):

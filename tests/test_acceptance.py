@@ -234,6 +234,14 @@ def test_07_negative_control_corrupted_stress_trips_the_check(corrupt_transport)
     check = dg.richardson_floor(state)
     _line(7, "negative control trips", not check["passed"],
           f"ratio={check['momentum_ratio']:.2g}")
+    # the witness names a grid point of its slice, and the equation's terms
+    # there sum to the residual
+    terms = check["witness_terms"]
+    assert len(check["witness_point"]) == 4 and set(terms) == {
+        "dt", "advection", "pressure", "dzz", "buoyancy", "div_store"}
+    assert np.all(np.isfinite([check["witness_t"], check["witness_sup"], *terms.values()]))
+    assert abs(abs(sum(terms.values())) - check["witness_sup"]) <= (
+        1e-12 * max(map(abs, terms.values())))
 
 
 # 8: wave amplitude bounds with the recorded constant

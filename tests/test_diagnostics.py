@@ -6,8 +6,10 @@ import pytest
 
 from bqci import diagnostics as dg
 from bqci import iteration as it
+from bqci import parallel
 from bqci import stress_update as su
 from bqci import torus_field as tf
+from conftest import mini_start
 from test_parallel import assert_no_child_left, bits
 
 KAPPA = 0.25
@@ -53,6 +55,49 @@ def test_nan_in_a_middle_slice_fails_the_richardson_check():
     assert not check["passed"]
     assert np.isnan(check["momentum_fine"]) and np.isnan(check["momentum_coarse"])
     assert (check["witness_eq"], check["witness_slice"]) == ("momentum", 2)
+
+
+def test_closure_check_is_bit_identical_for_every_worker_count(workers):
+    # the per-slice values merged over two processes give the serial bits, on
+    # the start state and after every substep; the store maxima of the same
+    # pass are the whole stores' sup norms
+    def both_counts(state):
+        out = []
+        for count in (1, 2):
+            workers(count)
+            res = dg.system_residual(state)
+            out.append(bits([res, dg.normalized_residuals(state), dg.richardson_floor(state)]))
+        for key, value in res["store_sups"].items():
+            if key != "divergence":
+                assert value == tf.sup_norm(getattr(state, key)), key
+        return out
+
+    state = mini_start()
+    serial, forked = both_counts(state)
+    assert serial == forked
+    it.begin_step(state, 0.9, 0.9)
+    for n in range(1, 7):
+        su.run_substep(state, n, 16, 0.9, 0.9)
+        serial, forked = both_counts(state)
+        assert serial == forked, n
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_nan_in_the_second_share_reaches_both_checks(workers, count):
+    # with two processes the child evaluates the second share of the slices
+    workers(count)
+    state = _small_state()
+    j = parallel.shares(range(state.tgrid.nt), 2)[1][1]
+    state.dzz_v[j, 0, 1, 1, 1] = np.nan
+    res = dg.normalized_residuals(state)
+    assert np.isnan(res["momentum_raw"]) and np.isnan(res["momentum"])
+    check = dg.richardson_floor(state)
+    assert not check["passed"] and np.isnan(check["momentum_rel"])
+    assert (check["witness_eq"], check["witness_slice"]) == ("momentum", j)
+    assert check["witness_point"] == [0, 1, 1, 1]
+    assert np.isnan(check["witness_terms"]["dzz"])
+    assert_no_child_left()
 
 
 def test_full_step_keeps_residual_at_floor(mini_stepped):
@@ -111,6 +156,24 @@ def test_corrupted_transport_breaks_closure(corrupt_transport):
 
     assert base < 1e-12
     assert bad > 1e6 * max(base, 1e-14)
+
+
+def test_small_transport_defect_passes_the_check_and_shows_in_the_rel_fields(
+        corrupt_transport):
+    # a 1e-6 relative defect of the stored transport divergence stays far
+    # under the Richardson floor, and the relative momentum residual reads it
+    checks = []
+    for factor in (1.0, 1.0 + 1e-6):
+        state = _small_state()
+        it.begin_step(state, 0.9, 0.9)
+        corrupt_transport(factor)
+        su.run_substep(state, 1, 4, 0.9, 0.9)
+        checks.append(dg.richardson_floor(state))
+    clean, broken = checks
+    assert clean["passed"] and broken["passed"]
+    assert clean["momentum_rel"] < 1e-14 and clean["flux_rel"] < 1e-14
+    assert 3e-7 < broken["momentum_rel"] < 3e-6
+    assert broken["flux_rel"] == clean["flux_rel"]
 
 
 def test_lambda_scaling_slopes():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bqci import torus_field as tf
 from oracles import (dealias, derivative_3d, divergence_3d, gradient_3d, low_pass,
-                     mollify_fft, second_derivative_3d)
+                     mollify_fft, mollify_series, second_derivative_3d)
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +287,38 @@ def test_banded_mollify_holds_no_full_size_scratch():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * f.nbytes
+
+
+@pytest.mark.filterwarnings("ignore:mollify:UserWarning")
+@pytest.mark.parametrize("shape, band, ell, ell_z", [
+    ((16, 16, 16), 4, 0.9, 0.9),  # every axis cut and mollified
+    ((16, 16, 8), 5, 0.9, 1.6),  # z keeps every mode: its circulant, no G factor
+    ((16, 16, 8), 5, 0.9, 0.1),  # z keeps every mode, unmollified: skipped
+    ((16, 16, 16), 4, 0.1, 0.1),  # every axis cut, none mollified: the band alone
+])
+@pytest.mark.parametrize("time_axis", [True, False])
+def test_mollify_without_a_time_pass_matches_the_series_path(shape, band, ell, ell_z,
+                                                             time_axis):
+    grid, tg = tf.Grid3(*shape), tf.TimeGrid(0.0, 4.0, 5)  # every ell below 2 time cells
+    f = np.random.default_rng(7).standard_normal((tg.nt, 3) + grid.shape)
+    got = tf.mollify(f, tg, grid, ell, ell_z, time_axis=time_axis, band=band)
+    want = mollify_series(f, grid, ell, ell_z, band, tg.nt if time_axis else 15)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("ignore:mollify:UserWarning")
+def test_mollify_without_a_time_pass_holds_no_band_series():
+    # one band buffer of a sample, not a band series of (13/24)^3 of the
+    # input, besides the output
+    grid, tg = tf.Grid3(24, 24, 24), tf.TimeGrid(0.0, 1.0, 9)
+    f = np.random.default_rng(5).standard_normal((tg.nt, 6) + grid.shape)
+    tracemalloc.start()
+    try:
+        tf.mollify(f, tg, grid, 0.9, 0.9, time_axis=False, band=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.08 * f.nbytes
 
 
 def test_mollify_full_pass_through_returns_a_copy(grid):
