@@ -2,9 +2,10 @@
 
 All runs are driven by a flat ``key = value`` config file (UTF-8, ``#``
 comments); every key has a default and every key can be overridden on the
-command line with ``--set key=value``.  Reports are sorted key=value text,
-scaling tables are CSV, field snapshots use the binary format from
-``torus_field``.
+command line with ``--set key=value``.  ``KEYS`` gives each key's
+default, type and rule; the rules that span keys are code.  Reports are
+sorted key=value text, scaling tables are CSV, field snapshots use the
+binary format from ``torus_field``.
 
 Exit codes: 0 success, 1 runtime / contract failure (with a witness in the
 report), 2 configuration or format error.
@@ -22,42 +23,58 @@ from . import diagnostics as dg
 from . import iteration as it
 from . import torus_field as tf
 
-__all__ = ["main", "load_config", "DEFAULTS", "ConfigError"]
+__all__ = ["main", "load_config", "KEYS", "DEFAULTS", "ConfigError"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
+def _one_of(*names):
+    return names.__contains__, "is not one of " + ", ".join(names)
+
+
+_POSITIVE = (lambda x: x > 0, "must be > 0")
+_POSITIVE_INT = (lambda x: x >= 1, "is not a positive integer")
+_POSITIVE_VALUE = (lambda x: x > 0, "is not positive")
+
+# key: (default, type, rule).  The type is int, float, str or a comma list
+# [int] / [float]; the rule is a (test, phrase) pair, applied to each value
+# of a list.  A blank default marks a key that may stay blank.
+KEYS = {
     # execution mode: "desk" builds fields, "asymptotic" is report-only
-    "mode": "desk",
+    "mode": ("desk", str, _one_of("desk", "asymptotic")),
     # grid and time sampling
-    "nx": "48", "ny": "48", "nz": "48",
-    "nt": "33", "t0": "0.75", "t1": "4.25",
+    "nx": ("48", int, None), "ny": ("48", int, None), "nz": ("48", int, None),
+    "nt": ("33", int, None), "t0": ("0.75", float, None), "t1": ("4.25", float, None),
     # budgets and schedule (outer: kappa_n = kappa ** (schedule_b ** n))
-    "kappa": "0.25", "kappa_bar": "", "schedule_b": "1.5",
-    "steps": "2",
+    "kappa": ("0.25", float, _POSITIVE),
+    "kappa_bar": ("", float, _POSITIVE),  # blank: kappa^(3/2)
+    "schedule_b": ("1.5", float, (lambda x: x > 1, "must be > 1")),
+    "steps": ("2", int, (lambda x: x >= 1, "must be >= 1")),
     # desk-mode construction parameters
-    "mu": "4", "lam_init": "8", "M": "0.05",
-    "lams": "16,32,64,128,256,512",
-    "ells": "0.3,0.3,0.3,0.3,0.3,0.3",
-    "ellzs": "0.3,0.3,0.3,0.3,0.3,0.3",
-    "energy_level": "",  # blank: 10 * kappa
+    "mu": ("4", int, _POSITIVE_INT), "lam_init": ("8", int, None),
+    "M": ("0.05", float, _POSITIVE),
+    "lams": ("16,32,64,128,256,512", [int], _POSITIVE_INT),
+    "ells": ("0.3,0.3,0.3,0.3,0.3,0.3", [float], _POSITIVE_VALUE),
+    "ellzs": ("0.3,0.3,0.3,0.3,0.3,0.3", [float], _POSITIVE_VALUE),
+    "energy_level": ("", float, _POSITIVE),  # blank: 10 * kappa
     # asymptotic-mode bookkeeping constants
-    "L_v": "10", "D_v": "100", "eps": "0.05", "Lam": "1", "Lam_bar": "1",
+    "L_v": ("10", float, _POSITIVE), "D_v": ("100", float, _POSITIVE),
+    "eps": ("0.05", float, _POSITIVE), "Lam": ("1", float, _POSITIVE),
+    "Lam_bar": ("1", float, _POSITIVE),
     # tolerances
-    "tolerance": "1e-6",            # validate-initial normalized residuals
-    "residual_tolerance": "5.0",    # step residual vs Richardson floor
+    "tolerance": ("1e-6", float, _POSITIVE),  # validate-initial normalized residuals
+    "residual_tolerance": ("5.0", float, _POSITIVE),  # step residual vs Richardson floor
     # scaling study
-    "quantity": "all",
-    "sweep": "",
+    "quantity": ("all", str, _one_of("lambda", "mu", "mollification", "all")),
+    "sweep": ("", [float], _POSITIVE_VALUE),  # blank: each study's default ladder
     # i/o
-    "out": ".",
-    "snapshots": "0",
+    "out": (".", str, None),
+    "snapshots": ("0", int, (lambda x: x in (0, 1), "must be 0 or 1")),
 }
 
-_SCALING_QUANTITIES = ("lambda", "mu", "mollification", "all")
+DEFAULTS = {key: default for key, (default, _, _) in KEYS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -100,52 +117,42 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
-def _get_int(cfg, key):
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} = {cfg[key]!r} is not an integer") from None
-
-
-def _get_float(cfg, key):
-    try:
-        val = float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} = {cfg[key]!r} is not a number") from None
-    if not math.isfinite(val):
-        raise ConfigError(f"{key} = {cfg[key]!r} is not finite")
-    return val
-
-
-def _get_above(cfg, key, floor):
-    """A finite number above floor (kappa, kappa_bar > 0; schedule_b > 1)."""
-    val = _get_float(cfg, key)
-    if not val > floor:
-        raise ConfigError(f"{key} = {val:g} must be > {floor:g}")
-    return val
-
-
-def _get_list(cfg, key, conv=float):
-    """Comma list of finite numbers ([] for a blank value)."""
-    raw = cfg[key].strip()
-    if not raw:
-        return []
-    try:
-        vals = [conv(x) for x in raw.split(",")]
-    except ValueError:
-        raise ConfigError(f"{key} = {cfg[key]!r} is not a comma list") from None
-    if not all(math.isfinite(x) for x in vals):
-        raise ConfigError(f"{key} = {cfg[key]!r} is not finite")
-    return vals
+def _read(cfg, *keys):
+    """Parse each key by its KEYS type and check it by its rule; one key
+    gives its value, several a tuple.  A blank value of a blank-default key
+    reads as None ([] for a list)."""
+    vals = []
+    for key in keys:
+        default, kind, rule = KEYS[key]
+        raw = cfg[key].strip()
+        listed = isinstance(kind, list)
+        if not (raw or default):
+            vals.append([] if listed else None)
+            continue
+        try:
+            val = [kind[0](x) for x in raw.split(",")] if listed else kind(raw)
+        except ValueError:
+            noun = "a comma list" if listed else {int: "an integer", float: "a number"}[kind]
+            raise ConfigError(f"{key} = {cfg[key]!r} is not {noun}") from None
+        items = val if listed else [val]
+        if kind is not str and not all(math.isfinite(x) for x in items):
+            raise ConfigError(f"{key} = {cfg[key]!r} is not finite")
+        bad = [x for x in items if rule and not rule[0](x)]
+        if bad:
+            shown = repr(bad[0]) if kind is str else format(bad[0], "g")
+            where = f"{key} value" if listed else f"{key} ="
+            raise ConfigError(f"{where} {shown} {rule[1]}")
+        vals.append(val)
+    return vals[0] if len(keys) == 1 else tuple(vals)
 
 
 def _grids(cfg):
-    n = [_get_int(cfg, key) for key in ("nx", "ny", "nz")]
+    n = _read(cfg, "nx", "ny", "nz")
     try:
         grid = tf.Grid3(*n)
     except ValueError as exc:
         raise ConfigError(f"nx, ny, nz = {n[0]}, {n[1]}, {n[2]}: {exc}") from None
-    t = (_get_float(cfg, "t0"), _get_float(cfg, "t1"), _get_int(cfg, "nt"))
+    t = _read(cfg, "t0", "t1", "nt")
     try:
         return grid, tf.TimeGrid(*t)
     except ValueError as exc:
@@ -153,32 +160,19 @@ def _grids(cfg):
 
 
 def _ladders(cfg):
-    """The six-substep lams, ells and ellzs lists; the lams values and the
-    cell scale mu must be positive integers, mu dividing every lams value
-    (the wave engine's contract), and the mollification scales positive."""
-    ladders = _get_list(cfg, "lams", int), _get_list(cfg, "ells"), _get_list(cfg, "ellzs")
+    """The six-substep lams, ells and ellzs lists, with the cell scale mu
+    dividing every lams value (the wave engine's contract)."""
+    mu, *ladders = _read(cfg, "mu", "lams", "ells", "ellzs")
     if any(len(x) != 6 for x in ladders):
         raise ConfigError("lams, ells, ellzs must each list six values")
-    for key, ladder in zip(("ells", "ellzs"), ladders[1:]):
-        for ell in ladder:
-            if not ell > 0:
-                raise ConfigError(f"{key} value {ell:g} is not positive")
-    mu = _get_int(cfg, "mu")
-    if mu < 1:
-        raise ConfigError(f"mu = {mu} is not a positive integer")
     for lam in ladders[0]:
-        if lam < 1:
-            raise ConfigError(f"lams value {lam} is not a positive integer")
         if lam % mu:
             raise ConfigError(f"mu = {mu} does not divide the lams value {lam}")
     return ladders
 
 
 def _kappa_bar(cfg, kappa):
-    if cfg["kappa_bar"].strip():
-        kb = _get_above(cfg, "kappa_bar", 0)
-    else:
-        kb = kappa ** 1.5
+    kb = _read(cfg, "kappa_bar") or kappa ** 1.5
     if kb > kappa ** 1.5:
         raise ConfigError(
             f"kappa_bar = {kb:.4g} exceeds kappa^(3/2) = {kappa ** 1.5:.4g}: "
@@ -187,27 +181,26 @@ def _kappa_bar(cfg, kappa):
 
 
 def _desk_state(cfg):
+    """The output directory, checked but not made, and the starting tuple."""
+    out = _outdir(cfg)
     grid, tgrid = _grids(cfg)
     if not np.any(it.time_cutoff(tgrid.times())):
         z0, z1 = it.TIME_CUTOFF[0], it.TIME_CUTOFF[-1]
         raise ConfigError(f"t0, t1, nt = {tgrid.t0}, {tgrid.t1}, {tgrid.nt}: the time "
                           f"cutoff (support ({z0:g}, {z1:g})) is zero at every sample")
-    kappa = _get_above(cfg, "kappa", 0)
-    level = (_get_above(cfg, "energy_level", 0) if cfg["energy_level"].strip()
-             else 10 * kappa)
-    e_vals = np.full(tgrid.nt, level)
-    lam, nyquist = _get_int(cfg, "lam_init"), min(grid.ny, grid.nz) // 2
+    kappa, level, lam, mu, M = _read(cfg, "kappa", "energy_level", "lam_init", "mu", "M")
+    nyquist = min(grid.ny, grid.nz) // 2
     if not 0 < lam < nyquist:  # the starting tuple holds cos(lam y), sin(lam z)
         raise ConfigError(f"lam_init = {lam} must be a positive integer below "
                           f"min(ny, nz)/2 = {nyquist}")
-    return it.initial_state(grid, tgrid, mu=_get_int(cfg, "mu"), kappa=kappa,
-                            e_vals=e_vals, M=_get_float(cfg, "M"), lam=lam)
+    e_vals = np.full(tgrid.nt, level or 10 * kappa)
+    return out, it.initial_state(grid, tgrid, mu=mu, kappa=kappa, e_vals=e_vals, M=M, lam=lam)
 
 
 def _outdir(cfg):
     """The output directory, read before any state is built and made only
     when there is output to write (_finish)."""
-    out = cfg["out"] or "."
+    out = _read(cfg, "out") or "."
     found = os.path.abspath(out)
     while not os.path.exists(found):  # the nearest existing ancestor
         found = os.path.dirname(found)
@@ -235,10 +228,9 @@ def _finish(out, name, report, snapshot=None):
 
 def cmd_validate_initial(cfg):
     """Build the starting tuple and check its normalized residuals."""
-    _kappa_bar(cfg, _get_above(cfg, "kappa", 0))
-    tol = _get_above(cfg, "tolerance", 0)
-    out = _outdir(cfg)
-    state = _desk_state(cfg)
+    _kappa_bar(cfg, _read(cfg, "kappa"))
+    tol = _read(cfg, "tolerance")
+    out, state = _desk_state(cfg)
     res = dg.normalized_residuals(state)
     return _finish(out, "validate_initial", {
         **res, "tolerance": tol,
@@ -247,17 +239,15 @@ def cmd_validate_initial(cfg):
 
 
 def _asymptotic_report(cfg):
-    kappa = _get_above(cfg, "kappa", 0)
+    nyquist = min(_grids(cfg)[0].shape) // 2
+    kappa = _read(cfg, "kappa")
     given = {"kappa": kappa, "kappa_bar": _kappa_bar(cfg, kappa)}
-    given.update((key, _get_above(cfg, key, 0))
-                 for key in ("L_v", "Lam", "Lam_bar", "D_v", "eps"))
+    given.update((key, _read(cfg, key)) for key in ("L_v", "Lam", "Lam_bar", "D_v", "eps"))
     try:
         params = it.choose_params(**given)
     except ArithmeticError:  # a power overflows, or an underflow to 0 divides
         raise ConfigError(", ".join(f"{key} = {val:g}" for key, val in given.items())
                           + ": the closed-formula parameters leave the float range") from None
-    nyquist = min(_get_int(cfg, "nx"), _get_int(cfg, "ny"),
-                  _get_int(cfg, "nz")) // 2
     return {
         "mode": "asymptotic", "mu": params.mu, "lam0": params.lam0,
         "lams": params.lams, "ells": params.ells, "ellzs": params.ellzs,
@@ -271,27 +261,21 @@ def _asymptotic_report(cfg):
 def _run_keys(cfg):
     """The keys step and outer share, read before any state is built: the
     ladders, the tolerance of the Richardson check (which needs
-    TimeGrid.halved) and the snapshots switch (0 or 1)."""
+    TimeGrid.halved) and the snapshots switch."""
     if _grids(cfg)[1].halved() is None:
-        raise ConfigError(f"nt = {_get_int(cfg, 'nt')} has no stride-2 time grid "
+        raise ConfigError(f"nt = {_read(cfg, 'nt')} has no stride-2 time grid "
                           "for the Richardson check (nt must be odd and >= 9)")
-    snapshots = _get_int(cfg, "snapshots")
-    if snapshots not in (0, 1):
-        raise ConfigError(f"snapshots = {snapshots} must be 0 or 1")
-    return (*_ladders(cfg), _get_above(cfg, "residual_tolerance", 0), snapshots)
+    return (*_ladders(cfg), *_read(cfg, "residual_tolerance", "snapshots"))
 
 
 def cmd_step(cfg):
     """Run one outer step: six substeps, each with its closure check (or
     report parameters in asymptotic mode)."""
-    if cfg["mode"] == "asymptotic":
+    if _read(cfg, "mode") == "asymptotic":
         return _finish(_outdir(cfg), "step", _asymptotic_report(cfg))
-    if cfg["mode"] != "desk":
-        raise ConfigError(f"unknown mode {cfg['mode']!r} (desk | asymptotic)")
     lams, ells, ellzs, tolerance, snapshots = _run_keys(cfg)
-    _kappa_bar(cfg, _get_above(cfg, "kappa", 0))
-    out = _outdir(cfg)
-    state = _desk_state(cfg)
+    _kappa_bar(cfg, _read(cfg, "kappa"))
+    out, state = _desk_state(cfg)
     report = it.run_step(state, lams, ells, ellzs, tolerance)
     return _finish(out, "step", report, state if snapshots else None)
 
@@ -299,21 +283,17 @@ def cmd_step(cfg):
 def cmd_outer(cfg):
     """Chain outer steps under the kappa schedule, doubling the frequency
     ladder each step, and record the solution increments."""
-    if cfg["mode"] != "desk":
+    if _read(cfg, "mode") != "desk":
         raise ConfigError("outer requires mode = desk")
-    steps = _get_int(cfg, "steps")
-    if steps < 1:
-        raise ConfigError(f"steps = {steps} must be >= 1")
+    steps = _read(cfg, "steps")
     lams, ells, ellzs, tolerance, snapshots = _run_keys(cfg)
     # kappa_n = kappa ** (schedule_b ** n) shrinks only for kappa < 1 and
     # schedule_b > 1
-    kappa = _get_above(cfg, "kappa", 0)
+    kappa, schedule_b = _read(cfg, "kappa", "schedule_b")
     if not kappa < 1:
         raise ConfigError(f"kappa = {kappa:g} must be < 1 for outer "
                           "(the budgets kappa^(schedule_b^n) must shrink)")
-    schedule_b = _get_above(cfg, "schedule_b", 1)
-    out = _outdir(cfg)
-    state = _desk_state(cfg)
+    out, state = _desk_state(cfg)
     state, report = it.run_outer(state, lams, ells, ellzs, steps,
                                  schedule_b=schedule_b, tolerance=tolerance)
     return _finish(out, "outer", report, state if snapshots else None)
@@ -328,8 +308,6 @@ def _check_sweep(quantity, sweep):
     for i, x in enumerate(sweep):
         if x in sweep[:i]:
             raise ConfigError(f"sweep value {x:g} repeats")
-        if x <= 0:
-            raise ConfigError(f"sweep value {x:g} is not positive")
         if quantity != "mollification" and x != int(x):
             raise ConfigError(f"sweep value {x:g} is not an integer {quantity}")
         if quantity == "lambda" and x % dg.LAMBDA_STUDY_MU:
@@ -342,12 +320,8 @@ def _check_sweep(quantity, sweep):
 
 def cmd_scaling(cfg):
     """Fit decay slopes of the update terms over parameter ladders."""
-    quantity = cfg["quantity"]
-    if quantity not in _SCALING_QUANTITIES:
-        raise ConfigError(f"unknown quantity {quantity!r}; valid: "
-                          + ", ".join(_SCALING_QUANTITIES))
-    sweep = _get_list(cfg, "sweep")  # a checked sweep has one quantity
-    if sweep:
+    quantity, sweep = _read(cfg, "quantity", "sweep")
+    if sweep:  # a checked sweep has one quantity
         _check_sweep(quantity, sweep)
     out = _outdir(cfg)
     os.makedirs(out, exist_ok=True)  # the tables are written before the report
@@ -379,23 +353,6 @@ def cmd_scaling(cfg):
     return _finish(out, "scaling", report)
 
 
-def cmd_selftest(cfg):
-    """Run the package's full test suite (requires a tests/ directory next
-    to the working copy)."""
-    import pytest
-
-    candidates = [
-        os.path.join(os.getcwd(), "tests"),
-        os.path.abspath(os.path.join(os.path.dirname(__file__),
-                                     "..", "..", "tests")),
-    ]
-    tests = next((c for c in candidates if os.path.isdir(c)), None)
-    if tests is None:
-        raise ConfigError("no tests/ directory found next to the working copy")
-    code = pytest.main(["-q", tests])
-    return 0 if code == 0 else 1
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -410,7 +367,6 @@ def _build_parser():
         "step": cmd_step,
         "outer": cmd_outer,
         "scaling": cmd_scaling,
-        "selftest": cmd_selftest,
     }
     for name, func in handlers.items():
         p = sub.add_parser(name, help=func.__doc__)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,24 @@ def test_defaults_complete():
     cfg = cli.load_config()
     assert cfg == cli.DEFAULTS
     assert all(isinstance(v, str) for v in cfg.values())
+
+
+@pytest.mark.parametrize("key", sorted(cli.KEYS))
+def test_every_default_passes_its_own_rule(key):
+    default, kind, _ = cli.KEYS[key]
+    val = cli._read(cli.DEFAULTS, key)
+    if not default:  # a blank default reads as "not given"
+        assert val == ([] if isinstance(kind, list) else None)
+
+
+def test_readme_key_table_matches_keys():
+    # README's CLI section lists every key of cli.KEYS with its default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line.split("|")[1:3] for line in readme.splitlines()
+            if line.startswith("| `")]
+    table = {key.strip().strip("`"): default.strip().strip("`") for key, default in rows}
+    assert table == cli.DEFAULTS
+    assert len(rows) == len(table)
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -328,6 +348,11 @@ def test_scaling_sweep_is_checked_before_any_probe(tmp_path, capsys, monkeypatch
     ("outer", "ellzs", "0.3,0.3,0,0.3,0.3,0.3", "ellzs value 0 is not positive"),
     ("step", "snapshots", "7", "snapshots = 7 must be 0 or 1"),
     ("outer", "snapshots", "-1", "snapshots = -1 must be 0 or 1"),
+    # M = 0 makes the starting tuple zero: momentum=0, passed=True
+    ("validate-initial", "M", "0", "M = 0 must be > 0"),
+    ("step", "M", "-0.05", "M = -0.05 must be > 0"),
+    # a key's rule holds wherever it is read: validate-initial took mu = 0
+    ("validate-initial", "mu", "0", "mu = 0 is not a positive integer"),
 ])
 def test_bad_budget_or_cell_scale_is_refused_before_any_state(
         tmp_path, capsys, monkeypatch, command, key, value, message):
@@ -337,6 +362,15 @@ def test_bad_budget_or_cell_scale_is_refused_before_any_state(
     args = SMALL + ["--set", "lams=" + ",".join(["16"] * 6), "--set", f"{key}={value}"]
     assert cli.main([command] + args + _out(tmp_path)) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_asymptotic_step_refuses_a_grid_desk_mode_refuses(tmp_path, capsys):
+    # the report read grid_nyquist=-2, representable=False and exited 0
+    args = ["--set", "mode=asymptotic", "--set", "nx=-4"]
+    assert cli.main(["step"] + args + _out(tmp_path)) == 2
+    assert ("config error: nx, ny, nz = -4, 48, 48: grid size -4 must be even "
+            "and >= 8") in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
