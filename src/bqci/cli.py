@@ -181,7 +181,8 @@ def _kappa_bar(cfg, kappa):
 
 
 def _desk_state(cfg):
-    """The output directory, checked but not made, and the starting tuple."""
+    """The output directory, checked but not made, and the starting tuple;
+    a kappa_bar above kappa^(3/2) is refused here for every desk command."""
     out = _outdir(cfg)
     grid, tgrid = _grids(cfg)
     if not np.any(it.time_cutoff(tgrid.times())):
@@ -189,6 +190,7 @@ def _desk_state(cfg):
         raise ConfigError(f"t0, t1, nt = {tgrid.t0}, {tgrid.t1}, {tgrid.nt}: the time "
                           f"cutoff (support ({z0:g}, {z1:g})) is zero at every sample")
     kappa, level, lam, mu, M = _read(cfg, "kappa", "energy_level", "lam_init", "mu", "M")
+    _kappa_bar(cfg, kappa)
     nyquist = min(grid.ny, grid.nz) // 2
     if not 0 < lam < nyquist:  # the starting tuple holds cos(lam y), sin(lam z)
         raise ConfigError(f"lam_init = {lam} must be a positive integer below "
@@ -228,7 +230,6 @@ def _finish(out, name, report, snapshot=None):
 
 def cmd_validate_initial(cfg):
     """Build the starting tuple and check its normalized residuals."""
-    _kappa_bar(cfg, _read(cfg, "kappa"))
     tol = _read(cfg, "tolerance")
     out, state = _desk_state(cfg)
     res = dg.normalized_residuals(state)
@@ -274,7 +275,6 @@ def cmd_step(cfg):
     if _read(cfg, "mode") == "asymptotic":
         return _finish(_outdir(cfg), "step", _asymptotic_report(cfg))
     lams, ells, ellzs, tolerance, snapshots = _run_keys(cfg)
-    _kappa_bar(cfg, _read(cfg, "kappa"))
     out, state = _desk_state(cfg)
     report = it.run_step(state, lams, ells, ellzs, tolerance)
     return _finish(out, "step", report, state if snapshots else None)

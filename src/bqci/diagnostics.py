@@ -52,8 +52,8 @@ def system_residual(state):
     sample, "coarse" (the Richardson companion) with the half-resolution
     stores dt_*_coarse at every second sample, None on a state without
     them; and "store_sups", the maxima of the same pass (_closure): the sup
-    of each store that scales a residual, of the divergence defect and of
-    grad_v."""
+    of each store that scales a residual (dt_v, dzz_v, div_R_store,
+    dt_theta, dzz_theta, div_f_store)."""
     stencils = {"fine": (1, state.dt_v, state.dt_theta)}
     if state.dt_v_coarse is not None:
         stencils["coarse"] = (2, state.dt_v_coarse, state.dt_theta_coarse)
@@ -84,28 +84,29 @@ def _slice_residuals(state, stencils, j):
     return out
 
 
-def _slice_closure(state, stencils, j):
+def _slice_closure(state, stencils, j, defect):
     """The closure check on slice j: the sup norms of its residuals per
-    stencil, of its sample of every _SCALES store, of its divergence defect
-    and of its velocity gradient."""
+    stencil and of its sample of every _SCALES store; with defect, also of
+    its divergence defect and of its velocity gradient."""
     out = {name: tuple(map(tf.sup_norm, fields))
            for name, fields in _slice_residuals(state, stencils, j).items()}
     out.update((key, tf.sup_norm(getattr(state, key)[j]))
                for keys in _SCALES.values() for key in keys)
-    out["divergence"] = tf.sup_norm(sum(state.grad_v[j, b, b] for b in range(3)))
-    out["grad_v"] = tf.sup_norm(state.grad_v[j])
+    if defect:
+        out["divergence"] = tf.sup_norm(sum(state.grad_v[j, b, b] for b in range(3)))
+        out["grad_v"] = tf.sup_norm(state.grad_v[j])
     return out
 
 
-def _closure(state, stencils):
+def _closure(state, stencils, defect=False):
     """_slice_closure on every slice, contiguous slice ranges split over
     parallel.fork_map's processes, merged in slice order: per stencil the
     residuals' sup norms, overall and per sample, and under "store_sups"
     every other value's maximum over slices.  A maximum over slices is
     exact, so every worker count gives the same bits."""
     ranges = parallel.shares(range(state.tgrid.nt), parallel.WORKERS)
-    slices = [s for part in parallel.fork_map(
-        lambda js: [_slice_closure(state, stencils, j) for j in js], ranges) for s in part]
+    slices = [s for part in parallel.fork_map(lambda js: [
+        _slice_closure(state, stencils, j, defect) for j in js], ranges) for s in part]
     out = {}
     for name in stencils:
         moms, fluxes = (list(x) for x in zip(*(s[name] for s in slices if name in s)))
@@ -127,7 +128,7 @@ def normalized_residuals(state):
     """Momentum / flux residuals scaled by their largest constituent term,
     plus the incompressibility defect relative to the velocity gradient;
     one pass over the stores (_closure), with no coarse residual."""
-    res = _closure(state, {"fine": (1, state.dt_v, state.dt_theta)})
+    res = _closure(state, {"fine": (1, state.dt_v, state.dt_theta)}, defect=True)
     sups = res["store_sups"]
     return {
         **_rel(res),
@@ -305,8 +306,8 @@ def mollification_scaling(ells=(0.15, 0.3, 0.6)):
     width; smooth probes would show the kernel's quadratic order instead."""
     grid = tf.Grid3(96, 96, 8)
     tgrid = tf.TimeGrid(0.0, 1.0, 5)
-    _, Y, _ = grid.meshes()
-    f = sum(2.0 ** (-j) * np.cos(2 ** j * Y) for j in range(6))
+    y = grid.axes()[1][:, None]  # f depends on y alone: evaluated on its axis, broadcast
+    f = np.broadcast_to(sum(2.0 ** (-j) * np.cos(2 ** j * y) for j in range(6)), grid.shape)
     norms = []
     for ell in ells:
         f_ell = tf.mollify(f[None], tgrid, grid, ell, ell, time_axis=False)[0]

@@ -15,9 +15,11 @@ Because the partition cutoff is below one, the cells active at a point are
 exactly the 8 corners of one unit cube and those corners realize all 8
 parity classes, so per-class sums have pointwise at most one contributing
 cell and all per-point work is a fixed 8-slot gather. The partition returns
-the corners in class order, so slot c is class c with no sort, and since
-omega = (lam/mu) 2^c (k_h-perp . l) with an integer k_h-perp . l, each
-class's phase factors come from one table over its integer range.
+the weights in class order, so slot c is class c with no sort, and the
+corners as two candidates per axis, from which k_h-perp . l and (only for
+the full class sums) l/mu are gathered. Since omega = (lam/mu) 2^c
+(k_h-perp . l) with an integer k_h-perp . l, a sample's phase factors come
+from one table over its integer range.
 
 The two waves are one construction: a slow class scalar S times a
 polarization plus a 1/lam correction, (pol S + corr(S)/(i lam 2^c)) e^{i xi_c.x}.
@@ -148,40 +150,46 @@ class WaveEngine:
 
     def slot_data(self, j):
         """Per-slot cell data at time sample j, slot c holding the corner of
-        parity class c (PartitionOfUnity.corner_alphas): b, beta (8, grid),
-        the integer k_h-perp . l (8, grid) and l/mu (8, 3, grid). Uncached:
+        parity class c (PartitionOfUnity.corner_alphas): b, beta (8, grid)
+        and the corners' integer per-axis candidates (3, 2, grid). Uncached:
         _binned keeps what the class sums read."""
         p = self.mu * self.v_ell[j]
-        corners, alphas = self.pou.corner_alphas(p)
+        cands, alphas = self.pou.corner_alphas(p)
         rad = np.maximum(self.e_vals[j] - self.a_n[j], 0.0)
         root = np.sqrt(rad / 2.0)
         b, beta = root * alphas, None
         if self.c_n is not None:
             safe = np.sqrt(2.0 * np.maximum(rad, 1e-300))
             beta = np.where(rad > 0, -self.c_n[j] / safe, 0.0) * alphas
-        kdot = sum(self.carrier[d] * corners[:, d] for d in range(3))
-        lmu = corners.astype(np.float64) / self.mu
-        return b, beta, kdot, lmu
+        return b, beta, cands
 
     def _binned(self, j):
         """Slot data of sample j on the parity classes whose amplitude b is
         nonzero somewhere at j (every other class row is identically zero):
         'classes' (sorted class indices), b, beta, the integer
-        k_h-perp . l 'kdot' (na, grid), its per-class 'range' (na, 2: min,
-        max) and l/mu (na, 3, grid). Slot c is class c, so binning takes
-        rows; the per-sample window keeps them for every slice that reads j."""
+        k_h-perp . l 'kdot' (na, grid), the 'range' (min, max) of 0 and
+        every kdot, and the per-axis corner candidates 'cands' (_lmu). Slot
+        c is class c, so binning takes rows, and only when a class is empty;
+        the per-sample window keeps them for every slice that reads j."""
         if j in self._window:
             return self._window[j]
-        b, beta, kdot, lmu = self.slot_data(j)
+        b, beta, cands = self.slot_data(j)
         cls = np.flatnonzero(np.any(b.reshape(8, -1) != 0.0, axis=1))
-        kdot = kdot[cls]
-        flat = kdot.reshape(len(cls), self.grid.npts)
+        rows = slice(None) if len(cls) == 8 else cls  # a view unless a class is empty
+        kd = self.carrier.reshape(3, 1, 1, 1, 1) * cands  # per axis: k_h-perp_d l_d
+        kdot = sum(kd[d, pt.CLASS_BITS[cls, d]] for d in range(3))
         self.b_max[j] = float(np.max(b))
         self._window[j] = {
-            "classes": cls, "b": b[cls], "kdot": kdot, "lmu": lmu[cls],
-            "range": np.stack([flat.min(axis=1), flat.max(axis=1)], axis=1),
-            "beta": beta[cls] if beta is not None else None}
+            "classes": cls, "b": b[rows], "kdot": kdot, "cands": cands,
+            "range": (kdot.min(initial=0), kdot.max(initial=0)),
+            "beta": beta[rows] if beta is not None else None}
         return self._window[j]
+
+    def _lmu(self, j):
+        """l/mu (na, 3, grid) on the binned rows of sample j, gathered from
+        its per-axis candidates; only the full class sums read it."""
+        bn = self._binned(j)
+        return (bn["cands"] / self.mu)[np.arange(3), pt.CLASS_BITS[bn["classes"]]]
 
     def _stencil_reach(self):
         """(first, last): per sample, the first and last slice whose time
@@ -196,17 +204,15 @@ class WaveEngine:
         return first, last
 
     def _phase_factor(self, j_amp, t_phase):
-        """e^{-i omega t} on the binned rows of sample j_amp: per class, a
-        table of the phase over the integer range of k_h-perp . l, indexed
-        by k_h-perp . l - min. A table has at most
-        |k_h-perp|_1 (mu span(v_ell) + 2) + 1 entries."""
+        """e^{-i omega t} on the binned rows of sample j_amp from one flat
+        table, per class the phase over the sample's integer 'range' of
+        k_h-perp . l (at most 2 |k_h-perp|_1 (mu sup|v_ell| + 1) + 1
+        entries), indexed by k_h-perp . l - min plus the class's start."""
         bn = self._binned(j_amp)
-        out = np.empty(bn["kdot"].shape, dtype=complex)
-        for row, c in enumerate(bn["classes"]):
-            lo, hi = bn["range"][row]
-            omega = self._omega_ladder[c] * np.arange(lo, hi + 1)
-            out[row] = np.exp(-1j * t_phase * omega)[bn["kdot"][row] - lo]
-        return out
+        lo, hi = bn["range"]
+        omega = self._omega_ladder[bn["classes"]][:, None] * np.arange(lo, hi + 1)
+        shift = np.arange(len(omega)) * (hi + 1 - lo) - lo  # each row's flat start, less lo
+        return np.exp(-1j * t_phase * omega).ravel()[bn["kdot"] + shift.reshape(-1, 1, 1, 1)]
 
     def classes(self, j, stride=1):
         """Parity classes (sorted int array) with amplitude anywhere in the
@@ -240,13 +246,14 @@ class WaveEngine:
 
         if full:  # omega = ((lam/mu) 2^c) (k_h-perp . l)
             omega = self._omega_ladder[bn["classes"]].reshape(-1, 1, 1, 1) * bn["kdot"]
+            lmu = self._lmu(j_amp)
         out = {}
         for kind in self.kinds:
             keys = self.KEYS[kind]
             A = bn[keys.slot] * ph
             out[keys.base] = place(A)
             if full:
-                out[keys.momentum] = place(A[:, None] * bn["lmu"])
+                out[keys.momentum] = place(A[:, None] * lmu)
                 out[keys.phase] = place(-1j * omega * A)
         return out
 
@@ -264,15 +271,16 @@ class WaveEngine:
     def amplitude_time_derivative(self, j, stride=1):
         """Class sums of the amplitude-only d_t of each kind's base scalar at
         sample j (phase frozen at t_j), on the rows of classes(j, stride),
-        keyed KEYS[kind].dt (Tb, Tc); stride 2 needs an even j."""
+        keyed KEYS[kind].dt (Tb, Tc); stride 2 needs an even j. The
+        central stencil's middle tap has weight 0 and is skipped."""
         S, W = self._time_stencil(j, stride)
         out = {}
-        for m in range(5):
-            sums = self._class_sums(int(S[m]), j, self.classes(j, stride), False)
+        for m, w in zip(S[W != 0.0], W[W != 0.0]):
+            sums = self._class_sums(int(m), j, self.classes(j, stride), False)
             for kind in self.kinds:
                 keys = self.KEYS[kind]
-                term = W[m] * sums[keys.base]
-                out[keys.dt] = term if m == 0 else out[keys.dt] + term
+                term = w * sums[keys.base]
+                out[keys.dt] = out[keys.dt] + term if keys.dt in out else term
         return out
 
     def base_rows(self, j):

@@ -84,22 +84,19 @@ class SubstepAssembler:
         being cancelled) removed; times k (x) k for 'w', k for 'chi'."""
         rows, cls, lam = self.e.base_rows(j), self.e.classes(j), self.e.lam
         A, B = rows["U"], rows[self.e.KEYS[kind].base]
-        active_a = [(r, int(c)) for r, c in enumerate(cls) if np.any(A[r])]
-        active_b = [(r, int(c)) for r, c in enumerate(cls) if np.any(B[r])]
+        a_rows = [(A[r], int(c)) for r, c in enumerate(cls) if np.any(A[r])]
+        b_rows = [(B[r], B[r].conj(), int(c)) for r, c in enumerate(cls) if np.any(B[r])]
         modes = {}
-        for ra, c in active_a:
-            for rb, cp in active_b:
-                for sign, other in ((1, B[rb]), (-1, B[rb].conj())):
+        for a, c in a_rows:
+            for b, b_conj, cp in b_rows:
+                for sign, other in ((1, b), (-1, b_conj)):
                     q = lam * (2 ** c + sign * 2 ** cp)
                     if q == 0:
                         continue
-                    amp = A[ra] * other
+                    amp = a * other
                     if q < 0:
-                        q, amp = -q, amp.conj()
-                    if q in modes:
-                        modes[q] = modes[q] + amp
-                    else:
-                        modes[q] = amp
+                        q, amp = -q, np.conj(amp, out=amp)
+                    modes[q] = modes[q] + amp if q in modes else amp
         return modes
 
     # -- inverse-divergence applications --------------------------------------

@@ -3,7 +3,9 @@ computes in bulk (per-cell wave amplitudes, single-cell partition weights,
 active-cell lists), the block reconstructions, the Gram determinant of the
 stress basis, spectral truncations that build band-limited test data, the
 spectral derivatives by whole 3-D transforms, mollification by 3-D
-transforms, and the start state's derivative stores sample by sample."""
+transforms, the start state's derivative stores sample by sample, and the
+former loops of the wave engine's time stencil and the oscillation
+products."""
 
 from dataclasses import dataclass
 
@@ -238,9 +240,16 @@ def initial_stores_per_sample(data, grid, tgrid):
 
 # -- partition ----------------------------------------------------------------
 
+def class_corners(cands):
+    """The 8 corners (8, 3, ...) in class order, expanded from the per-axis
+    candidates (3, 2, ...) that PartitionOfUnity.corner_alphas returns."""
+    return cands[np.arange(3), pt.CLASS_BITS]
+
+
 def alpha(pou, l, p):
     """Weight of lattice cell l (integer 3-vector) at points p (3, ...)."""
-    corners, alphas = pou.corner_alphas(p)
+    cands, alphas = pou.corner_alphas(p)
+    corners = class_corners(cands)
     l = np.asarray(l, dtype=np.int64).reshape((3,) + (1,) * (np.ndim(p) - 1))
     hit = np.all(corners == l, axis=1)
     return np.sum(np.where(hit, alphas, 0.0), axis=0)
@@ -250,9 +259,50 @@ def active_cells(p, pou=None):
     """Sorted list of lattice cells with nonzero weight over the points p."""
     if pou is None:
         pou = pt.PartitionOfUnity()
-    corners, alphas = pou.corner_alphas(np.asarray(p, dtype=np.float64))
-    live = np.moveaxis(corners, 1, -1)[alphas > 0.0]
+    cands, alphas = pou.corner_alphas(np.asarray(p, dtype=np.float64))
+    live = np.moveaxis(class_corners(cands), 1, -1)[alphas > 0.0]
     return sorted(set(map(tuple, live.tolist())))
+
+
+# -- the wave engine's and the assembler's former loops -----------------------
+
+def five_tap_time_derivative(eng, j, stride=1):
+    """WaveEngine.amplitude_time_derivative summed over all five taps of the
+    stencil, the central stencil's zero-weight middle tap included."""
+    S, W = eng._time_stencil(j, stride)
+    out = {}
+    for m in range(5):
+        sums = eng._class_sums(int(S[m]), j, eng.classes(j, stride), False)
+        for kind in eng.kinds:
+            keys = eng.KEYS[kind]
+            term = W[m] * sums[keys.base]
+            out[keys.dt] = term if m == 0 else out[keys.dt] + term
+    return out
+
+
+def ordered_pair_modes(asm, j, kind):
+    """SubstepAssembler.oscillation_modes over every ordered pair of class
+    rows, both signs, for the velocity wave too (where the pairs (a, b) and
+    (b, a) give the same mode and product)."""
+    rows, cls, lam = asm.e.base_rows(j), asm.e.classes(j), asm.e.lam
+    A, B = rows["U"], rows[asm.e.KEYS[kind].base]
+    active_a = [(r, int(c)) for r, c in enumerate(cls) if np.any(A[r])]
+    active_b = [(r, int(c)) for r, c in enumerate(cls) if np.any(B[r])]
+    modes = {}
+    for ra, c in active_a:
+        for rb, cp in active_b:
+            for sign, other in ((1, B[rb]), (-1, B[rb].conj())):
+                q = lam * (2 ** c + sign * 2 ** cp)
+                if q == 0:
+                    continue
+                amp = A[ra] * other
+                if q < 0:
+                    q, amp = -q, amp.conj()
+                if q in modes:
+                    modes[q] = modes[q] + amp
+                else:
+                    modes[q] = amp
+    return modes
 
 
 # -- per-cell reference amplitudes (the oracle the engine is tested against) --

@@ -18,7 +18,7 @@ from bqci import iteration as it
 from bqci import partition as pt
 from bqci import stress_update as su
 from bqci import torus_field as tf
-from oracles import low_pass, mean_t3, reconstruct_sym, reconstruct_vec
+from oracles import class_corners, low_pass, mean_t3, reconstruct_sym, reconstruct_vec
 
 DESK_KAPPA = 0.25
 
@@ -107,7 +107,8 @@ def test_02_partition_squares_sum_to_one_with_exact_support():
     pou = pt.PartitionOfUnity()
     rng = np.random.default_rng(22)
     p = rng.uniform(-4.0, 4.0, (3, 10000))
-    corners, alphas = pou.corner_alphas(p)
+    cands, alphas = pou.corner_alphas(p)
+    corners = class_corners(cands)
     ssum = np.sum(alphas * alphas, axis=0)
     identity_err = float(np.max(np.abs(ssum - 1.0)))
     dist = np.sqrt(np.sum((corners - p[None]) ** 2, axis=1))

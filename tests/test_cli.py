@@ -115,6 +115,17 @@ def test_budget_contract_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate-initial", "step", "outer"])
+def test_every_desk_command_refuses_kappa_bar_above_the_contract(tmp_path, capsys,
+                                                               monkeypatch, command):
+    # outer did not read kappa_bar and built the state
+    monkeypatch.setattr(cli.it, "initial_state", _no_state)
+    assert cli.main([command, "--set", "kappa_bar=0.9"] + SMALL + _out(tmp_path)) == 2
+    assert ("config error: kappa_bar = 0.9 exceeds kappa^(3/2) = 0.125: the step "
+            "contract requires kappa_bar <= kappa^(3/2)") in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_asymptotic_step_is_report_only(tmp_path, capsys):
     code = cli.main(["step", "--set", "mode=asymptotic",
                      "--set", "kappa=0.01", "--set", "kappa_bar=0.001",

@@ -1,5 +1,7 @@
+import collections
 import csv
 import os
+import types
 
 import numpy as np
 import pytest
@@ -231,6 +233,28 @@ def test_probe_gradient_stores_are_the_per_slice_gradients(pair_velocity):
         for j in range(9):
             want = tf.gradient(field[j], asm.grid)
             assert np.max(np.abs(grad[j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_transform_counts_per_probe(monkeypatch, workers):
+    # the transforms one probe or one study takes, counted in this process
+    # through torus_field's sfft name: (fftn, ifftn, rfftn, irfftn)
+    workers(1)
+    calls = collections.Counter()
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+    names = ("fftn", "ifftn", "rfftn", "irfftn")
+    monkeypatch.setattr(tf, "sfft", types.SimpleNamespace(
+        **{name: counted(name, getattr(tf.sfft, name)) for name in names}))
+    for run, want in [(lambda: dg._lambda_probe(64, 16), (108, 0, 8, 21)),
+                      (lambda: dg._mu_probe(4, 16), (4, 0, 6, 13)),
+                      (lambda: dg.scaling_study(16), (448, 0, 56, 142))]:
+        calls.clear()
+        run()
+        assert tuple(calls[name] for name in names) == want
 
 
 def test_mollification_scaling_slope():

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from bqci import partition as pt
-from oracles import active_cells, alpha
+from oracles import active_cells, alpha, class_corners
 
 
 def test_bump_support_and_smooth_ends():
@@ -34,7 +34,8 @@ def test_alpha_matches_gather():
     pou = pt.PartitionOfUnity()
     rng = np.random.default_rng(1)
     p = rng.uniform(-3, 3, size=(3, 200))
-    corners, alphas = pou.corner_alphas(p)
+    cands, alphas = pou.corner_alphas(p)
+    corners = class_corners(cands)
     for l in [(0, 0, 0), (1, -2, 0), (2, 2, 2)]:
         direct = alpha(pou, l, p)
         hit = np.all(corners == np.array(l).reshape(1, 3, 1), axis=1)
@@ -106,11 +107,16 @@ coord = st.one_of(st.integers(-20, 20).map(float),
 def test_corners_come_in_class_order(points):
     pou = pt.PartitionOfUnity()
     p = np.array(points).T
-    corners, alphas = pou.corner_alphas(p)
-    # slot c holds the corner of class c, inside the containing cube
+    cands, alphas = pou.corner_alphas(p)
+    # along each axis the candidates are floor(p) and floor(p) + 1, the odd
+    # one first
+    base = np.floor(p).astype(np.int64)
+    assert np.array_equal(np.sort(cands, axis=1), np.stack([base, base + 1], axis=1))
+    assert np.all(cands[:, 0] % 2 == 1) and np.all(cands[:, 1] % 2 == 0)
+    # expanded, slot c holds the corner of class c, inside the containing cube
+    corners = class_corners(cands)
     pc = pt.parity_index(np.moveaxis(corners, 1, -1))
     assert np.array_equal(pc, np.broadcast_to(np.arange(8)[:, None], pc.shape))
-    base = np.floor(p).astype(np.int64)
     assert np.all((corners >= base) & (corners <= base + 1))
     # the squares partition unity at every point
     assert np.max(np.abs(np.sum(alphas * alphas, axis=0) - 1.0)) <= 2e-15

@@ -10,7 +10,7 @@ from bqci import perturbation as pb
 from bqci import stress_update as su
 from bqci import torus_field as tf
 from conftest import mini_start
-from oracles import AmplitudeSet, active_cells, gradient_3d
+from oracles import AmplitudeSet, active_cells, five_tap_time_derivative, gradient_3d
 from test_partition import offset_order_corner_alphas
 
 KAPPA = 0.1
@@ -295,9 +295,8 @@ def test_binned_rows_match_sorted_gather(lam, mu):
         bn, ref = eng._binned(j), sorted_binning(eng, j)
         assert np.array_equal(bn["classes"], ref["classes"])
         assert np.array_equal(bn["kdot"], ref["kdot"])
-        assert np.array_equal(bn["lmu"], ref["lmu"])
-        flat = ref["kdot"].reshape(len(ref["classes"]), -1)
-        assert np.array_equal(bn["range"], np.stack([flat.min(1), flat.max(1)], 1))
+        assert np.array_equal(eng._lmu(j), ref["lmu"])  # the full class sums' rows
+        assert bn["range"] == (min(0, ref["kdot"].min()), max(0, ref["kdot"].max()))
         for key in ("b", "beta"):
             scale = np.max(np.abs(ref[key]))
             assert np.max(np.abs(bn[key] - ref[key])) <= 4e-16 * scale
@@ -326,6 +325,20 @@ def drifting_engines():
     half = pb.WaveEngine(1, 8, 2, grid, tgrid.halved(), a_n[::2], c_n[::2],
                          e_vals[::2], v_ell[::2], KAPPA)
     return fine, half
+
+
+def test_time_derivative_without_the_zero_tap_is_the_five_tap_sum():
+    # skipping the central stencil's zero-weight middle tap changes no bit,
+    # at the edge stencils, interior slices and on the stride-2 grid
+    fine, _ = drifting_engines()
+    for j, stride in [(0, 1), (1, 1), (2, 1), (8, 1), (15, 1), (16, 1),
+                      (0, 2), (2, 2), (8, 2), (14, 2), (16, 2)]:
+        got = fine.amplitude_time_derivative(j, stride)
+        want = five_tap_time_derivative(fine, j, stride)
+        assert got.keys() == want.keys() == {"Tb", "Tc"}
+        for key in got:
+            assert np.any(want[key]), (j, stride, key)
+            assert got[key].tobytes() == want[key].tobytes(), (j, stride, key)
 
 
 def test_stride2_dt_is_the_halved_grid_dt():

@@ -12,7 +12,7 @@ from bqci import perturbation as pb
 from bqci import stress_update as su
 from bqci import torus_field as tf
 from conftest import mini_start, mini_step
-from oracles import AmplitudeSet, active_cells, dealias, shifted_wavenumbers
+from oracles import AmplitudeSet, active_cells, dealias, ordered_pair_modes, shifted_wavenumbers
 from test_parallel import assert_no_child_left, bits
 from test_inverse_div import reference_g_hat, reference_r_hat
 
@@ -104,6 +104,19 @@ def test_mode_keys_are_positive_multiples():
     asm = make_assembler(eng)
     modes = asm.oscillation_modes(5, "w")
     assert all(isinstance(q, int) and q > 0 for q in modes)
+
+
+@pytest.mark.parametrize("kind", ["w", "chi"])
+def test_oscillation_modes_match_the_ordered_pair_loop(kind):
+    # the same modes as the loop over every ordered pair of class rows, each
+    # within roundoff (the velocity wave sums its pairs in another order)
+    eng = make_engine()
+    asm = make_assembler(eng)
+    for j in (0, 4, 8):
+        got, want = asm.oscillation_modes(j, kind), ordered_pair_modes(asm, j, kind)
+        assert len(want) > 1 and set(got) == set(want)
+        for q, amp in want.items():
+            assert np.max(np.abs(got[q] - amp)) <= 1e-13 * np.max(np.abs(amp)), (j, q)
 
 
 def per_mode_oscillation(asm, j, kind):
