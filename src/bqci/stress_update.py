@@ -81,19 +81,22 @@ class SubstepAssembler:
         """Quadratic main-wave interactions as {q: scalar amplitude}: the
         product of the main velocity scalar with the main scalar of wave kind
         is sum_q 2 Re(A_q e^{i q carrier.x}), with the zero mode (the block
-        being cancelled) removed; times k (x) k for 'w', k for 'chi'."""
+        being cancelled) removed; times k (x) k for 'w', k for 'chi'. For
+        'w' both scalars are U, the class pairs (a, b) and (b, a) give the
+        same modes and products, and each unordered pair is formed once."""
         rows, cls, lam = self.e.base_rows(j), self.e.classes(j), self.e.lam
         A, B = rows["U"], rows[self.e.KEYS[kind].base]
         a_rows = [(A[r], int(c)) for r, c in enumerate(cls) if np.any(A[r])]
         b_rows = [(B[r], B[r].conj(), int(c)) for r, c in enumerate(cls) if np.any(B[r])]
         modes = {}
-        for a, c in a_rows:
-            for b, b_conj, cp in b_rows:
+        for i, (a, c) in enumerate(a_rows):
+            for k, (b, b_conj, cp) in enumerate(b_rows[i:] if kind == "w" else b_rows):
+                x = a + a if kind == "w" and k else a  # 2a: an unordered pair, counted twice
                 for sign, other in ((1, b), (-1, b_conj)):
                     q = lam * (2 ** c + sign * 2 ** cp)
                     if q == 0:
                         continue
-                    amp = a * other
+                    amp = x * other
                     if q < 0:
                         q, amp = -q, np.conj(amp, out=amp)
                     modes[q] = modes[q] + amp if q in modes else amp
